@@ -33,14 +33,6 @@ def _badd(a: int | None, b: int | None) -> int | None:
     return a + b
 
 
-def _bmin(a: int | None, b: int | None) -> int | None:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
-
-
 def _ble(a: int | None, b: int | None) -> bool:
     """a <= b with None = +inf."""
     if b is None:
@@ -57,11 +49,19 @@ class Zone:
     ``m[i][j]`` bounds ``v_i - v_j <= m[i][j]``; index 0 denotes the
     constant 0, so ``m[i][0]`` is an upper bound and ``m[0][i]`` a negated
     lower bound.
+
+    ``closed`` records that ``m`` is its own Floyd–Warshall closure (and
+    so not empty), which lets ``join``, ``le``, ``forget`` and ``facts``
+    skip re-closing.  Closure is unique, so the flag changes no result:
+    it is set by :meth:`close`, kept by ``copy``, ``join``, ``forget``
+    and the ``x := x + c`` shift, and kept by :meth:`add_constraint`
+    through incremental closure; ``widen`` results are not closed.
     """
 
     names: tuple[str, ...]
     m: list[list[int | None]] = field(default_factory=list)
     bottom: bool = False
+    closed: bool = False
 
     def __post_init__(self) -> None:
         if not self.m:
@@ -69,13 +69,33 @@ class Zone:
             self.m = [
                 [0 if i == j else _INF for j in range(n)] for i in range(n)
             ]
+            self.closed = True  # top is closed
+        self._index = {name: i for i, name in enumerate(self.names, 1)}
+        self._terms: dict[str, LinTerm] | None = None
 
     # ------------------------------------------------------------------
     def index(self, name: str) -> int:
-        return self.names.index(name) + 1
+        try:
+            return self._index[name]
+        except KeyError:
+            raise ValueError(f"{name!r} is not tracked by this zone")
 
     def copy(self) -> "Zone":
-        return Zone(self.names, [row[:] for row in self.m], self.bottom)
+        return self._with([row[:] for row in self.m], self.closed,
+                          self.bottom)
+
+    def _with(self, m: list[list[int | None]], closed: bool,
+              bottom: bool = False) -> "Zone":
+        """A zone over the same names with matrix ``m``, sharing this
+        zone's name tables."""
+        zone = Zone.__new__(Zone)
+        zone.names = self.names
+        zone.m = m
+        zone.bottom = bottom
+        zone.closed = closed
+        zone._index = self._index
+        zone._terms = self._terms
+        return zone
 
     @staticmethod
     def top(names: Iterable[str]) -> "Zone":
@@ -83,26 +103,36 @@ class Zone:
 
     def close(self) -> "Zone":
         """Floyd–Warshall closure; detects emptiness."""
-        if self.bottom:
+        if self.bottom or self.closed:
             return self
-        n = len(self.m)
         m = self.m
+        n = len(m)
         for k in range(n):
+            row_k = m[k]
             for i in range(n):
-                ik = m[i][k]
+                row_i = m[i]
+                ik = row_i[k]
                 if ik is None:
                     continue
-                row_k = m[k]
-                row_i = m[i]
                 for j in range(n):
-                    through = _badd(ik, row_k[j])
-                    if through is not None and not _ble(row_i[j], through):
-                        row_i[j] = through
+                    kj = row_k[j]
+                    if kj is not None:
+                        through = ik + kj
+                        ij = row_i[j]
+                        if ij is None or through < ij:
+                            row_i[j] = through
         for i in range(n):
             if m[i][i] is not None and m[i][i] < 0:
                 self.bottom = True
                 break
+        else:
+            self.closed = True
         return self
+
+    def _closed(self) -> "Zone":
+        """This zone if closed, else a closed copy (operands stay raw:
+        ``widen`` reads its operands' matrices as they are)."""
+        return self if self.closed else self.copy().close()
 
     # ------------------------------------------------------------------
     # lattice
@@ -112,18 +142,17 @@ class Zone:
             return other.copy()
         if other.bottom:
             return self.copy()
-        a, b = self.copy().close(), other.copy().close()
+        a, b = self._closed(), other._closed()
         if a.bottom:
-            return b
+            return b if b is not other else b.copy()
         if b.bottom:
-            return a
-        n = len(a.m)
-        result = Zone(self.names)
-        for i in range(n):
-            for j in range(n):
-                x, y = a.m[i][j], b.m[i][j]
-                result.m[i][j] = None if x is None or y is None else max(x, y)
-        return result
+            return a if a is not self else a.copy()
+        # the pointwise max of closed DBMs is closed
+        return self._with([
+            [None if x is None or y is None else (x if x > y else y)
+             for x, y in zip(row_a, row_b)]
+            for row_a, row_b in zip(a.m, b.m)
+        ], closed=True)
 
     def widen(self, other: "Zone") -> "Zone":
         """Standard DBM widening: drop bounds the new state exceeds."""
@@ -131,26 +160,21 @@ class Zone:
             return other.copy()
         if other.bottom:
             return self.copy()
-        n = len(self.m)
-        result = Zone(self.names)
-        for i in range(n):
-            for j in range(n):
-                result.m[i][j] = (
-                    self.m[i][j] if _ble(other.m[i][j], self.m[i][j])
-                    else _INF
-                )
-        return result
+        return self._with([
+            [x if _ble(y, x) else _INF for x, y in zip(row_s, row_o)]
+            for row_s, row_o in zip(self.m, other.m)
+        ], closed=False)
 
     def le(self, other: "Zone") -> bool:
-        a = self.copy().close()
+        a = self._closed()
         if a.bottom:
             return True
         if other.bottom:
             return False
-        n = len(self.m)
         return all(
-            _ble(a.m[i][j], other.m[i][j])
-            for i in range(n) for j in range(n)
+            _ble(x, y)
+            for row_a, row_o in zip(a.m, other.m)
+            for x, y in zip(row_a, row_o)
         )
 
     # ------------------------------------------------------------------
@@ -168,8 +192,35 @@ class Zone:
                 self.m[j][i] = _INF
 
     def add_constraint(self, i: int, j: int, c: int) -> None:
-        """Record ``v_i - v_j <= c``."""
-        self.m[i][j] = _bmin(self.m[i][j], c)
+        """Record ``v_i - v_j <= c``.
+
+        On a closed zone this is Miné's O(n²) incremental closure, which
+        keeps it closed.  A constraint that empties a closed zone is
+        recorded as is, and the next full closure finds the emptiness.
+        """
+        m = self.m
+        old = m[i][j]
+        if old is not None and old <= c:
+            return
+        m[i][j] = c
+        if not self.closed:
+            return
+        ji = m[j][i]
+        if ji is not None and ji + c < 0:
+            self.closed = False
+            return
+        row_j = m[j]
+        for row_a in m:
+            ai = row_a[i]
+            if ai is None:
+                continue
+            via = ai + c
+            for b, jb in enumerate(row_j):
+                if jb is not None:
+                    through = via + jb
+                    ab = row_a[b]
+                    if ab is None or through < ab:
+                        row_a[b] = through
 
     def assign(self, name: str, expr: Expr) -> None:
         """x := e, exactly for ``c``, ``y + c``, ``x + c``; else forget."""
@@ -228,6 +279,7 @@ class Zone:
                 joined = joined.join(branch)
             self.m = joined.m
             self.bottom = joined.bottom
+            self.closed = joined.closed
             return
         if isinstance(pred, Cmp):
             self._assume_cmp(pred)
@@ -237,7 +289,10 @@ class Zone:
     def _assume_cmp(self, pred: Cmp) -> None:
         from ..analysis.lowering import NonLinearError, lower_expr
 
-        env = {name: LinTerm.var(Var(name)) for name in self.names}
+        env = self._terms
+        if env is None:
+            env = {name: LinTerm.var(Var(name)) for name in self.names}
+            self._terms = env
         try:
             term = (lower_expr(pred.left, env)
                     - lower_expr(pred.right, env))
@@ -282,7 +337,7 @@ class Zone:
         ``only`` restricts facts to those mentioning at least one of the
         given names (the loop's modified variables).
         """
-        zone = self.copy().close()
+        zone = self._closed()
         if zone.bottom:
             return [BoolConst(False)]
         result: list[Pred] = []

@@ -215,10 +215,6 @@ def triage_with_retries(name: str, config: EngineConfig | None,
     return outcomes[0]
 
 
-#: Backwards-compatible alias (pre-scheduler name).
-_triage_with_retries = triage_with_retries
-
-
 def load_many(
     benches,
     *,

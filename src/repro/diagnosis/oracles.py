@@ -21,7 +21,7 @@ import random
 from typing import Iterable, Sequence
 
 from ..analysis import AnalysisResult
-from ..lang.ast import Program
+from ..lang.ast import Havoc, Program
 from ..lang.interp import ExecutionResult, HavocPolicy, Interpreter, OutOfFuel
 from ..logic.terms import Var
 from .queries import Answer, Query
@@ -115,37 +115,39 @@ class _ExecutionEvaluator:
     """
 
     def __init__(self, analysis: AnalysisResult):
-        self._analysis = analysis
+        # where each analysis variable is read from, worked out once
+        self._inputs = tuple(
+            (nu, name) for name, nu in analysis.input_vars.items())
+        self._loops: list[tuple[Var, int, str | None]] = []
+        self._sites: list[tuple[Var, int]] = []
+        for v, info in analysis.info.items():
+            if info.kind == "loop":
+                self._loops.append((v, info.label or -1, info.program_var))
+            elif info.kind != "input" and info.span is not None:
+                self._sites.append((v, info.span.start))  # havoc / mul
 
     def bind(self, inputs: dict[str, int],
-             run: ExecutionResult) -> dict[Var, int] | None:
-        env: dict[Var, int] = {}
-        for name, nu in self._analysis.input_vars.items():
-            env[nu] = inputs[name]
-        for v, info in self._analysis.info.items():
-            if info.kind == "input":
-                continue
-            if info.kind == "loop":
-                exits = run.loop_exit_envs.get(info.label or -1)
-                if not exits:
-                    continue
-                assert info.program_var is not None
-                env[v] = exits[-1][info.program_var]
-            else:  # havoc / mul
-                if info.span is None:
-                    continue
-                value = run.site_values.get(info.span.start)
-                if value is not None:
-                    env[v] = value
+             run: ExecutionResult) -> dict[Var, int]:
+        env = {nu: inputs[name] for nu, name in self._inputs}
+        loop_exits = run.loop_exit_envs
+        for v, label, program_var in self._loops:
+            exits = loop_exits.get(label)
+            if exits:
+                env[v] = exits[-1][program_var]
+        sites = run.site_values
+        for v, at in self._sites:
+            value = sites.get(at)
+            if value is not None:
+                env[v] = value
         return env
 
     def holds(self, query: Query, env: dict[Var, int]) -> bool | None:
         """Whether the query formula holds on this execution; ``None`` if
         the execution does not bind every variable the query mentions."""
-        needed = query.formula.free_vars()
-        if not needed <= env.keys():
+        formula = query.formula
+        if not formula.free_vars() <= env.keys():
             return None
-        return query.formula.evaluate({v: env[v] for v in needed})
+        return formula.evaluate(env)
 
 
 def _input_space(program: Program, radius: int) -> Iterable[dict[str, int]]:
@@ -176,48 +178,43 @@ class ExhaustiveOracle(Oracle):
         self._havoc_rounds = havoc_rounds
         self._fuel = fuel
         self._evaluator = _ExecutionEvaluator(analysis)
-        self._runs: list[tuple[dict[str, int], ExecutionResult]] | None = None
+        self._envs: list[dict[Var, int]] | None = None
 
-    def _executions(self) -> list[tuple[dict[str, int], ExecutionResult]]:
-        if self._runs is None:
-            self._runs = []
+    def _bound(self) -> list[dict[Var, int]]:
+        """The analysis-variable binding of every execution in the box
+        (runs out of fuel are skipped), each bound once, right after its
+        run."""
+        if self._envs is None:
+            self._envs = []
+            bind = self._evaluator.bind
             has_havoc = any(
-                True for s in self._program.body.walk()
-                if s.__class__.__name__ == "Havoc"
+                isinstance(s, Havoc) for s in self._program.body.walk()
             )
             rounds = self._havoc_rounds if has_havoc else 1
+            # one interpreter compiles the program once; re-seeding its
+            # policy's RNG gives each round the stream of Random(seed)
+            rng = random.Random()
+            interp = Interpreter(fuel=self._fuel,
+                                 havoc_policy=HavocPolicy(rng))
             for inputs in _input_space(self._program, self._radius):
                 for seed in range(rounds):
-                    interp = Interpreter(
-                        fuel=self._fuel,
-                        havoc_policy=HavocPolicy(random.Random(seed)),
-                    )
+                    if has_havoc:
+                        rng.seed(seed)
                     try:
                         run = interp.run(self._program, inputs)
                     except OutOfFuel:
                         continue
-                    self._runs.append((inputs, run))
-        return self._runs
+                    self._envs.append(bind(inputs, run))
+        return self._envs
 
     def answer(self, query: Query) -> Answer:
-        found_holding = False
-        found_violating = False
-        for inputs, run in self._executions():
-            env = self._evaluator.bind(inputs, run)
-            holds = self._evaluator.holds(query, env)
-            if holds is None:
-                continue
-            if holds:
-                found_holding = True
-            else:
-                found_violating = True
-            if query.kind == "witness" and found_holding:
-                return Answer.YES
-            if query.kind == "invariant" and found_violating:
-                return Answer.NO
-        if query.kind == "witness":
-            return Answer.NO
-        return Answer.YES
+        # a holding run decides a witness query, a violating run an
+        # invariant query
+        witness = query.kind == "witness"
+        for env in self._bound():
+            if self._evaluator.holds(query, env) == witness:
+                return Answer.YES if witness else Answer.NO
+        return Answer.NO if witness else Answer.YES
 
 
 class SamplingOracle(Oracle):
@@ -236,8 +233,12 @@ class SamplingOracle(Oracle):
         self._samples = samples
         self._radius = radius
         self._rng = rng or random.Random(12345)
-        self._fuel = fuel
         self._evaluator = _ExecutionEvaluator(analysis)
+        # one interpreter for every sample; re-seeding its policy's RNG
+        # gives each sample the stream of Random(seed)
+        self._havoc_rng = random.Random()
+        self._interp = Interpreter(fuel=fuel,
+                                   havoc_policy=HavocPolicy(self._havoc_rng))
 
     def _random_inputs(self) -> dict[str, int]:
         inputs = {}
@@ -254,14 +255,9 @@ class SamplingOracle(Oracle):
     def answer(self, query: Query) -> Answer:
         for _ in range(self._samples):
             inputs = self._random_inputs()
-            interp = Interpreter(
-                fuel=self._fuel,
-                havoc_policy=HavocPolicy(
-                    random.Random(self._rng.getrandbits(32))
-                ),
-            )
+            self._havoc_rng.seed(self._rng.getrandbits(32))
             try:
-                run = interp.run(self._program, inputs)
+                run = self._interp.run(self._program, inputs)
             except OutOfFuel:
                 continue
             env = self._evaluator.bind(inputs, run)

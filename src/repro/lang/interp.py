@@ -9,6 +9,12 @@ The interpreter serves three roles in the reproduction:
 * the sampling oracle (Section 8's future-work direction) runs it to
   answer failure-witness queries automatically.
 
+Execution is compiled: each program is translated once into nested
+Python closures (one per AST node, specialised on the shapes of their
+operands), which every later run calls directly instead of dispatching
+on node types.  ``eval_expr``/``eval_pred`` compile their argument the
+same way, so there is one evaluator.
+
 ``havoc`` statements make execution nondeterministic; a
 :class:`HavocPolicy` resolves each havoc, by default sampling values that
 satisfy the ``@assume`` predicate (via the SMT stack when sampling fails).
@@ -16,9 +22,10 @@ satisfy the ``@assume`` predicate (via the SMT stack when sampling fails).
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Collection, Mapping, Sequence
 
 from .ast import (
     Assert,
@@ -41,6 +48,13 @@ from .ast import (
     While,
 )
 from .diagnostics import AnalysisError
+
+#: compiled forms: expressions and predicates take the environment and
+#: the site recorder (``None`` = do not record); statements take the
+#: environment and the execution result they update
+ExprFn = Callable[[dict, "dict[int, int] | None"], int]
+PredFn = Callable[[dict, "dict[int, int] | None"], bool]
+StmtFn = Callable[[dict, "ExecutionResult"], None]
 
 
 class OutOfFuel(RuntimeError):
@@ -82,15 +96,42 @@ class HavocPolicy:
         self._attempts = attempts
 
     def resolve(self, stmt: Havoc, env: Mapping[str, int]) -> int:
+        return self._sampler(stmt)(dict(env))
+
+    def _sampler(self, stmt: Havoc, bound: Collection[str] = ()
+                 ) -> Callable[[dict[str, int]], int]:
+        """Compile the resolution of one havoc site.
+
+        The returned function draws the same ``randint`` sequence from
+        this policy's RNG as :meth:`resolve`.  It tests each candidate in
+        place, by writing it to the target in the environment it is
+        given (callers overwrite the target with the result), and it
+        solves the SMT fallback once per distinct values of the
+        assumption's other variables, for as long as the function lives.
+        ``bound`` names variables the environment always binds.
+        """
+        randint = self._rng.randint
+        low, high, attempts = self._low, self._high, self._attempts
         if stmt.assume is None:
-            return self._rng.randint(self._low, self._high)
-        for _ in range(self._attempts):
-            candidate = self._rng.randint(self._low, self._high)
-            trial = dict(env)
-            trial[stmt.target] = candidate
-            if eval_pred(stmt.assume, trial):
-                return candidate
-        return self._solve(stmt, env)
+            return lambda env: randint(low, high)
+        target = stmt.target
+        assume = _compile_pred(stmt.assume, frozenset(bound) | {target})
+        others = tuple(sorted(stmt.assume.variables() - {target}))
+        solved: dict[tuple, int] = {}
+
+        def sample(env: dict[str, int]) -> int:
+            for _ in range(attempts):
+                candidate = randint(low, high)
+                env[target] = candidate
+                if assume(env, None):
+                    return candidate
+            key = tuple([env.get(name) for name in others])
+            value = solved.get(key)
+            if value is None:
+                value = solved[key] = self._solve(stmt, env)
+            return value
+
+        return sample
 
     def _solve(self, stmt: Havoc, env: Mapping[str, int]) -> int:
         from ..analysis.lowering import lower_pred_concrete  # lazy: layering
@@ -140,65 +181,292 @@ def eval_expr(expr: Expr, env: Mapping[str, int],
     When ``recorder`` is given, non-linear products record their value
     keyed by the source offset of the ``*`` expression.
     """
-    if isinstance(expr, Const):
-        return expr.value
-    if isinstance(expr, Name):
-        try:
-            return env[expr.name]
-        except KeyError:
-            raise AnalysisError(f"unbound variable {expr.name!r}", expr.span)
-    if isinstance(expr, BinOp):
-        left = eval_expr(expr.left, env, recorder)
-        right = eval_expr(expr.right, env, recorder)
-        if expr.op == "+":
-            return left + right
-        if expr.op == "-":
-            return left - right
-        if expr.op == "*":
-            value = left * right
-            if recorder is not None and not (
-                isinstance(expr.left, Const) or isinstance(expr.right, Const)
-            ):
-                recorder[expr.span.start] = value
-            return value
-        raise AnalysisError(f"unknown operator {expr.op!r}", expr.span)
-    raise TypeError(f"unexpected expression node {expr!r}")
-
-
-_CMP = {
-    "<": lambda a, b: a < b,
-    ">": lambda a, b: a > b,
-    "<=": lambda a, b: a <= b,
-    ">=": lambda a, b: a >= b,
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-}
+    return _compile_expr(expr, frozenset())(env, recorder)
 
 
 def eval_pred(pred: Pred, env: Mapping[str, int],
               recorder: dict[int, int] | None = None) -> bool:
     """Evaluate a predicate (Figure 1's predicate judgments)."""
+    return _compile_pred(pred, frozenset())(env, recorder)
+
+
+# ---------------------------------------------------------------------------
+# compilation of expressions and predicates
+# ---------------------------------------------------------------------------
+
+_ARITH = {"+": operator.add, "-": operator.sub}
+
+_CMP = {
+    "<": operator.lt,
+    ">": operator.gt,
+    "<=": operator.le,
+    ">=": operator.ge,
+    "==": operator.eq,
+    "!=": operator.ne,
+}
+
+
+def _operand(expr: Expr, bound: frozenset[str]):
+    """``("c", value)`` for a constant, ``("n", name)`` for a name the
+    environment always binds, else ``("f", compiled)``."""
+    if isinstance(expr, Const):
+        return "c", expr.value
+    if isinstance(expr, Name) and expr.name in bound:
+        return "n", expr.name
+    return "f", _compile_expr(expr, bound)
+
+
+def _combine(op, left: Expr, right: Expr, bound: frozenset[str]) -> ExprFn:
+    """``op(left, right)``, evaluated left to right, with constant and
+    always-bound operands read inline instead of through a closure."""
+    (lk, a), (rk, b) = _operand(left, bound), _operand(right, bound)
+    if lk == "n":
+        if rk == "c":
+            return lambda env, sites: op(env[a], b)
+        if rk == "n":
+            return lambda env, sites: op(env[a], env[b])
+        return lambda env, sites: op(env[a], b(env, sites))
+    if lk == "c":
+        if rk == "c":
+            return lambda env, sites: op(a, b)
+        if rk == "n":
+            return lambda env, sites: op(a, env[b])
+        return lambda env, sites: op(a, b(env, sites))
+    if rk == "c":
+        return lambda env, sites: op(a(env, sites), b)
+    if rk == "n":
+        return lambda env, sites: op(a(env, sites), env[b])
+    return lambda env, sites: op(a(env, sites), b(env, sites))
+
+
+def _compile_expr(expr: Expr, bound: frozenset[str]) -> ExprFn:
+    """Compile an expression; names in ``bound`` skip the unbound check."""
+    if isinstance(expr, Const):
+        value = expr.value
+        return lambda env, sites: value
+    if isinstance(expr, Name):
+        name, span = expr.name, expr.span
+        if name in bound:
+            return lambda env, sites: env[name]
+
+        def lookup(env, sites):
+            try:
+                return env[name]
+            except KeyError:
+                raise AnalysisError(f"unbound variable {name!r}", span)
+
+        return lookup
+    if isinstance(expr, BinOp):
+        if expr.op in _ARITH:
+            return _combine(_ARITH[expr.op], expr.left, expr.right, bound)
+        left = _compile_expr(expr.left, bound)
+        right = _compile_expr(expr.right, bound)
+        op, span = expr.op, expr.span
+        if op != "*":
+            def unknown(env, sites):
+                left(env, sites), right(env, sites)
+                raise AnalysisError(f"unknown operator {op!r}", span)
+
+            return unknown
+        if isinstance(expr.left, Const) or isinstance(expr.right, Const):
+            return _combine(operator.mul, expr.left, expr.right, bound)
+        at = span.start
+
+        def product(env, sites):
+            value = left(env, sites) * right(env, sites)
+            if sites is not None:
+                sites[at] = value
+            return value
+
+        return product
+    return _raiser(lambda: TypeError(f"unexpected expression node {expr!r}"))
+
+
+def _compile_pred(pred: Pred, bound: frozenset[str]) -> PredFn:
+    """Compile a predicate; names in ``bound`` skip the unbound check."""
     if isinstance(pred, BoolConst):
-        return pred.value
+        value = pred.value
+        return lambda env, sites: value
     if isinstance(pred, Cmp):
-        return _CMP[pred.op](eval_expr(pred.left, env, recorder),
-                             eval_expr(pred.right, env, recorder))
+        if pred.op not in _CMP:
+            return _raiser(lambda: KeyError(pred.op))
+        return _combine(_CMP[pred.op], pred.left, pred.right, bound)
     if isinstance(pred, BoolOp):
+        parts = tuple(_compile_pred(p, bound) for p in pred.parts)
         if pred.op == "&&":
-            return all(eval_pred(p, env, recorder) for p in pred.parts)
-        return any(eval_pred(p, env, recorder) for p in pred.parts)
+            if len(parts) == 2:
+                a, b = parts
+                return lambda env, sites: a(env, sites) and b(env, sites)
+            return lambda env, sites: all(p(env, sites) for p in parts)
+        if len(parts) == 2:
+            a, b = parts
+            return lambda env, sites: a(env, sites) or b(env, sites)
+        return lambda env, sites: any(p(env, sites) for p in parts)
     if isinstance(pred, NotPred):
-        return not eval_pred(pred.arg, env, recorder)
-    raise TypeError(f"unexpected predicate node {pred!r}")
+        arg = _compile_pred(pred.arg, bound)
+        return lambda env, sites: not arg(env, sites)
+    return _raiser(lambda: TypeError(f"unexpected predicate node {pred!r}"))
+
+
+def _raiser(make: Callable[[], Exception]):
+    """A compiled node that raises when it is evaluated, not compiled."""
+    def fail(*args):
+        raise make()
+
+    return fail
+
+
+# ---------------------------------------------------------------------------
+# compilation of statements
+# ---------------------------------------------------------------------------
+
+class _Compiler:
+    """Compiles one program's statements for one fuel budget and policy.
+
+    Every statement closure first counts one step and raises
+    :class:`OutOfFuel` past the budget, and every loop iteration counts
+    one more, exactly as Figure 1's small-step reading does.
+    """
+
+    def __init__(self, program: Program, fuel: int, policy: HavocPolicy):
+        self.fuel = fuel
+        self.policy = policy
+        # initialised for every run and never removed
+        self.bound = frozenset(program.param_names()) | set(program.locals)
+        self.overridden = type(policy).resolve is not HavocPolicy.resolve
+
+    def block(self, block: Block) -> StmtFn:
+        stmts = tuple(self.stmt(s) for s in block.body)
+        if not stmts:
+            return lambda env, res: None
+        if len(stmts) == 1:
+            return stmts[0]
+        if len(stmts) == 2:
+            a, b = stmts
+
+            def run2(env, res):
+                a(env, res)
+                b(env, res)
+
+            return run2
+
+        def run(env, res):
+            for stmt in stmts:
+                stmt(env, res)
+
+        return run
+
+    def stmt(self, stmt: Stmt) -> StmtFn:
+        fuel, span = self.fuel, stmt.span
+
+        def exhausted():
+            return OutOfFuel(f"execution exceeded {fuel} steps at {span}")
+
+        if isinstance(stmt, Assign):
+            target = stmt.target
+            value = _compile_expr(stmt.value, self.bound)
+
+            def assign(env, res):
+                steps = res.steps = res.steps + 1
+                if steps > fuel:
+                    raise exhausted()
+                env[target] = value(env, res.site_values)
+
+            return assign
+        if isinstance(stmt, Havoc):
+            return self.havoc(stmt, exhausted)
+        if isinstance(stmt, If):
+            cond = _compile_pred(stmt.cond, self.bound)
+            then, other = self.block(stmt.then_branch), \
+                self.block(stmt.else_branch)
+
+            def branch(env, res):
+                steps = res.steps = res.steps + 1
+                if steps > fuel:
+                    raise exhausted()
+                if cond(env, res.site_values):
+                    then(env, res)
+                else:
+                    other(env, res)
+
+            return branch
+        if isinstance(stmt, While):
+            return self.loop(stmt, exhausted)
+        if isinstance(stmt, Block):
+            inner = self.block(stmt)
+        elif isinstance(stmt, Skip):
+            inner = None
+        elif isinstance(stmt, Assert):
+            inner = _raiser(lambda: AnalysisError(
+                "assert may only appear as the final check", span))
+        else:
+            inner = _raiser(
+                lambda: TypeError(f"unexpected statement node {stmt!r}"))
+
+        def other_stmt(env, res):
+            steps = res.steps = res.steps + 1
+            if steps > fuel:
+                raise exhausted()
+            if inner is not None:
+                inner(env, res)
+
+        return other_stmt
+
+    def havoc(self, stmt: Havoc, exhausted) -> StmtFn:
+        fuel, target, at = self.fuel, stmt.target, stmt.span.start
+        if self.overridden:
+            resolve = self.policy.resolve
+
+            def sample(env):
+                return resolve(stmt, env)
+        else:
+            sample = self.policy._sampler(stmt, self.bound)
+
+        def havoc(env, res):
+            steps = res.steps = res.steps + 1
+            if steps > fuel:
+                raise exhausted()
+            value = sample(env)
+            env[target] = value
+            res.havoc_values.append(value)
+            res.site_values[at] = value
+
+        return havoc
+
+    def loop(self, stmt: While, exhausted) -> StmtFn:
+        fuel, span, label = self.fuel, stmt.span, stmt.label
+        cond = _compile_pred(stmt.cond, self.bound)
+        body = self.block(stmt.body)
+
+        def loop(env, res):
+            steps = res.steps = res.steps + 1
+            if steps > fuel:
+                raise exhausted()
+            sites = res.site_values
+            while cond(env, sites):
+                steps = res.steps = res.steps + 1
+                if steps > fuel:
+                    raise OutOfFuel(f"loop at {span} exceeded {fuel} steps")
+                body(env, res)
+            res.loop_exit_envs.setdefault(label, []).append(dict(env))
+
+        return loop
 
 
 class Interpreter:
-    """Executes programs under the Figure 1 semantics."""
+    """Executes programs under the Figure 1 semantics.
+
+    A program is compiled on its first run through an interpreter and
+    the compiled form is reused for every later run of the same program
+    object; havoc sites compiled for the default policy keep their SMT
+    fallback memo for as long as the interpreter keeps the program.
+    """
 
     def __init__(self, *, fuel: int = 200_000,
                  havoc_policy: HavocPolicy | None = None):
         self._fuel = fuel
         self._policy = havoc_policy or HavocPolicy()
+        self._compiled: dict[int, tuple[Program, StmtFn, PredFn]] = {}
 
     def run(self, program: Program,
             inputs: Mapping[str, int] | Sequence[int]) -> ExecutionResult:
@@ -207,10 +475,20 @@ class Interpreter:
         ``inputs`` is either a mapping from parameter names to values or a
         positional sequence.  Unsigned parameters reject negative values.
         """
+        # the entry holds the program, so its id cannot be reused
+        compiled = self._compiled.get(id(program))
+        if compiled is None:
+            compiler = _Compiler(program, self._fuel, self._policy)
+            compiled = self._compiled[id(program)] = (
+                program,
+                compiler.block(program.body),
+                _compile_pred(program.check.pred, compiler.bound),
+            )
+        _, body, check = compiled
         env = self._initial_env(program, inputs)
         result = ExecutionResult(ok=True, env=env, steps=0)
-        self._exec_block(program.body, env, result)
-        result.ok = eval_pred(program.check.pred, env, result.site_values)
+        body(env, result)
+        result.ok = check(env, result.site_values)
         return result
 
     # ------------------------------------------------------------------
@@ -238,53 +516,6 @@ class Interpreter:
         for name in program.locals:
             env[name] = 0  # concrete semantics: locals start at 0
         return env
-
-    def _exec_block(self, block: Block, env: dict[str, int],
-                    result: ExecutionResult) -> None:
-        for stmt in block.body:
-            self._exec(stmt, env, result)
-
-    def _exec(self, stmt: Stmt, env: dict[str, int],
-              result: ExecutionResult) -> None:
-        result.steps += 1
-        if result.steps > self._fuel:
-            raise OutOfFuel(
-                f"execution exceeded {self._fuel} steps at {stmt.span}"
-            )
-        if isinstance(stmt, Skip):
-            return
-        if isinstance(stmt, Assign):
-            env[stmt.target] = eval_expr(stmt.value, env, result.site_values)
-            return
-        if isinstance(stmt, Havoc):
-            value = self._policy.resolve(stmt, env)
-            env[stmt.target] = value
-            result.havoc_values.append(value)
-            result.site_values[stmt.span.start] = value
-            return
-        if isinstance(stmt, Block):
-            self._exec_block(stmt, env, result)
-            return
-        if isinstance(stmt, If):
-            taken = eval_pred(stmt.cond, env, result.site_values)
-            branch = stmt.then_branch if taken else stmt.else_branch
-            self._exec_block(branch, env, result)
-            return
-        if isinstance(stmt, While):
-            while eval_pred(stmt.cond, env, result.site_values):
-                result.steps += 1
-                if result.steps > self._fuel:
-                    raise OutOfFuel(
-                        f"loop at {stmt.span} exceeded {self._fuel} steps"
-                    )
-                self._exec_block(stmt.body, env, result)
-            result.loop_exit_envs.setdefault(stmt.label, []).append(dict(env))
-            return
-        if isinstance(stmt, Assert):
-            raise AnalysisError(
-                "assert may only appear as the final check", stmt.span
-            )
-        raise TypeError(f"unexpected statement node {stmt!r}")
 
 
 def run_program(program: Program,

@@ -6,7 +6,6 @@ is handled one level up, in :mod:`repro.smt`.
 """
 
 from .omega import (
-    BudgetExceeded,
     Model,
     OmegaSolver,
     is_sat_literals,
@@ -15,7 +14,6 @@ from .omega import (
 )
 
 __all__ = [
-    "BudgetExceeded",
     "Model",
     "OmegaSolver",
     "is_sat_literals",

@@ -32,7 +32,6 @@ still the public interface; conversion happens once per ``_solve`` call.
 
 from __future__ import annotations
 
-import warnings
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -64,11 +63,6 @@ class Model(dict):
     def value(self, v: Var, default: int = 0) -> int:
         return self.get(v, default)
 
-
-#: Backwards-compatible alias: the omega step budget now raises the
-#: unified :class:`repro.limits.ResourceExhausted` (stage ``"omega"``),
-#: so existing ``except BudgetExceeded`` handlers keep working.
-BudgetExceeded = ResourceExhausted
 
 # Backwards-compatible aliases; the shared definitions live in
 # :mod:`repro.lia.intmath` now.
@@ -177,15 +171,8 @@ def _eval_row(row: list[int], order: list[Var], env) -> int:
 class OmegaSolver:
     """Exact integer linear arithmetic solver for conjunctions of literals."""
 
-    def __init__(self, *, budget: int | None = None):
-        if budget is not None:
-            warnings.warn(
-                "OmegaSolver(budget=...) is deprecated; govern runs with "
-                "repro.limits.Limits(omega_steps=...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        self._budget = _DEFAULT_BUDGET if budget is None else budget
+    def __init__(self):
+        self._budget = _DEFAULT_BUDGET
         self._steps = 0
         self._pending = 0
         # per-instance verdict memo keyed on the literal tuple.  The SMT

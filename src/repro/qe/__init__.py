@@ -1,7 +1,6 @@
 """Cooper quantifier elimination for Presburger arithmetic."""
 
 from .cooper import (
-    QeBudgetExceeded,
     decide_closed,
     eliminate_exists,
     eliminate_forall,
@@ -10,7 +9,6 @@ from .cooper import (
 )
 
 __all__ = [
-    "QeBudgetExceeded",
     "decide_closed",
     "eliminate_exists",
     "eliminate_forall",

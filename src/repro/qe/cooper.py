@@ -59,12 +59,6 @@ from ..logic.serialize import formula_from_obj, formula_to_obj
 from ..logic.terms import LinTerm, Var, lcm, lcm_all
 
 
-#: Backwards-compatible alias: QE node-budget overruns now raise the
-#: unified :class:`repro.limits.ResourceExhausted` (stage ``"qe"``,
-#: ``kind="nodes"``), so existing handlers keep working.
-QeBudgetExceeded = ResourceExhausted
-
-
 # Persistent, bounded caches keyed by *content digest*.  Elimination
 # results and clause-satisfiability verdicts are pure functions of their
 # inputs, so both survive across calls (the abduction loop re-eliminates

@@ -1,5 +1,5 @@
 """The resource-governance layer: the Limits dataclass, the cooperative
-Governor, fault-spec parsing, deprecated knob aliases and the
+Governor, fault-spec parsing, removed knobs and aliases and the
 ``repro.result/2`` envelope reader."""
 
 from __future__ import annotations
@@ -102,12 +102,6 @@ class TestResourceExhausted:
     def test_is_a_runtime_error(self):
         # pre-governance callers caught RuntimeError for budget blowups
         assert issubclass(ResourceExhausted, RuntimeError)
-
-    def test_budget_exceeded_aliases(self):
-        from repro.lia import BudgetExceeded
-        from repro.qe.cooper import QeBudgetExceeded
-        assert BudgetExceeded is ResourceExhausted
-        assert QeBudgetExceeded is ResourceExhausted
 
 
 class TestGovernor:
@@ -252,13 +246,20 @@ class TestFaultSpecs:
 
 
 class TestDeprecatedKnobs:
-    def test_omega_budget_param_warns(self):
+    def test_budget_aliases_removed(self):
+        import repro.batch.driver
+        import repro.lia
+        import repro.qe
+        import repro.qe.cooper
+        assert not hasattr(repro.lia, "BudgetExceeded")
+        assert not hasattr(repro.qe, "QeBudgetExceeded")
+        assert not hasattr(repro.qe.cooper, "QeBudgetExceeded")
+        assert not hasattr(repro.batch.driver, "_triage_with_retries")
+
+    def test_omega_budget_param_removed(self):
         from repro.lia import OmegaSolver
-        with pytest.warns(DeprecationWarning, match="budget") as records:
+        with pytest.raises(TypeError, match="budget"):
             OmegaSolver(budget=100)
-        # stacklevel=2: the warning must point at this caller, not at
-        # omega.py, so `-W error::DeprecationWarning` blames user code
-        assert records[0].filename == __file__
 
     def test_pipeline_triage_timeout_removed(self):
         from repro.api import Pipeline

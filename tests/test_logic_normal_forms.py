@@ -2,8 +2,7 @@
 
 import pickle
 
-import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.logic import (
     Not,
@@ -83,7 +82,9 @@ def test_dnf_preserves_semantics(phi):
     try:
         rebuilt = from_dnf(dnf_clauses(phi, limit=20_000))
     except MemoryError:
-        pytest.skip("formula too large for DNF")
+        # Discard just this draw; skipping would drop the whole test and
+        # the example database would replay the oversized draw forever.
+        assume(False)
     for env in enumerate_box(VARS, 2):
         assert phi.evaluate(env) == rebuilt.evaluate(env)
 
@@ -94,7 +95,7 @@ def test_cnf_preserves_semantics(phi):
     try:
         rebuilt = from_cnf(cnf_clauses(phi, limit=20_000))
     except MemoryError:
-        pytest.skip("formula too large for CNF")
+        assume(False)
     for env in enumerate_box(VARS, 2):
         assert phi.evaluate(env) == rebuilt.evaluate(env)
 
@@ -113,9 +114,7 @@ def _normal_form_digests(phi, limit=50_000):
 @given(deep_formulas())
 def test_deep_shared_normal_forms_preserve_semantics(phi):
     """CNF/DNF stay correct on deeply nested, heavily shared DAGs."""
-    digests = _normal_form_digests(phi)
-    if digests is None:
-        pytest.skip("formula too large for normal forms")
+    assume(_normal_form_digests(phi) is not None)
     cnf = from_cnf(cnf_clauses(phi, limit=50_000))
     dnf = from_dnf(dnf_clauses(phi, limit=50_000))
     for env in enumerate_box(VARS, 2):
@@ -133,8 +132,7 @@ def test_normal_form_digests_survive_intern_state(phi):
     round-trip) — that is what makes them usable as persistent cache
     keys."""
     baseline = _normal_form_digests(phi)
-    if baseline is None:
-        pytest.skip("formula too large for normal forms")
+    assume(baseline is not None)
     clone = pickle.loads(pickle.dumps(phi))
     clear_intern_tables()
     resurrected = pickle.loads(pickle.dumps(clone))

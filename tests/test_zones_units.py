@@ -2,8 +2,11 @@
 
 import random
 
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
 from repro.abstract.zones import Zone, _difference_form
-from repro.lang.ast import BinOp, Cmp, Const, Name
+from repro.lang.ast import BinOp, BoolOp, Cmp, Const, Name
 
 
 def cmp(op, left, right):
@@ -132,3 +135,100 @@ class TestRandomizedSoundness:
                             assert eval_pred(fact, env), (
                                 recorded, fact, env
                             )
+
+
+# ---------------------------------------------------------------------------
+# the ``closed`` flag and incremental closure
+# ---------------------------------------------------------------------------
+
+NAMES = ("a", "b", "c")
+bounds = st.one_of(st.none(), st.integers(-6, 6))
+
+
+@st.composite
+def dbms(draw, names=NAMES):
+    """A raw (unclosed) zone with arbitrary bounds off the diagonal."""
+    n = len(names) + 1
+    m = [[0 if i == j else draw(bounds) for j in range(n)]
+         for i in range(n)]
+    return Zone(names, m)
+
+
+def full_closure(zone: Zone) -> Zone:
+    """A Floyd–Warshall closure of ``zone``'s matrix as it stands."""
+    return Zone(zone.names, [row[:] for row in zone.m]).close()
+
+
+def assert_closed_fixpoint(zone: Zone) -> None:
+    assert zone.closed and not zone.bottom
+    again = full_closure(zone)
+    assert not again.bottom and again.m == zone.m
+
+
+@st.composite
+def closed_zones(draw):
+    zone = draw(dbms()).close()
+    assume(not zone.bottom)
+    return zone
+
+
+constraints = st.tuples(st.integers(0, len(NAMES)),
+                        st.integers(0, len(NAMES)), st.integers(-6, 6))
+
+
+class TestClosedFlag:
+    @settings(max_examples=200, deadline=None)
+    @given(closed_zones(), constraints)
+    def test_incremental_closure_equals_full(self, zone, constraint):
+        i, j, c = constraint
+        raw = Zone(zone.names, [row[:] for row in zone.m])
+        raw.add_constraint(i, j, c)
+        expected = raw.close()
+        zone.add_constraint(i, j, c)
+        if expected.bottom:
+            # an emptying constraint is left for the next full closure
+            assert not zone.closed and zone.close().bottom
+        else:
+            assert zone.closed and zone.m == expected.m
+
+    @settings(max_examples=100, deadline=None)
+    @given(closed_zones(), closed_zones())
+    def test_join_of_closed_zones_is_closed(self, a, b):
+        assert_closed_fixpoint(a.join(b))
+
+    @settings(max_examples=150, deadline=None)
+    @given(dbms(), st.lists(st.tuples(st.integers(0, 5), constraints,
+                                      st.sampled_from(NAMES)),
+                            max_size=8))
+    def test_every_closed_zone_is_a_closure_fixpoint(self, zone, ops):
+        """Whatever sequence of operations made it, a zone flagged
+        ``closed`` is its own full closure."""
+        zones = [zone]
+        for op, (i, j, c), name in ops:
+            current = zones[-1]
+            if op == 0:
+                nxt = current.copy()
+                nxt.add_constraint(i, j, c)
+            elif op == 1:
+                nxt = current.copy()
+                nxt.forget(name)
+            elif op == 2:
+                nxt = current.copy()
+                nxt.assign(name, BinOp("+", Name(name), Const(c)))
+            elif op == 3:
+                nxt = current.join(zones[i % len(zones)])
+            elif op == 4:
+                nxt = current.widen(zones[j % len(zones)])
+            else:
+                nxt = current.copy()
+                nxt.assume(BoolOp("||", (cmp("<=", Name(name), Const(c)),
+                                         cmp(">=", Name(name), Const(-c)))))
+            zones.append(nxt)
+        for z in zones:
+            if z.closed and not z.bottom:
+                assert_closed_fixpoint(z)
+
+    def test_top_is_closed_and_widen_is_not(self):
+        top = Zone.top(NAMES)
+        assert_closed_fixpoint(top)
+        assert not top.widen(top).closed
