@@ -1,8 +1,8 @@
 """Experiment E8: warm-cache speedup of the persistent artifact store.
 
-The staged pipeline (PR 5) persists entailment, abduction,
-decomposition, QE and SMT artifacts in a content-addressed on-disk
-store (:mod:`repro.cache`), so a second triage of the same suite
+The staged pipeline persists entailment, abduction, decomposition
+and SMT artifacts in a content-addressed on-disk store
+(:mod:`repro.cache`), so a second triage of the same suite
 re-derives nothing heavy.  The contract pinned here: with every
 in-process memo dropped between runs, a **warm** second full-suite
 triage must be at least ``SPEEDUP_BOUND``x faster than the cold run

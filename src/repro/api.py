@@ -109,7 +109,7 @@ class Pipeline:
 
     ``cache_dir`` opens the persistent content-addressed store there
     (:mod:`repro.cache`) and activates it for every workload this
-    pipeline runs: diagnosis stage artifacts and QE/SMT verdicts are
+    pipeline runs: diagnosis stage artifacts and SMT verdicts are
     reused across runs and processes, and results carry a ``cache``
     provenance block.  ``incremental=True`` (triage only) additionally
     serves whole reports whose ``(I, phi)`` judgment digest is
@@ -140,7 +140,7 @@ class Pipeline:
         Bound thread-locally: a pipeline may run on a serve worker
         thread concurrent with other requests, and the process-global
         store slot is not reentrant across threads.  Everything a
-        workload runs (engine, QE/SMT caches, repair synthesis) resolves
+        workload runs (engine, SMT cache, repair synthesis) resolves
         the store on the same thread, so the scope is equivalent for
         single-threaded callers; portfolio strategy threads inherit the
         caller's store explicitly.

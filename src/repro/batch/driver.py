@@ -105,7 +105,7 @@ def triage_many(
     ``BatchResult.telemetry``.
 
     ``cache_dir`` activates the persistent content-addressed store for
-    every report (stage artifacts, QE/SMT verdicts), shared across
+    every report (stage artifacts, SMT verdicts), shared across
     workers and across runs.  ``incremental`` additionally serves whole
     reports from recorded verdicts when their ``(I, phi)`` judgment
     digest is unchanged — re-triaging an edited suite recomputes only

@@ -245,7 +245,7 @@ def _triage_one(name: str, config: EngineConfig | None = None,
     stay warm between calls within one worker.
 
     With ``cache_dir`` the report runs with the persistent store active:
-    the engine's stage functions and the QE/SMT caches read and write
+    the engine's stage functions and the SMT verdict cache read and write
     content-addressed artifacts under it (workers share the directory;
     writes are atomic).  With ``incremental`` additionally, the report
     itself can be short-circuited: the source digest resolves to the

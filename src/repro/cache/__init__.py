@@ -1,19 +1,20 @@
 """Persistent content-addressed caching for the staged triage pipeline.
 
-PR 1's speedups — hash-consing, QE memo tables, incremental SMT — are
-all process-lifetime and keyed by in-process object identity or salted
-Python hashes, so nothing survives a restart and nothing is shared
-between the batch driver's workers beyond fork-time state.  This package
-converts those in-process wins into cross-run, cross-worker wins:
+The in-process speedups — hash-consing, QE memo tables, incremental
+SMT — are all process-lifetime, so nothing survives a restart and
+nothing is shared between the batch driver's workers beyond fork-time
+state.  This package turns the ones a later run reads back into
+cross-run, cross-worker wins:
 
 * :class:`CacheStore` (:mod:`repro.cache.store`) is a small on-disk
   store mapping ``stage/content-digest`` to a JSON artifact, with
   versioned keys, LRU eviction and corruption-tolerant reads;
 * the *active store* (:func:`use_store` / :func:`current_store`) is how
-  the solver stack finds it: the QE elimination and clause caches and
-  the SMT verdict cache consult the active store on a memory miss, and
-  the diagnosis engine's stage functions (:mod:`repro.diagnosis.stages`)
-  persist whole stage artifacts through it.
+  the solver stack finds it: the SMT verdict cache consults the active
+  store on a memory miss, and the diagnosis engine's stage functions
+  (:mod:`repro.diagnosis.stages`) persist whole stage artifacts through
+  it.  QE memos stay in-process: a warm run replays stage artifacts and
+  never reaches QE, so persisting them only cost writes.
 
 Opening a store is idempotent per path (:func:`open_store` memoizes), so
 the batch driver and its forked workers can all "open" the same

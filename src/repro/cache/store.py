@@ -1,13 +1,17 @@
 """A persistent, content-addressed artifact store.
 
-Every entry is one JSON file at ``root/<format-version>/<stage>/<k[:2]>/
-<k>.json``, where ``k`` is a content digest (see
-:mod:`repro.logic.digest`) of everything the artifact is a pure function
-of.  Properties the rest of the system relies on:
+Every entry is one JSON file at ``root/<format-version>/<stage>/<k>.json``,
+where ``k`` is a content digest (see :mod:`repro.logic.digest`) of
+everything the artifact is a pure function of.  One flat directory per
+stage: a store capped at ``max_entries`` (8,192 by default) does not
+need a fan-out level, and creating one directory per key prefix cost
+as much as the entry write itself.  Properties the rest of the system
+relies on:
 
 * **versioned keys** — the store format version and the digest scheme
   version are both part of the path, so either can be bumped without
-  serving stale artifacts to new code;
+  serving stale artifacts to new code (an older layout, such as the
+  ``v1-dg1`` fan-out tree, is ignored and can be deleted);
 * **corruption tolerance** — a truncated, garbled or non-JSON entry
   reads as a *miss* (and is deleted), never as an exception: a cache
   must not be able to break a triage run;
@@ -17,7 +21,9 @@ of.  Properties the rest of the system relies on:
   address, same content);
 * **LRU eviction** — reads refresh an entry's mtime and eviction drops
   the oldest entries once the store exceeds ``max_entries``, so a
-  long-lived cache directory stays bounded.
+  long-lived cache directory stays bounded.  An ``flock`` on
+  ``<format-version>/.lock`` keeps eviction from unlinking a peer's
+  write: renames hold it shared, an eviction holds it exclusive.
 
 Counters (hits/misses/puts/evictions/corrupt drops, per stage and
 overall) stream into :mod:`repro.obs` as ``cache.store.*`` /
@@ -30,11 +36,14 @@ the per-operation view the aggregate counters can't give.
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 import tempfile
 import time
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator
 
 from .. import obs
 from ..obs import logging as olog
@@ -43,7 +52,7 @@ from ..logic.digest import DIGEST_VERSION
 __all__ = ["CacheStore", "STORE_VERSION"]
 
 #: Store layout version; part of every entry path.
-STORE_VERSION = "v1"
+STORE_VERSION = "v2"
 
 
 class CacheStore:
@@ -54,6 +63,7 @@ class CacheStore:
         self.root = Path(root)
         self._base = self.root / f"{STORE_VERSION}-{DIGEST_VERSION}"
         self._base.mkdir(parents=True, exist_ok=True)
+        self._lock_path = self._base / ".lock"
         self.max_entries = max_entries
         self._counts: dict[str, dict[str, int]] = {}
         # entry count is maintained incrementally and re-synced from a
@@ -62,10 +72,22 @@ class CacheStore:
 
     # ------------------------------------------------------------------
     def _path(self, stage: str, key: str) -> Path:
-        return self._base / stage / key[:2] / f"{key}.json"
+        return self._base / stage / f"{key}.json"
 
-    def _iter_entries(self):
-        yield from self._base.glob("*/*/*.json")
+    def _iter_entries(self) -> Iterator[Path]:
+        yield from self._base.glob("*/*.json")
+
+    @contextmanager
+    def _locked(self, operation: int) -> Iterator[None]:
+        """Hold the root's ``flock`` (``LOCK_SH`` or ``LOCK_EX``).
+
+        The lock file is opened per operation, never kept: a kept
+        descriptor would leak one fd per memoized store, and a forked
+        child would share its open file description with the parent,
+        so their locks would not exclude each other."""
+        with open(self._lock_path, "ab", buffering=0) as lock:
+            fcntl.flock(lock, operation)
+            yield  # closing the file releases the lock
 
     def _count(self, stage: str, event: str,
                key: str | None = None) -> None:
@@ -123,13 +145,23 @@ class CacheStore:
         """
         path = self._path(stage, key)
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
             fresh = not path.exists()
-            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+            try:
+                fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+            except FileNotFoundError:
+                # the stage's first write, or its directory was removed
+                # under this live store: (re)create it once and retry
+                path.parent.mkdir(parents=True, exist_ok=True)
+                fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
             try:
                 with os.fdopen(fd, "w") as handle:
                     json.dump(artifact, handle, separators=(",", ":"))
-                os.replace(tmp, path)
+                with self._locked(fcntl.LOCK_SH):
+                    # stamp recency at the rename, not at the write: a
+                    # put that waited for the lock must not land looking
+                    # older than the entries peers wrote meanwhile
+                    os.utime(tmp)
+                    os.replace(tmp, path)
             except BaseException:
                 try:
                     os.unlink(tmp)
@@ -157,26 +189,30 @@ class CacheStore:
         """Drop oldest entries down to 90% of capacity (re-scans, so the
         incremental count is also corrected for concurrent writers).
 
-        Safe under shared roots: before unlinking, each victim's mtime
-        is re-checked against the scan start — an entry a peer process
-        wrote or refreshed *after* this scan began is spared, so two
-        stores evicting concurrently can never drop each other's fresh
-        writes (the invariant ``tests/test_cache.py`` exercises under
-        threads)."""
-        scan_start = time.time()
-        entries = sorted(self._iter_entries(), key=self._mtime)
-        self._entries = len(entries)
-        target = max(1, (self.max_entries * 9) // 10)
-        for path in entries[: max(0, self._entries - target)]:
-            stage = path.parent.parent.name
-            try:
-                if path.stat().st_mtime >= scan_start:
-                    continue  # freshly (re)written by a peer: spare it
-                path.unlink()
-            except OSError:
-                continue
-            self._entries -= 1
-            self._count(stage, "evictions")
+        Safe under shared roots: the scan and the unlinks run under the
+        exclusive lock that every ``put`` holds shared around its
+        rename, so no peer's write can land between a victim's check
+        and its unlink: a fresh write is only dropped once it really is
+        among the oldest entries (``tests/test_cache.py`` exercises this
+        under threads).  An entry a peer's read refreshed after the scan
+        began is spared."""
+        try:
+            with self._locked(fcntl.LOCK_EX):
+                scan_start = time.time()
+                entries = sorted(self._iter_entries(), key=self._mtime)
+                self._entries = len(entries)
+                target = max(1, (self.max_entries * 9) // 10)
+                for path in entries[: max(0, self._entries - target)]:
+                    try:
+                        if path.stat().st_mtime >= scan_start:
+                            continue  # refreshed by a peer: spare it
+                        path.unlink()
+                    except OSError:
+                        continue
+                    self._entries -= 1
+                    self._count(path.parent.name, "evictions")
+        except OSError:
+            pass  # the store's directory was removed under it
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:

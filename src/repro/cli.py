@@ -679,7 +679,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_cache_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--cache-dir", default=None, metavar="DIR",
                        help="persistent content-addressed artifact store; "
-                            "stage/QE/SMT results are reused across runs")
+                            "stage/SMT results are reused across runs")
         p.add_argument("--incremental", action="store_true",
                        help="serve reports whose (I, phi) digest is "
                             "unchanged from recorded verdicts "
@@ -720,7 +720,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_limit_flags(p_repair)
     p_repair.add_argument("--cache-dir", default=None, metavar="DIR",
                           help="persistent content-addressed artifact "
-                               "store; stage/QE/SMT/repair results are "
+                               "store; stage/SMT/repair results are "
                                "reused across runs")
     add_output_flags(p_repair)
     p_repair.set_defaults(fn=_cmd_repair)

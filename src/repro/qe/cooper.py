@@ -55,17 +55,18 @@ from ..logic.formulas import (
 from ..logic.digest import digest, digest_many
 from ..logic.intern import register_table
 from ..logic.normal_forms import dnf_clauses, nnf
-from ..logic.serialize import formula_from_obj, formula_to_obj
 from ..logic.terms import LinTerm, Var, lcm, lcm_all
 
 
-# Persistent, bounded caches keyed by *content digest*.  Elimination
-# results and clause-satisfiability verdicts are pure functions of their
-# inputs, so both survive across calls (the abduction loop re-eliminates
-# the same variable from near-identical clause sets round after round).
-# Digest keys — unlike the identity/salted-hash keys they replaced —
-# also survive ``clear_intern_tables()``, pickle round-trips and (via
-# the optional on-disk store, see :mod:`repro.cache`) process restarts.
+# Bounded, process-lifetime caches keyed by *content digest*.
+# Elimination results and clause-satisfiability verdicts are pure
+# functions of their inputs, so both survive across calls (the abduction
+# loop re-eliminates the same variable from near-identical clause sets
+# round after round).  Digest keys — unlike the identity/salted-hash
+# keys they replaced — also survive ``clear_intern_tables()``.  They are
+# deliberately not written to the on-disk store (:mod:`repro.cache`):
+# a warm run replays whole stage artifacts and never reaches QE, so
+# persisted QE memos cost a file each and are not read back.
 _ELIM_CACHE_SIZE = 8_192
 _elim_cache: OrderedDict[str, Formula] = OrderedDict()
 _CLAUSE_SAT_CACHE_SIZE = 65_536
@@ -82,15 +83,8 @@ _clause_sat_fast: dict[frozenset, bool] = \
     register_table("qe.clause_sat_fast", {})
 
 
-def _store():
-    """The active persistent store, if any (lazy import: layering)."""
-    from ..cache import current_store
-
-    return current_store()
-
-
 def clear_qe_caches() -> None:
-    """Drop the persistent QE caches (a memory valve; purely optional)."""
+    """Drop the QE memo caches (a memory valve; purely optional)."""
     _elim_cache.clear()
     _clause_sat_cache.clear()
     _elim_fast.clear()
@@ -295,21 +289,12 @@ def _prune_clauses(clauses: list[list[Formula]],
         key = digest_many("clause_sat", *sorted(digest(a) for a in dedup))
         sat = cache.get(key)
         if sat is None:
-            store = _store()
-            artifact = store.get("qe-clause-sat", key) \
-                if store is not None else None
-            if artifact is not None:
-                obs.inc("qe.clause_sat.hit")
-                sat = bool(artifact["sat"])
-            else:
-                obs.inc("qe.clause_sat.miss")
-                model = solver.solve_literals(clause)
-                sat = model is not None
-                if sat and dict(model) not in _recent_models:
-                    _recent_models.insert(0, dict(model))
-                    del _recent_models[_RECENT_MODELS_MAX:]
-                if store is not None:
-                    store.put("qe-clause-sat", key, {"sat": sat})
+            obs.inc("qe.clause_sat.miss")
+            model = solver.solve_literals(clause)
+            sat = model is not None
+            if sat and dict(model) not in _recent_models:
+                _recent_models.insert(0, dict(model))
+                del _recent_models[_RECENT_MODELS_MAX:]
             cache[key] = sat
             if len(cache) > _CLAUSE_SAT_CACHE_SIZE:
                 cache.popitem(last=False)
@@ -328,10 +313,9 @@ def _eliminate_one(x: Var, phi: Formula, budget: _Budget) -> Formula:
 
     The memo key is the content digest of ``(x, phi)``, so structurally
     equal inputs hit even when the nodes were rebuilt after a
-    ``clear_intern_tables()`` or arrived through a pickle; when a
-    persistent store is active, results also survive process restarts.
-    A first-level identity cache short-circuits repeats of the same
-    hash-consed node without the digest walk.
+    ``clear_intern_tables()`` or arrived through a pickle.  A first-level
+    identity cache short-circuits repeats of the same hash-consed node
+    without the digest walk.
     """
     fast_key = (x, phi)
     fast = _elim_fast.get(fast_key)
@@ -353,27 +337,12 @@ def _eliminate_one_digested(x: Var, phi: Formula, budget: _Budget) -> Formula:
         _elim_cache.move_to_end(key)
         budget.charge(cached.size())
         return cached
-    store = _store()
-    if store is not None:
-        artifact = store.get("qe-elim", key)
-        if artifact is not None:
-            obs.inc("qe.elim.hit")
-            result = formula_from_obj(artifact["f"])
-            budget.charge(result.size())
-            _remember_elim(key, result)
-            return result
     obs.inc("qe.elim.miss")
     result = _eliminate_one_uncached(x, phi, budget)
-    _remember_elim(key, result)
-    if store is not None:
-        store.put("qe-elim", key, {"f": formula_to_obj(result)})
-    return result
-
-
-def _remember_elim(key: str, result: Formula) -> None:
     _elim_cache[key] = result
     if len(_elim_cache) > _ELIM_CACHE_SIZE:
         _elim_cache.popitem(last=False)
+    return result
 
 
 def _eliminate_one_uncached(x: Var, phi: Formula, budget: _Budget) -> Formula:

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
+import sys
 import threading
 
 import pytest
@@ -51,24 +53,33 @@ class TestCacheStore:
         store = CacheStore(tmp_path / "cache")
         store.put("abduce", "bb" * 16, {"feasible": False})
         entry = tmp_path / "cache" / f"{STORE_VERSION}-{DIGEST_VERSION}" \
-            / "abduce" / "bb" / (("bb" * 16) + ".json")
+            / "abduce" / (("bb" * 16) + ".json")
         assert entry.is_file()
 
     def test_corrupt_entry_is_a_miss_and_gets_deleted(self, tmp_path):
         store = CacheStore(tmp_path / "cache")
         store.put("entail", "cc" * 16, {"ok": 1})
         path = tmp_path / "cache" / f"{STORE_VERSION}-{DIGEST_VERSION}" \
-            / "entail" / "cc" / (("cc" * 16) + ".json")
+            / "entail" / (("cc" * 16) + ".json")
         path.write_bytes(b'{"truncated": ')          # crashed writer
         assert store.get("entail", "cc" * 16) is None
         assert not path.exists()                      # cannot poison later runs
         assert store.stats()["corrupt"] == 1
         # non-object JSON is corruption too
         store.put("entail", "dd" * 16, {"ok": 1})
-        bad = path.parent.parent / "dd" / (("dd" * 16) + ".json")
+        bad = path.parent / (("dd" * 16) + ".json")
         bad.write_text("[1, 2, 3]")
         assert store.get("entail", "dd" * 16) is None
         assert store.stats()["corrupt"] == 2
+
+    def test_put_recreates_a_stage_directory_removed_under_it(
+            self, tmp_path):
+        store = CacheStore(tmp_path / "cache")
+        store.put("entail", "aa" * 16, {"x": 1})
+        shutil.rmtree(store._path("entail", "aa" * 16).parent)
+        store.put("entail", "bb" * 16, {"x": 2})
+        assert store.get("entail", "bb" * 16) == {"x": 2}
+        assert store.stats()["stages"]["entail"]["puts"] == 2
 
     def test_reopening_sees_previous_entries(self, tmp_path):
         CacheStore(tmp_path / "cache").put("smt-sat", "ee" * 16,
@@ -96,48 +107,64 @@ class TestCacheStore:
         assert store.get("entail", keys[0]) is not None   # refreshed: kept
         assert store.get("entail", keys[1]) is None       # oldest: evicted
 
-    def test_shared_root_eviction_spares_peer_fresh_writes(self, tmp_path):
-        """Two stores on one root (the fleet's shared-cache shape), both
-        at the eviction watermark: a store evicting must never unlink an
-        entry its peer just wrote — the mtime re-check against the scan
-        start guarantees a put followed by a get always hits."""
+    @pytest.mark.parametrize("peers", [2, 4])
+    def test_shared_root_eviction_spares_peer_fresh_writes(self, tmp_path,
+                                                           peers):
+        """Stores on one root (the fleet's shared-cache shape), all at
+        the eviction watermark: a store evicting must never unlink an
+        entry a peer just wrote — the root's lock keeps a peer's rename
+        out of an eviction's scan-and-unlink, so a put followed by a get
+        always hits.  Even-numbered stores flood, odd-numbered ones
+        rewrite their share of ten hot keys; a tiny switch interval
+        makes the threads interleave inside those windows."""
         root = tmp_path / "shared"
-        flooder = CacheStore(root, max_entries=30)
-        writer = CacheStore(root, max_entries=30)
-        hot = [f"{i:02d}" * 16 for i in range(10)]
+        stores = [CacheStore(root, max_entries=30) for _ in range(peers)]
+        flooders, writers = stores[0::2], stores[1::2]
+        per_writer = 10 // len(writers)
         errors: list[BaseException] = []
 
-        def flood():
+        def flood(n, store):
             try:
                 # unique keys: every put is fresh, so the store crosses
                 # the watermark over and over and keeps evicting
                 for i in range(200):
-                    flooder.put("entail", f"{i:08x}" + "ab" * 12, {"i": i})
+                    store.put("entail", f"{n:02x}{i:06x}" + "ab" * 12,
+                              {"i": i})
             except BaseException as exc:  # noqa: BLE001
                 errors.append(exc)
 
-        def rewrite():
+        def rewrite(n, store):
+            hot = [f"{n * per_writer + i:02d}" * 16
+                   for i in range(per_writer)]
             try:
                 for i in range(200):
                     key = hot[i % len(hot)]
-                    writer.put("entail", key, {"i": i})
-                    if writer.get("entail", key) is None:
+                    store.put("entail", key, {"i": i})
+                    if store.get("entail", key) is None:
                         raise AssertionError(
                             f"peer eviction dropped fresh write {key[:8]}")
             except BaseException as exc:  # noqa: BLE001
                 errors.append(exc)
 
-        threads = [threading.Thread(target=flood),
-                   threading.Thread(target=rewrite)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
+        threads = [threading.Thread(target=flood, args=(n, store))
+                   for n, store in enumerate(flooders)]
+        threads += [threading.Thread(target=rewrite, args=(n, store))
+                    for n, store in enumerate(writers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert not errors, errors
-        assert flooder.stats()["evictions"] >= 1  # the flood really evicted
-        assert flooder.stats()["corrupt"] == 0
-        assert writer.stats()["corrupt"] == 0
+        for store in flooders:
+            assert store.stats()["evictions"] >= 1  # the flood evicted
+        for store in stores:
+            assert store.stats()["corrupt"] == 0
 
     def test_clear_removes_entries_not_layout(self, tmp_path):
         store = CacheStore(tmp_path / "cache")
@@ -247,6 +274,24 @@ class TestWarmRetriage:
         assert _counter(warm, "cache.store.hit") > 0
         assert warm.cache is not None
         assert warm.cache["path"] == os.path.abspath(cache_dir)
+
+    def test_store_holds_only_flat_stage_entries(self, tmp_path):
+        """QE memos stay in-process: a Figure-7 triage into a fresh
+        store writes no QE stage, and every entry is a file directly in
+        its stage's directory."""
+        cache_dir = tmp_path / "cache"
+        clear_qe_caches()
+        result = triage_many(ALL_NAMES, jobs=1, cache_dir=str(cache_dir))
+        assert result.accuracy == 1.0
+        base = cache_dir / f"{STORE_VERSION}-{DIGEST_VERSION}"
+        stages = {p.name for p in base.iterdir() if p.is_dir()}
+        assert {"entail", "abduce", "smt-sat"} <= stages
+        assert not stages & {"qe-elim", "qe-clause-sat"}
+        for stage in stages:
+            children = list((base / stage).iterdir())
+            assert children
+            assert all(p.is_file() and p.suffix == ".json"
+                       for p in children), stage
 
     def test_outcomes_carry_cache_provenance(self, tmp_path):
         result = triage_many([ALL_NAMES[0]], jobs=1,
