@@ -2,8 +2,11 @@
 subset enumeration).
 
 Both strategies are exact; they must return assignments of identical
-cost.  Branch-and-bound prunes with the QE-backed viability check and is
-the default.
+cost.  Branch-and-bound is the default.  It carries each search node's
+QE residual down the tree and prunes a subtree once the residual is
+unsatisfiable; that residual quantifies the node's excluded variables
+and also the variables outside the search set (``restrict``).  Subset
+enumeration checks every candidate from scratch and is the reference.
 """
 
 from __future__ import annotations

@@ -20,11 +20,17 @@ assignment over ``V``.
 Two complete strategies are provided:
 
 * ``subsets``  — enumerate variable sets in increasing cost via a priority
-  queue and return the first feasible one (simple, obviously correct);
+  queue and return the first feasible one, each checked from scratch
+  (simple, obviously correct: the reference for the other strategy);
 * ``branch_bound`` — the include/exclude search tree of the CAV'12
-  algorithm with cost-based pruning and an infeasibility prune
-  (``forall E. phi`` unsatisfiable over the remaining variables kills the
-  whole subtree).
+  algorithm with cost-based pruning and an infeasibility prune.  Like
+  CAV'12, which recurses on ``forall x. phi`` when it drops ``x``, each
+  node carries its residual ``QE(forall E u O. phi)`` (``E`` its excluded
+  variables, ``O`` the free variables outside the search set) and the
+  side formulas projected onto the variables not yet excluded: an
+  exclude edge eliminates one variable from its parent's, an include
+  edge passes them on unchanged.  An unsatisfiable residual kills the
+  whole subtree.
 
 Both are cross-checked against each other in the test suite and exposed
 for the ablation benchmark (experiment A4 in DESIGN.md).
@@ -71,8 +77,6 @@ class MsaSolver:
 
     def __init__(self, solver: SmtSolver | None = None):
         self._solver = solver or SmtSolver()
-        self._feasible_cache: dict[frozenset[Var], dict | None] = {}
-        self._viable_cache: dict[frozenset[Var], bool] = {}
 
     # ------------------------------------------------------------------
     def find(
@@ -94,8 +98,6 @@ class MsaSolver:
         the free variables — callers use it when they can prove the
         remaining variables cannot occur in any optimal assignment.
         """
-        self._feasible_cache: dict[frozenset[Var], dict | None] = {}
-        self._viable_cache: dict[frozenset[Var], bool] = {}
         if restrict is not None:
             allowed = set(restrict) & phi.free_vars()
             variables = sorted(allowed, key=lambda v: v.name)
@@ -122,79 +124,36 @@ class MsaSolver:
         return found
 
     # ------------------------------------------------------------------
-    def _feasible(
+    def _check_candidate(
         self,
-        phi: Formula,
         include: Sequence[Var],
-        exclude: Sequence[Var],
-        consistency: Sequence[Formula],
-        cost: int | None = None,
-    ) -> dict[Var, int] | None:
-        """A consistent assignment over ``include`` making phi valid.
-
-        ``exclude`` must be the complement of ``include`` in the search
-        variables; any free variables of ``phi`` outside the search set
-        are always universally quantified as well.  ``cost`` is the
-        candidate's total cost, carried along for provenance only.
-        """
-        key = frozenset(include)
-        cached = key in self._feasible_cache
-        if cached:
-            obs.inc("msa.feasible.hit")
-            answer = self._feasible_cache[key]
-        else:
-            obs.inc("msa.candidates")
-            quantified = [v for v in phi.free_vars() if v not in key]
-            residual = eliminate_forall(quantified, phi)
-            constraints = [residual]
-            keep = set(include)
-            for psi in consistency:
-                constraints.append(project(psi, keep))
-            result = self._solver.check(conj(*constraints))
-            answer = (
-                None if not result.sat
-                else {v: result.model.value(v) for v in include}
+        cost: int,
+        residual: Formula,
+        projections: Sequence[Formula],
+    ) -> MsaResult | None:
+        """The assignment over ``include`` that a model of ``residual``
+        (``QE(forall V'. phi)``, ``V'`` every other free variable of
+        ``phi``) and of each side formula's projection onto ``include``
+        gives, or ``None`` if there is no such model."""
+        obs.inc("msa.candidates")
+        result = self._solver.check(conj(residual, *projections))
+        found = None
+        if result.sat:
+            found = MsaResult(
+                tuple(sorted(((v, result.model.value(v)) for v in include),
+                             key=lambda item: item[0].name)),
+                cost,
             )
-            self._feasible_cache[key] = answer
         if prov.is_enabled():
             node: dict = {
                 "variables": sorted(v.name for v in include),
                 "cost": cost,
-                "status": "kept" if answer is not None else "infeasible",
+                "status": "kept" if found is not None else "infeasible",
             }
-            if answer:
-                node["assignment"] = {
-                    v.name: c for v, c in sorted(
-                        answer.items(), key=lambda item: item[0].name)
-                }
-            if cached:
-                node["cached"] = True
+            if found is not None and found.assignment:
+                node["assignment"] = {v.name: c for v, c in found.assignment}
             prov.record("msa.node", **node)
-        return answer
-
-    def _subtree_viable(
-        self, phi: Formula, exclude: Sequence[Var]
-    ) -> bool:
-        """Can *any* assignment of the remaining vars work once ``exclude``
-        is universally quantified?  (Sound prune: excluding more variables
-        only strengthens the requirement.)"""
-        key = frozenset(exclude)
-        cached = self._viable_cache.get(key)
-        if cached is not None:
-            if not cached and prov.is_enabled():
-                prov.record("msa.prune",
-                            variables=sorted(v.name for v in exclude),
-                            cached=True)
-            return cached
-        residual = eliminate_forall(list(exclude), phi)
-        answer = self._solver.is_sat(residual)
-        self._viable_cache[key] = answer
-        if not answer:
-            obs.inc("msa.subtree_prunes")
-            if prov.is_enabled():
-                prov.record("msa.prune",
-                            variables=sorted(v.name for v in exclude))
-        return answer
+        return found
 
     # ------------------------------------------------------------------
     def _search_subsets(
@@ -204,7 +163,8 @@ class MsaSolver:
         cost_map: dict[Var, int],
         consistency: list[Formula],
     ) -> MsaResult | None:
-        """Enumerate variable subsets in increasing total cost."""
+        """Enumerate variable subsets in increasing total cost, checking
+        each from scratch."""
         order = sorted(variables, key=lambda v: (cost_map[v], v.name))
         n = len(order)
         # heap of (cost, subset-bitmask); push successors lazily
@@ -214,15 +174,14 @@ class MsaSolver:
             _limits.tick("msa")
             cost, mask = heapq.heappop(heap)
             include = [order[i] for i in range(n) if mask >> i & 1]
-            exclude = [order[i] for i in range(n) if not mask >> i & 1]
-            assignment = self._feasible(phi, include, exclude, consistency,
-                                        cost=cost)
-            if assignment is not None:
-                return MsaResult(
-                    tuple(sorted(assignment.items(),
-                                 key=lambda item: item[0].name)),
-                    cost,
-                )
+            keep = set(include)
+            residual = eliminate_forall(
+                [v for v in phi.free_vars() if v not in keep], phi)
+            found = self._check_candidate(
+                include, cost, residual,
+                [project(psi, keep) for psi in consistency])
+            if found is not None:
+                return found
             for i in range(n):
                 if mask >> i & 1:
                     continue
@@ -242,43 +201,54 @@ class MsaSolver:
         cost_map: dict[Var, int],
         consistency: list[Formula],
     ) -> MsaResult | None:
-        """Include/exclude decision tree with cost pruning."""
+        """Include/exclude decision tree with cost pruning.
+
+        A node's ``residual`` is ``QE(forall E u O. phi)`` and its
+        ``projections`` are the side formulas projected onto the search
+        variables not in ``E``.  If an excluded node's residual is
+        unsatisfiable, so is every leaf's below it (each quantifies a
+        superset of ``E u O``), and the subtree is cut.
+        """
         # decide expensive variables first: their exclusion prunes most
         order = sorted(
             variables, key=lambda v: (-cost_map[v], v.name)
         )
+        n = len(order)
         best: list[MsaResult | None] = [None]
 
-        def record(include: list[Var]) -> None:
-            exclude = [v for v in variables if v not in include]
-            cost = sum(cost_map[v] for v in include)
-            assignment = self._feasible(phi, include, exclude, consistency,
-                                        cost=cost)
-            if assignment is None:
-                return
-            if best[0] is None or cost < best[0].cost:
-                best[0] = MsaResult(
-                    tuple(sorted(assignment.items(),
-                                 key=lambda item: item[0].name)),
-                    cost,
-                )
-
-        def descend(index: int, include: list[Var],
-                    exclude: list[Var], cost: int) -> None:
+        def descend(index: int, include: list[Var], cost: int,
+                    residual: Formula, projections: list[Formula],
+                    dropped: Var | None) -> None:
             _limits.tick("msa")
             if best[0] is not None and cost >= best[0].cost:
                 return
-            if index == len(order):
-                record(include)
-                return
-            if exclude and not self._subtree_viable(phi, exclude):
+            if dropped is not None:
+                residual = eliminate_forall([dropped], residual)
+                if index < n and not self._solver.is_sat(residual):
+                    obs.inc("msa.subtree_prunes")
+                    if prov.is_enabled():
+                        prov.record("msa.prune", variables=sorted(
+                            v.name for v in order[:index]
+                            if v not in include))
+                    return
+                keep = set(include).union(order[index:])
+                projections = [project(p, keep) for p in projections]
+            if index == n:
+                found = self._check_candidate(include, cost, residual,
+                                              projections)
+                if found is not None:
+                    best[0] = found
                 return
             v = order[index]
             # try excluding first (cheaper result if it works)
-            descend(index + 1, include, exclude + [v], cost)
-            descend(index + 1, include + [v], exclude, cost + cost_map[v])
+            descend(index + 1, include, cost, residual, projections, v)
+            descend(index + 1, include + [v], cost + cost_map[v],
+                    residual, projections, None)
 
-        descend(0, [], [], 0)
+        search = set(variables)
+        outside = [v for v in phi.free_vars() if v not in search]
+        descend(0, [], 0, eliminate_forall(outside, phi),
+                [project(psi, search) for psi in consistency], None)
         return best[0]
 
 

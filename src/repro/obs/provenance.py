@@ -272,8 +272,8 @@ def _describe(node: dict) -> str:
         return f"[msa] candidate {{{variables}}}{cost_s}: {status}{suffix}"
     if kind == "msa.prune":
         variables = ", ".join(node.get("variables", ()))
-        return (f"[msa] prune subtree (forall {{{variables}}} . phi "
-                f"unsat)")
+        return (f"[msa] prune subtree (forall {{{variables}}} and the "
+                f"variables outside the search set . phi unsat)")
     if kind == "qe.eliminate":
         return (f"[qe] eliminate {node.get('var', '?')}: "
                 f"delta={node.get('delta', '?')} "

@@ -83,6 +83,19 @@ _clause_sat_fast: dict[frozenset, bool] = \
     register_table("qe.clause_sat_fast", {})
 
 
+def _touch(cache: OrderedDict, key: str, value) -> None:
+    """Mark ``key`` most recently used in a digest LRU.
+
+    The LRUs are shared by every thread of the process (``repro serve``
+    workers), so a peer may evict ``key`` between a lookup and its touch;
+    ``move_to_end`` would then raise ``KeyError``.  Popping and
+    re-inserting cannot raise, and needs no lock: the touch only orders
+    eviction.
+    """
+    cache.pop(key, None)
+    cache[key] = value
+
+
 def clear_qe_caches() -> None:
     """Drop the QE memo caches (a memory valve; purely optional)."""
     _elim_cache.clear()
@@ -300,7 +313,7 @@ def _prune_clauses(clauses: list[list[Formula]],
                 cache.popitem(last=False)
         else:
             obs.inc("qe.clause_sat.hit")
-            cache.move_to_end(key)
+            _touch(cache, key, sat)
         if len(_clause_sat_fast) < _CLAUSE_SAT_CACHE_SIZE:
             _clause_sat_fast[dedup] = sat
         if sat:
@@ -334,7 +347,7 @@ def _eliminate_one_digested(x: Var, phi: Formula, budget: _Budget) -> Formula:
     cached = _elim_cache.get(key)
     if cached is not None:
         obs.inc("qe.elim.hit")
-        _elim_cache.move_to_end(key)
+        _touch(_elim_cache, key, cached)
         budget.charge(cached.size())
         return cached
     obs.inc("qe.elim.miss")

@@ -2,7 +2,9 @@
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro import obs
 from repro.logic import (
     LinTerm,
     Var,
@@ -17,7 +19,7 @@ from repro.logic import (
     parse_formula,
 )
 from repro.msa import MsaSolver, find_msa
-from repro.qe import eliminate_forall
+from repro.qe import eliminate_forall, project
 from repro.smt import SmtSolver
 from .strategies import formulas
 
@@ -27,6 +29,22 @@ UNIT = {x: 1, y: 1, z: 1}
 
 def unit_costs(v):
     return 1
+
+
+@st.composite
+def msa_problems(draw, max_depth: int):
+    """``(phi, restrict, consistency)``: ``restrict`` is ``None`` or a
+    proper subset of phi's free variables, with 0-2 side formulas."""
+    phi = draw(formulas(max_depth=max_depth, with_dvd=False))
+    free = sorted(phi.free_vars(), key=lambda v: v.name)
+    restrict = None
+    if free and draw(st.booleans()):
+        outside = draw(st.lists(st.sampled_from(free), unique=True,
+                                min_size=1))
+        restrict = [v for v in free if v not in outside]
+    consistency = draw(st.lists(formulas(max_depth=1, with_dvd=False),
+                                max_size=2))
+    return phi, restrict, consistency
 
 
 class TestBasics:
@@ -109,46 +127,90 @@ class TestDefinition:
     """Every MSA must satisfy Definition 5 exactly."""
 
     @settings(max_examples=40, deadline=None)
-    @given(formulas(max_depth=2, with_dvd=False))
-    def test_msa_satisfies_definition(self, phi):
+    @given(msa_problems(max_depth=2))
+    def test_msa_satisfies_definition(self, problem):
+        phi, restrict, consistency = problem
         solver = SmtSolver()
-        result = find_msa(phi, unit_costs)
+        result = MsaSolver().find(phi, unit_costs, consistency,
+                                  restrict=restrict)
         if result is None:
-            assert not solver.is_sat(phi)
+            if restrict is None and not consistency:
+                assert not solver.is_sat(phi)
             return
+        if restrict is not None:
+            assert result.variables <= set(restrict)
         sub = {v: LinTerm.constant(c) for v, c in result.assignment}
         assert solver.is_valid(phi.substitute(sub))
+        for psi in consistency:
+            assert solver.is_sat(conj(result.as_formula(), psi))
 
     @settings(max_examples=25, deadline=None)
-    @given(formulas(max_depth=2, with_dvd=False))
-    def test_strategies_agree_on_cost(self, phi):
-        a = find_msa(phi, unit_costs, strategy="subsets")
-        b = find_msa(phi, unit_costs, strategy="branch_bound")
+    @given(msa_problems(max_depth=2))
+    def test_strategies_agree_on_cost(self, problem):
+        phi, restrict, consistency = problem
+        msa = MsaSolver()
+        a, b = (msa.find(phi, unit_costs, consistency, strategy=strategy,
+                         restrict=restrict)
+                for strategy in ("subsets", "branch_bound"))
         if a is None or b is None:
             assert a is None and b is None
         else:
             assert a.cost == b.cost
 
     @settings(max_examples=20, deadline=None)
-    @given(formulas(max_depth=1, with_dvd=False))
-    def test_minimality_against_exhaustive(self, phi):
-        """No strictly cheaper variable subset may be feasible."""
+    @given(msa_problems(max_depth=1))
+    def test_minimality_against_exhaustive(self, problem):
+        """No strictly cheaper variable subset may be feasible, and none
+        at all when there is no MSA (each subset checked from scratch)."""
+        phi, restrict, consistency = problem
         solver = SmtSolver()
-        result = find_msa(phi, unit_costs)
-        if result is None:
-            return
-        variables = sorted(phi.free_vars(), key=lambda v: v.name)
+        result = MsaSolver().find(phi, unit_costs, consistency,
+                                  restrict=restrict)
+        variables = sorted(phi.free_vars() if restrict is None
+                           else restrict, key=lambda v: v.name)
+        bound = len(variables) + 1 if result is None else result.cost
         for mask in range(1 << len(variables)):
             include = [variables[i] for i in range(len(variables))
                        if mask >> i & 1]
-            if len(include) >= result.cost:
+            if len(include) >= bound:
                 continue
-            exclude = [v for v in variables if v not in include]
-            residual = eliminate_forall(exclude, phi)
-            assert not solver.is_sat(residual), (
+            keep = set(include)
+            residual = eliminate_forall(
+                [v for v in phi.free_vars() if v not in keep], phi)
+            projections = [project(psi, keep) for psi in consistency]
+            assert not solver.is_sat(conj(residual, *projections)), (
                 f"subset {include} (cost {len(include)}) beats claimed "
-                f"MSA cost {result.cost} for {phi}"
+                f"MSA {result} for {phi} under {consistency}"
             )
+
+
+class TestBranchAndBound:
+    def test_prune_quantifies_variables_outside_the_search_set(self):
+        """``forall x. (x = y or o >= 5)`` is satisfiable (``o >= 5``), but
+        with ``o`` — outside the search set — quantified as well it is not,
+        so excluding ``x`` cuts its whole subtree."""
+        o = Var("o")
+        phi = disj(eq(x, y), ge(o, 5))
+        costs = {x: 2, y: 1}
+        subsets = MsaSolver().find(phi, costs, strategy="subsets",
+                                   restrict=[x, y])
+        obs.reset()
+        obs.enable()
+        try:
+            with obs.capture() as cap:
+                branch_bound = MsaSolver().find(phi, costs,
+                                                strategy="branch_bound",
+                                                restrict=[x, y])
+        finally:
+            obs.disable()
+            obs.reset()
+        for result in (subsets, branch_bound):
+            assert result is not None
+            assert result.variables == {x, y}
+            assert result.cost == 3
+        counters = cap.snapshot["counters"]
+        assert counters.get("msa.subtree_prunes") == 1
+        assert counters.get("msa.candidates") == 2
 
 
 class TestPaperExample:

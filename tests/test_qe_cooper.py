@@ -7,6 +7,8 @@ witness search uses the independent SMT stack, so the two procedures
 cross-validate each other.
 """
 
+from collections import OrderedDict
+
 from hypothesis import given, settings
 
 from repro.logic import (
@@ -33,6 +35,7 @@ from repro.qe import (
     eliminate_quantifiers,
     project,
 )
+from repro.qe import cooper
 from repro.smt import SmtSolver
 from .helpers import enumerate_box
 from .strategies import VARS, formulas
@@ -155,6 +158,44 @@ class TestProject:
         assert result.free_vars() <= {x}
         solver = SmtSolver()
         assert solver.equivalent(result, ge(x, 1))
+
+
+class _EvictOnGet(OrderedDict):
+    """A digest LRU whose ``get`` evicts the entry it returns: a peer
+    thread's ``popitem`` landing between a lookup and its LRU touch."""
+
+    def get(self, key, default=None):
+        value = super().get(key, default)
+        self.pop(key, None)
+        return value
+
+
+class TestMemoLruTouch:
+    """A memo hit survives a peer evicting the entry before the touch
+    (``repro serve`` worker threads share the QE LRUs)."""
+
+    def _rerun_with_evicting(self, monkeypatch, name, phi):
+        cooper.clear_qe_caches()
+        expected = eliminate_exists([z], phi)
+        # the identity-keyed front caches would answer before the LRUs
+        cooper._elim_fast.clear()
+        cooper._clause_sat_fast.clear()
+        lru = _EvictOnGet(getattr(cooper, name))
+        assert lru
+        monkeypatch.setattr(cooper, name, lru)
+        assert eliminate_exists([z], phi) == expected
+
+    def test_elim_memo_hit(self, monkeypatch):
+        phi = conj(ge(LinTerm.var(z), LinTerm.var(x)), le(z, 7))
+        self._rerun_with_evicting(monkeypatch, "_elim_cache", phi)
+
+    def test_clause_sat_memo_hit(self, monkeypatch):
+        # x > y > z > x: no model, so no recent witness model answers
+        # before the memo lookup
+        phi = conj(gt(LinTerm.var(x), LinTerm.var(y)),
+                   gt(LinTerm.var(y), LinTerm.var(z)),
+                   gt(LinTerm.var(z), LinTerm.var(x)))
+        self._rerun_with_evicting(monkeypatch, "_clause_sat_cache", phi)
 
 
 @settings(max_examples=120, deadline=None)
