@@ -61,7 +61,7 @@ def test_parallel_beats_serial_wall_clock():
 def test_solver_cache_hit_rate(suite_artifacts):
     """The diagnosis engine's repeated checks must mostly hit the
     verdict cache once invariants stabilize within a round."""
-    solver = SmtSolver(incremental=True)
+    solver = SmtSolver()
     for name in SUITE[:4]:
         _bench, _program, analysis = suite_artifacts[name]
         inv, phi = analysis.invariants, analysis.success

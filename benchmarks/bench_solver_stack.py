@@ -109,8 +109,8 @@ def test_omega_structured_system(benchmark):
 
 def omega_chain_workload() -> bool:
     """A six-variable coupled chain: every elimination step produces a
-    real Fourier–Motzkin batch, so this is the workload the arithmetic
-    backend (numpy vs python rows) actually moves."""
+    real Fourier–Motzkin batch, so this is the workload that moves with
+    the Omega test's row kernels."""
     vs = [Var(f"v{i}") for i in range(6)]
     lits = []
     for a, b in zip(vs, vs[1:]):

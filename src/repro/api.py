@@ -142,8 +142,7 @@ class Pipeline:
         store slot is not reentrant across threads.  Everything a
         workload runs (engine, SMT cache, repair synthesis) resolves
         the store on the same thread, so the scope is equivalent for
-        single-threaded callers; portfolio strategy threads inherit the
-        caller's store explicitly.
+        single-threaded callers.
         """
         from contextlib import nullcontext
 

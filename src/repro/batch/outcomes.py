@@ -315,7 +315,7 @@ def _triage_one(name: str, config: EngineConfig | None = None,
         # this attempt shares its process with concurrent worker
         # threads (``repro serve``): the process-global governor slot
         # is not reentrant across threads, so govern thread-locally
-        governed = _limits_mod.governed_here(effective, fold_spend=True)
+        governed = _limits_mod.governed_here(effective)
     else:
         governed = _limits_mod.governed(effective)
     store = open_store(cache_dir) if cache_dir is not None else None

@@ -1,9 +1,9 @@
 """Persistent content-addressed caching for the staged triage pipeline.
 
-The in-process speedups — hash-consing, QE memo tables, incremental
-SMT — are all process-lifetime, so nothing survives a restart and
-nothing is shared between the batch driver's workers beyond fork-time
-state.  This package turns the ones a later run reads back into
+The in-process speedups — hash-consing, QE memo tables, the SMT
+verdict LRU — are all process-lifetime, so nothing survives a restart
+and nothing is shared between the batch driver's workers beyond
+fork-time state.  This package turns the ones a later run reads back into
 cross-run, cross-worker wins:
 
 * :class:`CacheStore` (:mod:`repro.cache.store`) is a small on-disk
@@ -100,11 +100,10 @@ def use_store_here(store: CacheStore | None
     """Scope the active store to a ``with`` block on *this thread* only.
 
     Other threads keep seeing the process-global store.  Used wherever
-    a triage attempt runs on a worker thread sharing its process with
-    concurrent attempts (``repro serve``, the solver portfolio's
-    strategy threads): the global slot of :func:`use_store` is not
-    reentrant across threads.  Binding ``None`` does not mask the
-    global — it is a no-op scope.
+    a triage attempt runs on a ``repro serve`` worker thread sharing
+    its process with concurrent attempts: the global slot of
+    :func:`use_store` is not reentrant across threads.  Binding
+    ``None`` does not mask the global — it is a no-op scope.
     """
     global _tl_installs
     previous = getattr(_tl, "store", None)

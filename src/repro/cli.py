@@ -133,8 +133,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_diagnose(args: argparse.Namespace) -> int:
     _begin_trace(args)
     source = Path(args.file).read_text()
-    config = EngineConfig(max_rounds=args.max_rounds,
-                          solver_portfolio=args.solver_portfolio)
+    config = EngineConfig(max_rounds=args.max_rounds)
     pipeline = Pipeline(
         auto_annotate=not args.no_annotate,
         config=config,
@@ -240,8 +239,6 @@ def _cache_from_args(args: argparse.Namespace) -> tuple[str | None, bool]:
 def _run_triage(args: argparse.Namespace):
     names = args.names or None
     cache_dir, incremental = _cache_from_args(args)
-    config = EngineConfig(solver_portfolio=True) \
-        if getattr(args, "solver_portfolio", False) else None
     workers = getattr(args, "workers", None)
     if workers:
         workers = [u.strip() for u in workers.split(",") if u.strip()]
@@ -251,7 +248,7 @@ def _run_triage(args: argparse.Namespace):
             raise SystemExit(2)
     else:
         workers = None
-    result = Pipeline(config=config).triage(names, jobs=args.jobs,
+    result = Pipeline().triage(names, jobs=args.jobs,
                                limits=_limits_from_args(args),
                                cache_dir=cache_dir,
                                incremental=incremental,
@@ -340,7 +337,6 @@ def _print_hit_rates(snap: dict) -> None:
     for label, prefix in (("qe-elim", "qe.elim"),
                           ("qe-clause-sat", "qe.clause_sat"),
                           ("smt-is-sat", "smt.is_sat"),
-                          ("smt-incremental", "smt.incremental"),
                           ("store", "cache.store")):
         rate = obs.hit_rate(snap, prefix)
         if rate is not None:
@@ -384,7 +380,6 @@ def _format_stats(snap: dict) -> str:
     for label, prefix in (("qe.elim", "qe.elim"),
                           ("qe.clause_sat", "qe.clause_sat"),
                           ("smt.is_sat", "smt.is_sat"),
-                          ("smt.incremental", "smt.incremental"),
                           ("cache.store", "cache.store")):
         rate = obs.hit_rate(snap, prefix)
         if rate is not None:
@@ -527,13 +522,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .serve import run
 
     _configure_logging(args)
-    config = EngineConfig(solver_portfolio=True) \
-        if args.solver_portfolio else None
     return run(
         host=args.host,
         port=args.port,
         cache_dir=args.cache_dir,
-        config=config,
         limits=_limits_from_args(args),
         max_inflight=args.max_inflight,
         workers=args.workers,
@@ -638,10 +630,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_diag.add_argument("--no-annotate", action="store_true")
     p_diag.add_argument("--report", default=None, metavar="PATH",
                         help="write a session report (.md for Markdown)")
-    p_diag.add_argument("--solver-portfolio", action="store_true",
-                        help="race incremental/fresh/QE-first solver "
-                             "strategies per boolean query (first sound "
-                             "answer wins; verdicts are unchanged)")
     add_output_flags(p_diag)
     p_diag.set_defaults(fn=_cmd_diagnose)
 
@@ -698,9 +686,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "instances instead of local processes "
                                "(comma-separated base URLs; give the "
                                "fleet a shared --cache-dir)")
-    p_triage.add_argument("--solver-portfolio", action="store_true",
-                          help="race incremental/fresh/QE-first solver "
-                               "strategies per boolean query")
     add_limit_flags(p_triage)
     add_log_flags(p_triage)
     add_cache_flags(p_triage)
@@ -810,8 +795,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "submissions get 429 (default: 8)")
     p_serve.add_argument("--workers", type=int, default=2, metavar="N",
                          help="triage worker threads (default: 2)")
-    p_serve.add_argument("--solver-portfolio", action="store_true",
-                         help="race solver strategies per boolean query")
     add_limit_flags(p_serve)
     add_log_flags(p_serve)
     p_serve.set_defaults(fn=_cmd_serve)

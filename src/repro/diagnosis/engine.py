@@ -132,8 +132,6 @@ class EngineConfig:
     use_simplification: bool = True
     use_abduction: bool = True          # False: trivial Gamma = phi (A2)
     max_rounds: int = 25
-    incremental_smt: bool = True        # persistent assumption-based context
-    solver_portfolio: bool = False      # race strategies on boolean queries
 
 
 class DiagnosisEngine:
@@ -151,10 +149,7 @@ class DiagnosisEngine:
         self._abducer = Abducer(
             msa_strategy=self._config.msa_strategy,
             use_simplification=self._config.use_simplification,
-            solver=SmtSolver(
-                incremental=self._config.incremental_smt,
-                portfolio=self._config.solver_portfolio,
-            ),
+            solver=SmtSolver(),
         )
         self._renderer = QueryRenderer(analysis)
         self._asked: dict[tuple[str, Formula], Answer] = {}

@@ -65,8 +65,7 @@ STAGE_VERSION = "s1"
 
 def config_fingerprint(config) -> str:
     """Digest of every :class:`EngineConfig` knob a stage artifact can
-    depend on (the round budget, SMT mode and solver portfolio do not
-    change verdicts)."""
+    depend on (the round budget does not change verdicts)."""
     return digest_many(
         "engine-config", STAGE_VERSION, config.cost_model,
         config.msa_strategy, str(int(config.use_simplification)),

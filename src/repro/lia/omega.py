@@ -22,12 +22,10 @@ introduces a quotient and a bounded nonzero remainder.
 
 Internally the solver runs on *dense rows* — each constraint is a plain
 list ``[c0, ..., c_{n-1}, const]`` over a fixed variable order — so the
-elimination inner loops are integer array arithmetic instead of sparse
-term manipulation.  The batch kernels (Fourier–Motzkin pair products,
-equality substitution) are provided by :mod:`repro.lia.backend`, which
-selects a numpy int64 implementation when available and falls back to
-pure-Python bigint rows; both emit bit-identical rows.  ``LinTerm`` is
-still the public interface; conversion happens once per ``_solve`` call.
+elimination inner loops (Fourier–Motzkin pair products, equality
+substitution) are list arithmetic over Python's arbitrary-precision
+ints instead of sparse term manipulation.  ``LinTerm`` is still the
+public interface; conversion happens once per ``_solve`` call.
 """
 
 from __future__ import annotations
@@ -39,7 +37,6 @@ from .. import limits as _limits
 from ..limits import ResourceExhausted
 from ..logic.formulas import Atom, Dvd, Formula, Rel
 from ..logic.terms import LinTerm, Var, VarSupply
-from . import backend as _backend
 from .intmath import ceil_div, floor_div, mod_hat
 
 _DEFAULT_BUDGET = 5_000_000
@@ -157,6 +154,22 @@ def _subst_row(row: list[int], j: int, repl: list[int]) -> list[int]:
     new = [x + c * y for x, y in zip(row, repl)]
     new[j] = 0
     return new
+
+
+def _shadow_rows(
+    lowers: list[list[int]], betas: list[int],
+    uppers: list[list[int]], alphas: list[int], exact: bool,
+) -> list[list[int]]:
+    """All Fourier–Motzkin pair rows ``alpha*b - beta*a`` (plus the dark
+    shadow slack unless ``exact``), lower-major / upper-minor order."""
+    out: list[list[int]] = []
+    for b, beta in zip(lowers, betas):
+        for a, alpha in zip(uppers, alphas):
+            row = [alpha * x - beta * y for x, y in zip(b, a)]
+            if not exact:
+                row[-1] += (alpha - 1) * (beta - 1)
+            out.append(row)
+    return out
 
 
 def _eval_row(row: list[int], order: list[Var], env) -> int:
@@ -429,8 +442,8 @@ class OmegaSolver:
                 # the original equality, rewritten, shrinks and goes back in
                 eq_rows.append(_subst_row(eq, j, repl))
 
-            le_rows = _backend.substitute_rows(le_rows, j, repl)
-            eq_rows = _backend.substitute_rows(eq_rows, j, repl)
+            le_rows = [_subst_row(row, j, repl) for row in le_rows]
+            eq_rows = [_subst_row(row, j, repl) for row in eq_rows]
             substitutions.append((j, repl))
 
         # ---- phase 2: inequality elimination ----------------------------
@@ -510,7 +523,7 @@ class OmegaSolver:
 
         # real shadow: alpha*b - beta*a <= 0; dark shadow adds slack
         self._tick(len(lowers) * len(uppers))
-        shadow = _backend.shadow_rows(lowers, betas, uppers, alphas, exact)
+        shadow = _shadow_rows(lowers, betas, uppers, alphas, exact)
 
         model = self._solve_ineq_rows(others + shadow, order)
         if model is not None:

@@ -297,12 +297,13 @@ class Governor:
 
 _active: Governor | None = None
 
-# Thread-local governor overrides.  The solver portfolio races strategy
-# threads, each governed by its own deadline/budget/cancellation token;
-# a process-global slot cannot express that.  ``_tl_installs`` counts
-# live thread-local installs so the ubiquitous ungoverned ``tick`` stays
-# one global load plus a falsy check — the ``threading.local`` lookup
-# only happens while a portfolio race is actually in flight.
+# Thread-local governor overrides.  ``repro serve`` runs concurrent
+# triage attempts on worker threads, each governed by its own
+# deadline/budget/cancellation token; a process-global slot cannot
+# express that.  ``_tl_installs`` counts live thread-local installs so
+# the ubiquitous ungoverned ``tick`` stays one global load plus a falsy
+# check — the ``threading.local`` lookup only happens while a serve
+# worker thread is actually running an attempt.
 _tl = threading.local()
 _tl_installs = 0
 _tl_lock = threading.Lock()
@@ -356,21 +357,15 @@ def governed(limits: Limits) -> Iterator[Governor]:
 
 
 @contextmanager
-def governed_here(limits: Limits,
-                  *, fold_spend: bool = False) -> Iterator[Governor]:
+def governed_here(limits: Limits) -> Iterator[Governor]:
     """Install a :class:`Governor` for the *current thread* only.
 
     Other threads keep seeing the process-global governor.  Used by the
-    solver portfolio to give each racing strategy its own deadline and
-    cancellation token, and by the batch layer when a triage attempt
-    runs on a worker *thread* (``repro serve``) — the process-global
-    slot of :func:`governed` is not reentrant across threads, so two
-    concurrent governed blocks there could restore each other's expired
-    governors.  By default spend is *not* folded into the obs counters
-    on exit — the portfolio folds the winning strategy's spend into the
-    ambient governor itself, so a race books the same cost a sequential
-    solve would have; pass ``fold_spend=True`` to get :func:`governed`'s
-    accounting (the batch-attempt case).
+    batch layer when a triage attempt runs on a ``repro serve`` worker
+    thread — the process-global slot of :func:`governed` is not
+    reentrant across threads, so two concurrent governed blocks there
+    could restore each other's expired governors.  On exit the spend is
+    folded into the obs counters exactly as :func:`governed` does.
     """
     global _tl_installs
     previous = getattr(_tl, "governor", None)
@@ -384,6 +379,5 @@ def governed_here(limits: Limits,
         _tl.governor = previous
         with _tl_lock:
             _tl_installs -= 1
-        if fold_spend:
-            for stage, n in governor.spend.items():
-                obs.inc(f"limits.spend.{stage}", n)
+        for stage, n in governor.spend.items():
+            obs.inc(f"limits.spend.{stage}", n)

@@ -238,20 +238,20 @@ class SatSolver:
     # ------------------------------------------------------------------
     # solving
     # ------------------------------------------------------------------
-    def solve(self, assumptions: Sequence[int] = ()) -> bool:
-        """Decide satisfiability under optional assumptions."""
+    def solve(self) -> bool:
+        """Decide satisfiability of the clauses added so far."""
         if not obs.is_enabled():
-            return self._solve(assumptions)
+            return self._solve()
         before_conflicts = self._conflicts
         before_restarts = self._restarts
         try:
-            return self._solve(assumptions)
+            return self._solve()
         finally:
             obs.inc("sat.solves")
             obs.inc("sat.conflicts", self._conflicts - before_conflicts)
             obs.inc("sat.restarts", self._restarts - before_restarts)
 
-    def _solve(self, assumptions: Sequence[int] = ()) -> bool:
+    def _solve(self) -> bool:
         if not self._ok:
             return False
         self._backtrack(0)
@@ -263,7 +263,6 @@ class SatSolver:
         budget = self._luby_unit * luby(restarts)
         conflicts_here = 0
 
-        # assumption handling: decide assumption literals first
         while True:
             _limits.tick("sat")
             conflict = self._propagate()
@@ -273,38 +272,20 @@ class SatSolver:
                 if self._decision_level() == 0:
                     self._ok = False
                     return False
-                if self._decision_level() <= len(assumptions):
-                    # conflict depends only on assumptions
-                    return False
                 learned, backjump, lbd = self._analyze(conflict)
-                self._backtrack(max(backjump, len(assumptions)))
+                self._backtrack(backjump)
                 self._learn(learned, lbd)
                 self._decay_activities()
                 if (self._reduce_interval
                         and self._conflicts >= self._next_reduce
-                        and self._decision_level() <= len(assumptions)):
-                    self._reduce_db(len(assumptions))
+                        and self._decision_level() == 0):
+                    self._reduce_db()
                 if conflicts_here >= budget:
                     restarts += 1
                     self._restarts += 1
                     budget = self._luby_unit * luby(restarts)
                     conflicts_here = 0
-                    self._backtrack(len(assumptions))
-                continue
-
-            # pick the next assumption that is not yet satisfied
-            level = self._decision_level()
-            if level < len(assumptions):
-                lit = assumptions[level]
-                value = self._value(lit)
-                if value == self._TRUE:
-                    # already implied: introduce a dummy level to keep the
-                    # level <-> assumption correspondence simple
-                    self._trail_lim.append(len(self._trail))
-                    continue
-                if value == self._FALSE:
-                    return False
-                self._decide(lit)
+                    self._backtrack(0)
                 continue
 
             lit = self._pick_branch()
@@ -612,17 +593,17 @@ class SatSolver:
     # ------------------------------------------------------------------
     # learned-clause database reduction
     # ------------------------------------------------------------------
-    def _reduce_db(self, base_level: int) -> None:
+    def _reduce_db(self) -> None:
         """Drop the worst half of the learned clauses and compact.
 
-        Must be called at the assumption base level, where the only
-        locked clauses (reasons of trail literals) are root-implied.
+        Must be called at decision level 0, where the only locked
+        clauses (reasons of trail literals) are root-implied.
         Keeps glue clauses (LBD <= ``reduce_keep_lbd``), binary clauses
         and locked clauses; among the rest, drops the half with the
         highest ``(lbd, -stamp)`` — worst LBD first, oldest first on
         ties.
         """
-        assert self._decision_level() <= base_level
+        assert self._decision_level() == 0
         self._next_reduce = self._conflicts + self._reduce_interval
         lbds = self._clause_lbd
         lens = self._clause_len

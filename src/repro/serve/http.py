@@ -3,7 +3,7 @@
 A :class:`ThreadingHTTPServer` whose handler is a thin adapter over
 :class:`~repro.serve.service.TriageService`: it parses the request,
 calls one service method, and writes the JSON reply.  No framework, no
-hard dependencies — matching the package's numpy-optional posture.
+hard dependencies — matching the package's stdlib-only runtime.
 
 Endpoint table (full request/response examples in ``docs/API.md``):
 

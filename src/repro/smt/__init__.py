@@ -1,6 +1,5 @@
 """Lazy SMT solving for linear integer arithmetic (SAT + Omega test)."""
 
-from .incremental import IncrementalContext, IncrementalError
 from .solver import (
     SmtResult,
     SmtSolver,
@@ -13,8 +12,6 @@ from .solver import (
 )
 
 __all__ = [
-    "IncrementalContext",
-    "IncrementalError",
     "SmtResult",
     "SmtSolver",
     "atom_polarity",

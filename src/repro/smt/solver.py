@@ -86,8 +86,7 @@ class SmtSolver:
     quantifier elimination, full Presburger arithmetic)."""
 
     def __init__(self, *, max_theory_rounds: int = 200_000,
-                 cache_size: int = 50_000, incremental: bool = False,
-                 portfolio: bool = False):
+                 cache_size: int = 50_000):
         self._theory = OmegaSolver()
         self._max_rounds = max_theory_rounds
         # bounded LRU over is_sat verdicts (access order = recency),
@@ -98,10 +97,6 @@ class SmtSolver:
         self._hits = 0
         self._misses = 0
         self._evictions = 0
-        self._incremental = incremental
-        self._context = None  # built lazily on the first incremental check
-        self._portfolio = None  # built lazily on the first boolean query
-        self._want_portfolio = portfolio
 
     # ------------------------------------------------------------------
     # public API
@@ -128,10 +123,6 @@ class SmtSolver:
         if isinstance(phi, (Atom, Dvd)):
             model = self._theory.solve_literals([phi])
             return SmtResult(model is not None, model)
-        if self._incremental:
-            result = self._check_incremental(phi)
-            if result is not None:
-                return result
         return self._check_lazy(phi)
 
     def is_sat(self, phi: Formula) -> bool:
@@ -154,16 +145,7 @@ class SmtSolver:
                 return bool(artifact["sat"])
         self._misses += 1
         obs.inc("smt.is_sat.miss")
-        if self._want_portfolio:
-            # boolean queries race the strategy portfolio; model-producing
-            # queries (check/get_model) always take the sequential path
-            if self._portfolio is None:
-                from .portfolio import PortfolioSolver  # lazy: layering
-
-                self._portfolio = PortfolioSolver()
-            result = self._portfolio.is_sat(phi)
-        else:
-            result = self.check(phi).sat
+        result = self.check(phi).sat
         self._remember(key, result)
         if store is not None:
             store.put("smt-sat", key, {"sat": result})
@@ -192,10 +174,6 @@ class SmtSolver:
             "entries": len(self._cache),
         }
 
-    def context_stats(self) -> dict[str, int] | None:
-        """Stats of the incremental context, if one is active."""
-        return self._context.stats() if self._context is not None else None
-
     def get_model(self, phi: Formula) -> Model | None:
         return self.check(phi).model
 
@@ -219,27 +197,6 @@ class SmtSolver:
 
             phi = eliminate_quantifiers(phi)
         return nnf(phi)
-
-    def _check_incremental(self, phi: Formula) -> SmtResult | None:
-        """Check via the persistent context; None means "fall back"."""
-        from .incremental import IncrementalContext, IncrementalError
-
-        if self._context is None:
-            self._context = IncrementalContext(
-                self._theory, max_theory_rounds=self._max_rounds
-            )
-        try:
-            result = self._context.check(phi)
-        except IncrementalError:
-            # one logical solve, one miss: the fresh solve that follows
-            # does the real work, so the failed incremental attempt must
-            # not also be booked as a served check
-            obs.inc("smt.incremental.fallbacks")
-            obs.inc("smt.incremental.miss")
-            return None
-        obs.inc("smt.incremental.checks")
-        obs.inc("smt.incremental.hit")
-        return result
 
     def _check_lazy(self, phi: Formula) -> SmtResult:
         obs.inc("smt.fresh_checks")

@@ -127,8 +127,7 @@ def linear_systems(draw, max_vars: int = 5, max_atoms: int = 8,
 
     Denser and wider than :func:`literal_lists` (several variables per
     atom, all atoms linear), so the Omega test's elimination steps run
-    real Gaussian/Fourier–Motzkin batches — the differential workload
-    for the numpy versus pure-Python arithmetic backends.
+    real Gaussian/Fourier–Motzkin batches.
     """
     variables = VARS + [Var("u"), Var("w")]
     count = draw(st.integers(2, max_atoms))

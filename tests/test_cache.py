@@ -113,14 +113,24 @@ class TestCacheStore:
         """Stores on one root (the fleet's shared-cache shape), all at
         the eviction watermark: a store evicting must never unlink an
         entry a peer just wrote — the root's lock keeps a peer's rename
-        out of an eviction's scan-and-unlink, so a put followed by a get
-        always hits.  Even-numbered stores flood, odd-numbered ones
-        rewrite their share of ten hot keys; a tiny switch interval
-        makes the threads interleave inside those windows."""
+        out of an eviction's scan-and-unlink, so a fresh write is only
+        dropped once it is a legitimate LRU victim.  Eviction keeps the
+        newest ``max_entries * 9 // 10`` entries, and at most ten of
+        those are hot keys, so a put followed by a missing get is a bug
+        unless at least that many minus ten flood puts completed in
+        between (a writer thread that stalls can be outrun).
+        Even-numbered stores flood, odd-numbered ones rewrite their
+        share of ten hot keys; a tiny switch interval makes the threads
+        interleave inside those windows."""
         root = tmp_path / "shared"
-        stores = [CacheStore(root, max_entries=30) for _ in range(peers)]
+        max_entries = 30
+        stores = [CacheStore(root, max_entries=max_entries)
+                  for _ in range(peers)]
         flooders, writers = stores[0::2], stores[1::2]
         per_writer = 10 // len(writers)
+        outrun_after = max_entries * 9 // 10 - 10
+        flood_puts = [0]  # completed flood puts, across every flooder
+        flood_lock = threading.Lock()
         errors: list[BaseException] = []
 
         def flood(n, store):
@@ -130,6 +140,8 @@ class TestCacheStore:
                 for i in range(200):
                     store.put("entail", f"{n:02x}{i:06x}" + "ab" * 12,
                               {"i": i})
+                    with flood_lock:
+                        flood_puts[0] += 1
             except BaseException as exc:  # noqa: BLE001
                 errors.append(exc)
 
@@ -139,10 +151,14 @@ class TestCacheStore:
             try:
                 for i in range(200):
                     key = hot[i % len(hot)]
+                    before = flood_puts[0]
                     store.put("entail", key, {"i": i})
                     if store.get("entail", key) is None:
-                        raise AssertionError(
-                            f"peer eviction dropped fresh write {key[:8]}")
+                        flooded = flood_puts[0] - before
+                        if flooded < outrun_after:
+                            raise AssertionError(
+                                f"peer eviction dropped fresh write "
+                                f"{key[:8]} after {flooded} flood puts")
             except BaseException as exc:  # noqa: BLE001
                 errors.append(exc)
 

@@ -1,14 +1,34 @@
 """Additional property tests for the Omega-test layer: unsat cores,
 equality handling, and stress shapes beyond the basic differential test."""
 
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from repro.lia import OmegaSolver, solve_literals, unsat_core
 from repro.logic import LinTerm, Var, conj, eq, ge, le, ne
 from .helpers import assert_model, brute_force_sat
-from .strategies import VARS, literal_lists
+from .strategies import linear_systems, literal_lists
 
 x, y, z = Var("x"), Var("y"), Var("z")
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(literal_lists(min_size=2, max_size=7), linear_systems()))
+def test_verdicts_checked_against_models_cores_and_box(literals):
+    """A model satisfies every atom, an UNSAT verdict comes with an
+    unsatisfiable core, and a model in the radius-3 box means SAT.
+
+    The dense ``linear_systems`` input makes the Fourier–Motzkin shadow
+    and equality-substitution row batches do real work."""
+    solver = OmegaSolver()
+    model = solver.solve_literals(literals)
+    if model is not None:
+        for lit in literals:
+            assert_model(lit, model)
+        return
+    assert not solver.is_sat_literals(solver.unsat_core(literals))
+    phi = conj(*literals)
+    witness = brute_force_sat(phi, sorted(phi.free_vars(), key=str), 3)
+    assert witness is None, f"solver said UNSAT but {witness} satisfies {phi}"
 
 
 @settings(max_examples=120, deadline=None)

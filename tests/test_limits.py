@@ -9,6 +9,7 @@ import time
 import pytest
 
 from repro import limits as limits_mod
+from repro.diagnosis import EngineConfig
 from repro.limits import (
     STAGES,
     CancellationToken,
@@ -25,6 +26,8 @@ from repro.limits.faults import (
     install,
     parse_fault,
 )
+from repro.sat import SatSolver
+from repro.smt import SmtSolver
 
 
 @pytest.fixture(autouse=True)
@@ -265,6 +268,60 @@ class TestDeprecatedKnobs:
         from repro.api import Pipeline
         with pytest.raises(TypeError, match="timeout"):
             Pipeline().triage(["d01_plus_one"], jobs=1, timeout=30.0)
+
+    @pytest.mark.parametrize("make, knob", [
+        pytest.param(lambda: EngineConfig(solver_portfolio=True),
+                     "solver_portfolio", id="EngineConfig.solver_portfolio"),
+        pytest.param(lambda: EngineConfig(incremental_smt=False),
+                     "incremental_smt", id="EngineConfig.incremental_smt"),
+        pytest.param(lambda: SmtSolver(incremental=True),
+                     "incremental", id="SmtSolver.incremental"),
+        pytest.param(lambda: SmtSolver(portfolio=True),
+                     "portfolio", id="SmtSolver.portfolio"),
+        pytest.param(lambda: SatSolver().solve(assumptions=[1]),
+                     "assumptions", id="SatSolver.solve.assumptions"),
+        pytest.param(lambda: limits_mod.governed_here(Limits(),
+                                                      fold_spend=True),
+                     "fold_spend", id="governed_here.fold_spend"),
+    ])
+    def test_alternative_solver_paths_removed(self, make, knob):
+        with pytest.raises(TypeError, match=knob):
+            make()
+
+    @pytest.mark.parametrize("argv", [
+        ["diagnose", "prog.err"], ["triage"], ["serve"],
+    ], ids=["diagnose", "triage", "serve"])
+    def test_solver_portfolio_flag_removed(self, argv, capsys):
+        from repro.cli import build_parser
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv + ["--solver-portfolio"])
+        assert exc.value.code == 2
+        assert "--solver-portfolio" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("module", [
+        "repro.smt.portfolio", "repro.smt.incremental", "repro.lia.backend",
+    ])
+    def test_alternative_modules_removed(self, module):
+        import importlib
+        with pytest.raises(ImportError):
+            importlib.import_module(module)
+
+    def test_runtime_imports_only_the_standard_library(self):
+        import pathlib
+        import subprocess
+        import sys
+
+        import repro
+        src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        code = ("import sys\n"
+                "import repro, repro.cli, repro.serve\n"
+                "from repro import Pipeline\n"
+                "print(sorted(m for m in ('numpy', 'scipy') "
+                "if m in sys.modules))\n")
+        done = subprocess.run([sys.executable, "-c", code],
+                              env={"PYTHONPATH": src}, capture_output=True,
+                              text=True, timeout=60, check=True)
+        assert done.stdout.strip() == "[]"
 
 
 class TestEngineIntegration:

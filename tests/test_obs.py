@@ -242,54 +242,6 @@ class TestInstrumentedPipeline:
         assert merged["counters"].get("engine.queries", 0) == total_queries
 
 
-class TestIncrementalFallbackCounters:
-    """The incremental context's fallback must book one miss, not a
-    hit-plus-miss — otherwise the reported hit rate is inflated."""
-
-    @staticmethod
-    def _nontrivial():
-        from repro.logic import Var, conj, ge, le
-
-        x = Var("x")
-        return conj(le(x, 10), ge(x, 0))
-
-    def test_successful_incremental_check_is_one_hit(self):
-        from repro.smt import SmtSolver
-
-        obs.enable()
-        solver = SmtSolver(incremental=True)
-        assert solver.is_sat(self._nontrivial())
-        counters = obs.snapshot()["counters"]
-        assert counters.get("smt.incremental.hit", 0) == 1
-        assert counters.get("smt.incremental.checks", 0) == 1
-        assert "smt.incremental.miss" not in counters
-        assert "smt.incremental.fallbacks" not in counters
-        assert obs.hit_rate(obs.snapshot(), "smt.incremental") == 1.0
-
-    def test_fallback_is_one_miss_not_a_hit_and_a_miss(self):
-        from repro.smt import SmtSolver
-        from repro.smt.incremental import IncrementalError
-
-        class ExplodingContext:
-            def check(self, phi):
-                raise IncrementalError("forced")
-
-            def stats(self):
-                return {}
-
-        obs.enable()
-        solver = SmtSolver(incremental=True)
-        solver._context = ExplodingContext()
-        assert solver.is_sat(self._nontrivial())  # fresh solve answers
-        counters = obs.snapshot()["counters"]
-        assert counters.get("smt.incremental.fallbacks", 0) == 1
-        assert counters.get("smt.incremental.miss", 0) == 1
-        assert "smt.incremental.hit" not in counters
-        assert "smt.incremental.checks" not in counters
-        assert counters.get("smt.fresh_checks", 0) == 1
-        assert obs.hit_rate(obs.snapshot(), "smt.incremental") == 0.0
-
-
 class TestDegradedTelemetryMerge:
     """A quarantined report's partial telemetry must survive into the
     fleet-wide merge, labelled with the attempt that produced it."""

@@ -131,20 +131,6 @@ class TestIncremental:
         assert count == 7
 
 
-class TestAssumptions:
-    def test_assumption_forces_value(self):
-        solver = make_solver(2, [[-1, 2]])
-        assert solver.solve(assumptions=[1])
-        model = solver.model()
-        assert model[1] and model[2]
-
-    def test_conflicting_assumptions(self):
-        solver = make_solver(2, [[-1, 2]])
-        assert not solver.solve(assumptions=[1, -2])
-        # solver remains usable
-        assert solver.solve()
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_random_cnf_matches_brute_force(data):
