@@ -137,20 +137,16 @@ class Pipeline:
     def _scoped_store(self):
         """Context manager activating this pipeline's store, if any.
 
-        Bound thread-locally: a pipeline may run on a serve worker
-        thread concurrent with other requests, and the process-global
-        store slot is not reentrant across threads.  Everything a
-        workload runs (engine, SMT cache, repair synthesis) resolves
-        the store on the same thread, so the scope is equivalent for
-        single-threaded callers.
+        The binding is per context, so a pipeline on a serve worker
+        thread never sees a concurrent request's store.
         """
         from contextlib import nullcontext
 
-        from .cache import open_store, use_store_here
+        from .cache import open_store, use_store
 
         if self._cache_dir is None:
             return nullcontext()
-        return use_store_here(open_store(self._cache_dir))
+        return use_store(open_store(self._cache_dir))
 
     # ------------------------------------------------------------------
     def analyze(self, source: str) -> AnalysisOutcome:

@@ -1,10 +1,8 @@
 """Batch triage of error reports over the transport-agnostic scheduler.
 
-The ROADMAP's north star is a system that triages *fleets* of error
-reports, not one report at a time.  Each report's diagnosis is
-independent of every other report's, so the driver fans reports out —
-historically over a local process pool only, now over any
-:mod:`repro.sched` transport:
+Batch triage runs many error reports, not one report at a time.  Each
+report's diagnosis is independent of every other report's, so the
+driver fans reports out over any :mod:`repro.sched` transport:
 
 * ``jobs <= 1`` (or a single report) — the in-process
   :class:`~repro.sched.InlineTransport` (mode ``serial``);
@@ -198,17 +196,13 @@ def triage_with_retries(name: str, config: EngineConfig | None,
                         limits: Limits | None,
                         cache_dir: str | None = None,
                         incremental: bool = False,
-                        trace: dict | None = None,
-                        thread_scoped: bool = False) -> TriageOutcome:
+                        trace: dict | None = None) -> TriageOutcome:
     """One report through the full scheduler retry/quarantine policy,
-    in-process — the serve daemon's per-job entry point.
-
-    Serve passes ``thread_scoped=True``: its attempts run on worker
-    threads sharing one process, so governors must install
-    thread-locally (see :class:`~repro.sched.TriageSpec`)."""
+    in-process — the serve daemon's per-job entry point.  Safe on
+    concurrent threads: each attempt binds its governor, store, trace
+    and telemetry scope in its own context."""
     spec = TriageSpec(config=config, telemetry=telemetry,
-                      cache_dir=cache_dir, incremental=incremental,
-                      thread_scoped=thread_scoped)
+                      cache_dir=cache_dir, incremental=incremental)
     scheduler = Scheduler(InlineTransport(spec=spec), limits=limits,
                           spec=spec)
     outcomes, _broke = scheduler.run([name], {name: trace})

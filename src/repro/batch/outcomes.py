@@ -20,14 +20,13 @@ import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
-from .. import limits as _limits_mod
 from .. import obs
 from ..obs import context as ocontext
 from ..obs import provenance as prov
-from ..cache import open_store, use_store, use_store_here
+from ..cache import open_store, use_store
 from ..diagnosis import EngineConfig, ExhaustiveOracle, diagnose_error
 from ..diagnosis.stages import STAGE_VERSION, config_fingerprint
-from ..limits import Limits, ResourceExhausted
+from ..limits import Limits, ResourceExhausted, governed
 from ..limits import faults
 from ..logic.digest import digest, digest_many, digest_text
 from ..schema import TriageVerdict, dump_json, envelope
@@ -231,13 +230,16 @@ def _cacheable(outcome: TriageOutcome) -> bool:
         and outcome.verdict is not TriageVerdict.UNKNOWN_RESOURCE
 
 
+#: The outcome fields a ``triage`` store artifact records.
+_RECORDED = ("classification", "expected", "num_queries", "rounds")
+
+
 def _triage_one(name: str, config: EngineConfig | None = None,
                 telemetry: bool = False, limits: Limits | None = None,
                 attempt: int = 0, in_worker: bool = False,
                 cache_dir: str | None = None,
                 incremental: bool = False,
-                trace: dict | None = None,
-                thread_scoped: bool = False) -> TriageOutcome:
+                trace: dict | None = None) -> TriageOutcome:
     """Triage a single benchmark report against its ground-truth oracle.
 
     Top-level so it pickles under any multiprocessing start method.  All
@@ -270,13 +272,18 @@ def _triage_one(name: str, config: EngineConfig | None = None,
 
     ``trace`` carries a :class:`~repro.obs.context.TraceContext` as
     plain data across the process boundary; it (or, failing that, the
-    thread's ambient context) is bound for the report's duration, so
-    every span, provenance node, log line and the telemetry snapshot
-    recorded in this worker joins the ingress's trace.
+    ambient context) is bound for the report's duration, so every span,
+    provenance node, log line and the telemetry snapshot recorded here
+    joins the ingress's trace.
+
+    The trace, the capture scope, the governor and the store are all
+    bound per context, so concurrent attempts on ``repro serve`` worker
+    threads never see each other's.
     """
     start = time.perf_counter()
     ctx = ocontext.TraceContext.from_dict(trace) if trace is not None \
         else ocontext.current()
+    trace_id = ctx.trace_id if ctx is not None else None
     if in_worker:
         faults.mark_worker()
     faults.set_report(name)
@@ -284,59 +291,18 @@ def _triage_one(name: str, config: EngineConfig | None = None,
         obs.enable()
     # slice by span id, not buffer offset: the bounded event deque may
     # evict old entries mid-report, which would shift any saved offset
-    events_marker = obs.span_sequence() if telemetry else 0
+    events_marker = obs.span_sequence() if telemetry else None
     prov_marker = prov.mark() if prov.is_enabled() else None
-
-    def report_events() -> tuple:
-        if not telemetry:
-            return ()
-        return tuple(e for e in obs.events()
-                     if e.get("id", 0) >= events_marker)
-
-    def report_provenance() -> tuple:
-        if prov_marker is None:
-            return ()
-        return tuple(prov.nodes_since(prov_marker))
-
-    def stamped(snap: dict | None) -> dict | None:
-        if snap is not None:
-            snap["report"] = name
-            snap["attempt"] = attempt
-            if ctx is not None:
-                snap["trace"] = ctx.trace_id
-        return snap
-
-    effective = limits
-    if effective is None and faults.active() is not None:
-        effective = Limits()
-    if effective is None:
-        governed = nullcontext(None)
-    elif thread_scoped:
-        # this attempt shares its process with concurrent worker
-        # threads (``repro serve``): the process-global governor slot
-        # is not reentrant across threads, so govern thread-locally
-        governed = _limits_mod.governed_here(effective)
-    else:
-        governed = _limits_mod.governed(effective)
+    if limits is None and faults.active() is not None:
+        limits = Limits()
     store = open_store(cache_dir) if cache_dir is not None else None
-    if store is None:
-        scoped = nullcontext()
-    elif thread_scoped:
-        # same reasoning as the governor above: the process-global
-        # store slot is not reentrant across concurrent serve threads
-        scoped = use_store_here(store)
-    else:
-        scoped = use_store(store)
     cfg = config or EngineConfig()
-    cap = None
+    cap = recorded = cache_info = report_key = None
     try:
-        result = None
-        recorded = None
-        cache_info = None
-        report_key = None
         with ocontext.bind(ctx), obs.capture() as cap, \
                 obs.span("triage.report", report=name, attempt=attempt), \
-                governed as governor, scoped:
+                governed(limits) if limits is not None else nullcontext(), \
+                use_store(store) if store is not None else nullcontext():
             bench = benchmark_by_name(name)
             if store is not None and incremental:
                 # analyze stage: map the source digest to the judgment
@@ -384,82 +350,62 @@ def _triage_one(name: str, config: EngineConfig | None = None,
                 )
                 # the engine inherits the ambient governor installed above
                 result = diagnose_error(analysis, oracle, config)
+                verdict = dict(
+                    classification=result.classification,
+                    expected=bench.classification,
+                    num_queries=result.num_queries,
+                    rounds=result.rounds,
+                    timed_out=result.exhausted_kind == "deadline",
+                    exhausted_stage=result.exhausted_stage,
+                    exhausted_kind=result.exhausted_kind,
+                    resource_spend=result.resource_spend,
+                    cache=_merge_cache_info(cache_info, result.cache),
+                )
             else:
                 cache_info["triage"] = "hit"
                 obs.inc("batch.reports_cached")
-        if recorded is not None:
-            return TriageOutcome(
-                name=name,
-                classification=recorded["classification"],
-                expected=recorded["expected"],
-                num_queries=recorded["num_queries"],
-                rounds=recorded["rounds"],
-                elapsed_seconds=time.perf_counter() - start,
-                telemetry=stamped(cap.snapshot),
-                events=report_events(),
-                provenance=report_provenance(),
-                cache=cache_info,
-                trace_id=ctx.trace_id if ctx is not None else None,
-            )
-        outcome = TriageOutcome(
-            name=name,
-            classification=result.classification,
-            expected=bench.classification,
-            num_queries=result.num_queries,
-            rounds=result.rounds,
-            elapsed_seconds=time.perf_counter() - start,
-            timed_out=result.exhausted_kind == "deadline",
-            telemetry=stamped(cap.snapshot),
-            events=report_events(),
-            provenance=report_provenance(),
-            exhausted_stage=result.exhausted_stage,
-            exhausted_kind=result.exhausted_kind,
-            resource_spend=result.resource_spend,
-            cache=_merge_cache_info(cache_info, result.cache),
-            trace_id=ctx.trace_id if ctx is not None else None,
-        )
-        if store is not None and report_key is not None \
-                and _cacheable(outcome):
-            store.put("triage", report_key, {
-                "classification": outcome.classification,
-                "expected": outcome.expected,
-                "num_queries": outcome.num_queries,
-                "rounds": outcome.rounds,
-            })
-        return outcome
+                verdict = {k: recorded[k] for k in _RECORDED}
+                verdict["cache"] = cache_info
     except ResourceExhausted as exc:
         # a limit ran out before the engine's own handler could see it
         # (loading / abstract interpretation) — same verdict, same shape;
         # the capture scope already closed, so the partial telemetry of
         # the failed attempt is still collected
-        return TriageOutcome(
-            name=name,
+        verdict = dict(
             classification=TriageVerdict.UNKNOWN_RESOURCE.value,
-            expected=None,
-            elapsed_seconds=time.perf_counter() - start,
             timed_out=exc.kind == "deadline",
-            telemetry=stamped(cap.snapshot) if cap is not None else None,
-            events=report_events(),
-            provenance=report_provenance(),
             exhausted_stage=exc.stage,
             exhausted_kind=exc.kind,
-            trace_id=ctx.trace_id if ctx is not None else None,
         )
     except Exception as exc:  # noqa: BLE001 - outcomes must cross processes
-        return TriageOutcome(
-            name=name,
+        verdict = dict(
             classification="unknown",
-            expected=None,
-            elapsed_seconds=time.perf_counter() - start,
             error=f"{type(exc).__name__}: {exc}",
-            telemetry=stamped(cap.snapshot) if cap is not None else None,
-            events=report_events(),
-            provenance=report_provenance(),
             exhausted_stage=getattr(exc, "stage", None),
-            trace_id=ctx.trace_id if ctx is not None else None,
         )
     finally:
         faults.set_report(None)
+    snap = cap.snapshot if cap is not None else None
+    if snap is not None:
+        snap.update(report=name, attempt=attempt)
+        if trace_id is not None:
+            snap["trace"] = trace_id
+    outcome = TriageOutcome(
+        name=name,
+        elapsed_seconds=time.perf_counter() - start,
+        telemetry=snap,
+        events=() if events_marker is None
+        else tuple(obs.events_since(events_marker, trace_id)),
+        provenance=() if prov_marker is None
+        else tuple(prov.nodes_since(prov_marker, trace_id)),
+        trace_id=trace_id,
+        **verdict,
+    )
+    if report_key is not None and recorded is None \
+            and _cacheable(outcome):
+        store.put("triage", report_key,
+                  {k: getattr(outcome, k) for k in _RECORDED})
+    return outcome
 
 
 def _load_one(name: str):

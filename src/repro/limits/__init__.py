@@ -18,11 +18,13 @@ One :class:`Limits` value describes every bound a run may impose:
 * ``retries`` / ``backoff`` — the batch driver's recovery policy.
 
 Enforcement is *cooperative*: every solver calls :func:`tick` at its
-loop heads.  While no governor is active a tick is one global load and
-a ``None`` check — ``benchmarks/bench_limits_overhead.py`` pins the
-enabled-governor cost below 5% of a clean run.  :func:`governed`
-installs a :class:`Governor` for the dynamic extent of a block; the
-governor accounts per-stage spend and raises a single
+loop heads.  While no governor is active a tick is one context-variable
+read and a ``None`` check — ``benchmarks/bench_limits_overhead.py``
+pins the enabled-governor cost below 5% of a clean run.
+:func:`governed` installs a :class:`Governor` for the dynamic extent of
+a block in the current context only, so concurrent ``repro serve``
+worker threads each see their own governor (a new thread starts with
+none); the governor accounts per-stage spend and raises a single
 :class:`ResourceExhausted` carrying the stage, the spend and the limit,
 which the diagnosis engine converts into the ``UNKNOWN_RESOURCE``
 verdict (a *result*, not an error).
@@ -43,9 +45,9 @@ can use it without cycles.
 
 from __future__ import annotations
 
-import threading
 import time
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 from typing import Iterator
 
@@ -60,7 +62,6 @@ __all__ = [
     "STAGES",
     "current_governor",
     "governed",
-    "governed_here",
     "tick",
 ]
 
@@ -295,89 +296,39 @@ class Governor:
         faults.fire(spec)  # raise / kill
 
 
-_active: Governor | None = None
-
-# Thread-local governor overrides.  ``repro serve`` runs concurrent
-# triage attempts on worker threads, each governed by its own
-# deadline/budget/cancellation token; a process-global slot cannot
-# express that.  ``_tl_installs`` counts live thread-local installs so
-# the ubiquitous ungoverned ``tick`` stays one global load plus a falsy
-# check — the ``threading.local`` lookup only happens while a serve
-# worker thread is actually running an attempt.
-_tl = threading.local()
-_tl_installs = 0
-_tl_lock = threading.Lock()
-
-
-def _resolve() -> Governor | None:
-    if _tl_installs:
-        governor = getattr(_tl, "governor", None)
-        if governor is not None:
-            return governor
-    return _active
+#: The governor of the innermost :func:`governed` block in this context.
+_governor: ContextVar[Governor | None] = ContextVar(
+    "repro.limits.governor", default=None)
 
 
 def tick(stage: str, amount: int = 1) -> None:
     """The checkpoint every solver loop head calls.  Near-free while no
-    governor is active: one global load and a ``None`` check."""
-    if _tl_installs:
-        governor = getattr(_tl, "governor", None)
-        if governor is None:
-            governor = _active
-    else:
-        governor = _active
+    governor is active: one context-variable read and a ``None`` check."""
+    governor = _governor.get()
     if governor is not None:
         governor.tick(stage, amount)
 
 
 def current_governor() -> Governor | None:
-    """The governor installed by the innermost :func:`governed` block
-    (a thread-local :func:`governed_here` install shadows the global)."""
-    return _resolve()
+    """The governor installed by the innermost :func:`governed` block."""
+    return _governor.get()
 
 
 @contextmanager
 def governed(limits: Limits) -> Iterator[Governor]:
     """Install a :class:`Governor` for the dynamic extent of the block.
 
-    Nested blocks shadow the outer governor (innermost wins); on exit
-    the per-stage spend is folded into the obs counters
-    (``limits.spend.<stage>``) so batch telemetry attributes cost.
+    Nested blocks shadow the outer governor (innermost wins), and the
+    install is visible only in the current context: blocks on other
+    threads neither see nor restore it.  On exit the per-stage spend is
+    folded into the obs counters (``limits.spend.<stage>``) so batch
+    telemetry attributes cost.
     """
-    global _active
-    previous = _active
     governor = Governor(limits)
-    _active = governor
+    token = _governor.set(governor)
     try:
         yield governor
     finally:
-        _active = previous
-        for stage, n in governor.spend.items():
-            obs.inc(f"limits.spend.{stage}", n)
-
-
-@contextmanager
-def governed_here(limits: Limits) -> Iterator[Governor]:
-    """Install a :class:`Governor` for the *current thread* only.
-
-    Other threads keep seeing the process-global governor.  Used by the
-    batch layer when a triage attempt runs on a ``repro serve`` worker
-    thread — the process-global slot of :func:`governed` is not
-    reentrant across threads, so two concurrent governed blocks there
-    could restore each other's expired governors.  On exit the spend is
-    folded into the obs counters exactly as :func:`governed` does.
-    """
-    global _tl_installs
-    previous = getattr(_tl, "governor", None)
-    governor = Governor(limits)
-    with _tl_lock:
-        _tl_installs += 1
-    _tl.governor = governor
-    try:
-        yield governor
-    finally:
-        _tl.governor = previous
-        with _tl_lock:
-            _tl_installs -= 1
+        _governor.reset(token)
         for stage, n in governor.spend.items():
             obs.inc(f"limits.spend.{stage}", n)

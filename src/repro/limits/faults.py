@@ -32,6 +32,7 @@ from __future__ import annotations
 import os
 import signal
 import time
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 __all__ = [
@@ -109,8 +110,12 @@ def parse_fault(text: str) -> FaultSpec:
 
 _installed: FaultSpec | None = None
 _installed_explicitly = False
-_report: str | None = None
 _worker = False
+
+#: The report being triaged in this context (each serve worker thread
+#: triages its own report, so the name cannot be process-global).
+_report: ContextVar[str | None] = ContextVar(
+    "repro.limits.faults.report", default=None)
 
 
 def install(spec: FaultSpec | str | None) -> None:
@@ -134,14 +139,13 @@ def active() -> FaultSpec | None:
 
 
 def set_report(name: str | None) -> None:
-    """Record which benchmark report this process is triaging, so
+    """Record which benchmark report this context is triaging, so
     report-scoped specs can match.  The batch worker sets this."""
-    global _report
-    _report = name
+    _report.set(name)
 
 
 def current_report() -> str | None:
-    return _report
+    return _report.get()
 
 
 def mark_worker(flag: bool = True) -> None:
@@ -159,7 +163,7 @@ def matches(spec: FaultSpec, stage: str) -> bool:
     """Should ``spec`` trigger at a checkpoint of ``stage`` here?"""
     if spec.stage != stage:
         return False
-    return spec.report is None or spec.report == _report
+    return spec.report is None or spec.report == _report.get()
 
 
 def fire(spec: FaultSpec) -> None:

@@ -45,6 +45,7 @@ from .core import (
     enable,
     event_count,
     events,
+    events_since,
     export_chrome,
     export_jsonl,
     export_prometheus,
@@ -75,6 +76,7 @@ __all__ = [
     "enable",
     "event_count",
     "events",
+    "events_since",
     "export_chrome",
     "export_jsonl",
     "export_prometheus",

@@ -20,9 +20,10 @@ batch — and carries three ids:
 * ``parent_id`` — the ``span_id`` of the hop that spawned this one
   (None at the root), so cross-process traces still form a tree.
 
-Binding is **thread-local**: the serve daemon's worker threads each
-carry their own context, so concurrent jobs never contaminate each
-other's records.  Crossing the multiprocessing boundary is explicit
+Binding is **per context** (a :class:`contextvars.ContextVar`): each
+thread starts unbound, so the serve daemon's worker threads each carry
+their own context and concurrent jobs never contaminate each other's
+records.  Crossing the multiprocessing boundary is explicit
 and cheap — :meth:`TraceContext.to_dict` / :meth:`TraceContext.
 from_dict` move the three strings as plain data, and the batch driver
 passes a :meth:`child` context to every worker attempt.
@@ -33,14 +34,14 @@ upstream proxy's trace id flows through ``repro serve`` unchanged.
 
 Everything here is allocation-light and engine-agnostic: no module in
 this file imports the solver stack, and :func:`current` is a single
-thread-local attribute read — cheap enough for the span-close path.
+context-variable read — cheap enough for the span-close path.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Any, Iterator
 
@@ -53,7 +54,9 @@ __all__ = [
     "new_trace",
 ]
 
-_tls = threading.local()
+#: The ambient context; :func:`bind` sets it for a block.
+_ctx: ContextVar["TraceContext | None"] = ContextVar(
+    "repro.obs.trace", default=None)
 
 #: hex-digit alphabet check for parsing foreign ids
 _HEX = set("0123456789abcdef")
@@ -168,7 +171,7 @@ def from_traceparent(header: str | None,
 
 
 # ---------------------------------------------------------------------------
-# the ambient (thread-local) context
+# the ambient context
 # ---------------------------------------------------------------------------
 
 def new_trace(origin: str = "unknown") -> TraceContext:
@@ -182,33 +185,26 @@ def new_trace(origin: str = "unknown") -> TraceContext:
 
 
 def current() -> TraceContext | None:
-    """The context bound to this thread (None when unbound)."""
-    return getattr(_tls, "ctx", None)
+    """The context bound here (None when unbound)."""
+    return _ctx.get()
 
 
 def current_trace_id() -> str | None:
     """Shorthand: the bound context's trace id, or None."""
-    ctx = getattr(_tls, "ctx", None)
+    ctx = _ctx.get()
     return ctx.trace_id if ctx is not None else None
 
 
 @contextmanager
 def bind(ctx: TraceContext | None) -> Iterator[TraceContext | None]:
-    """Install ``ctx`` as this thread's ambient context for the block.
+    """Install ``ctx`` as the ambient context for the block.
 
     Nests: the previous binding is restored on exit, even through
     exceptions.  Binding None clears the context for the block (used by
     tests and by code that must not inherit a caller's trace).
     """
-    previous = getattr(_tls, "ctx", None)
-    _tls.ctx = ctx
+    token = _ctx.set(ctx)
     try:
         yield ctx
     finally:
-        _tls.ctx = previous
-
-
-def _adopt(ctx: TraceContext | None) -> None:
-    """Non-scoped install (forked worker processes, whose lifetime IS
-    the scope).  Internal: prefer :func:`bind`."""
-    _tls.ctx = ctx
+        _ctx.reset(token)

@@ -1,6 +1,6 @@
 """The observability engine: spans, counters, gauges, event buffer.
 
-Everything lives in one module-level :class:`_State` per process.  The
+The process aggregate lives in one module-level :class:`_State`.  The
 design goal is *near-zero cost when disabled*: every public probe checks
 a single module-global boolean first and returns immediately —
 
@@ -34,6 +34,14 @@ Snapshots are plain dicts of plain scalars, safe to pickle across the
 batch driver's process boundary; :func:`merge_snapshots` sums counters
 and span aggregates from many workers into one fleet-wide view.
 
+:func:`capture` scopes telemetry to a block: it binds a fresh sink in a
+:class:`contextvars.ContextVar`, and counters, gauges, span stats and
+histograms recorded in that context go to the innermost sink.  On exit
+the sink folds into the enclosing sink, or into the process aggregate
+when there is none, so concurrent ``repro serve`` jobs each capture
+exactly their own activity.  Outside any scope the probes write the
+aggregate directly.  The event buffer and span ids stay process-wide.
+
 The state is process-local on purpose: the batch driver's fork()ed
 workers each start from the parent's (usually empty) state and ship
 their snapshots home as data, never as shared memory.
@@ -48,6 +56,7 @@ import threading
 import time
 from collections import deque
 from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import Any, Callable, Iterable, TextIO
 
 from . import context as _context
@@ -60,6 +69,7 @@ __all__ = [
     "enable",
     "event_count",
     "events",
+    "events_since",
     "export_chrome",
     "export_jsonl",
     "export_prometheus",
@@ -114,6 +124,21 @@ class _Hist:
                 self.samples = self.samples[::2]
                 self.stride *= 2
 
+    def merge(self, other: "_Hist") -> None:
+        """Fold another histogram in; the finer reservoir is thinned to
+        the coarser stride first so each sample keeps its weight."""
+        self.count += other.count
+        self.total += other.total
+        self.min = min(self.min, other.min)
+        self.max = max(self.max, other.max)
+        stride = max(self.stride, other.stride)
+        samples = (self.samples[::stride // self.stride]
+                   + other.samples[::stride // other.stride])
+        while len(samples) >= _HIST_RESERVOIR:
+            samples = samples[::2]
+            stride *= 2
+        self.samples, self.stride = samples, stride
+
 
 def percentile(samples: list[float], q: float) -> float:
     """Nearest-rank percentile of a sample list (q in [0, 1])."""
@@ -138,16 +163,47 @@ def _hist_snapshot(h: _Hist) -> dict:
     }
 
 
-class _State:
-    __slots__ = ("counters", "gauges", "span_stats", "hists", "events",
-                 "ids", "seq", "tls")
+class _Sink:
+    """Counters, gauges, span stats and histograms of one scope (or, as
+    the base of :class:`_State`, of the whole process)."""
 
-    def __init__(self, buffer_size: int = _DEFAULT_BUFFER):
+    __slots__ = ("counters", "gauges", "span_stats", "hists")
+
+    def __init__(self) -> None:
         self.counters: dict[str, int] = {}
         self.gauges: dict[str, float] = {}
         # name -> [count, total_seconds, max_seconds]
         self.span_stats: dict[str, list] = {}
         self.hists: dict[str, _Hist] = {}
+
+    def absorb(self, other: "_Sink") -> None:
+        """Fold a closed scope's data into this one (``other`` is
+        discarded afterwards, so its histograms move over as they are)."""
+        counters = self.counters
+        for name, value in other.counters.items():
+            counters[name] = counters.get(name, 0) + value
+        self.gauges.update(other.gauges)
+        for name, (count, total, peak) in other.span_stats.items():
+            stats = self.span_stats.get(name)
+            if stats is None:
+                self.span_stats[name] = [count, total, peak]
+            else:
+                stats[0] += count
+                stats[1] += total
+                stats[2] = max(stats[2], peak)
+        for name, hist in other.hists.items():
+            into = self.hists.get(name)
+            if into is None:
+                self.hists[name] = hist
+            else:
+                into.merge(hist)
+
+
+class _State(_Sink):
+    __slots__ = ("events", "ids", "seq", "tls")
+
+    def __init__(self, buffer_size: int = _DEFAULT_BUFFER):
+        super().__init__()
         self.events: deque[dict] = deque(maxlen=buffer_size)
         # span ids come from an itertools.count — allocation is a single
         # atomic-under-the-GIL call, so the serve daemon's worker threads
@@ -169,6 +225,14 @@ class _State:
 
 _enabled = False
 _state = _State()
+
+#: The innermost open :func:`capture` scope's sink in this context
+#: (None outside any scope: probes then write ``_state`` directly).
+_sink: ContextVar[_Sink | None] = ContextVar("repro.obs.sink", default=None)
+
+#: Serializes folds of outermost scopes into the process aggregate.
+#: The unscoped probes stay lock-free.
+_fold_lock = threading.Lock()
 
 #: Optional observer called with every closed span's event dict (after
 #: it is buffered).  The logging layer installs its slow-query watcher
@@ -280,17 +344,18 @@ class _Span:
                     stack.remove(self.id)
                 except ValueError:
                     pass
-        stats = state.span_stats.get(self.name)
+        sink = _sink.get() or state
+        stats = sink.span_stats.get(self.name)
         if stats is None:
-            state.span_stats[self.name] = [1, duration, duration]
+            sink.span_stats[self.name] = [1, duration, duration]
         else:
             stats[0] += 1
             stats[1] += duration
             if duration > stats[2]:
                 stats[2] = duration
-        hist = state.hists.get(self.name)
+        hist = sink.hists.get(self.name)
         if hist is None:
-            hist = state.hists[self.name] = _Hist()
+            hist = sink.hists[self.name] = _Hist()
         hist.add(duration)
         event = {
             "type": "span",
@@ -301,7 +366,7 @@ class _Span:
             "dur_s": duration,
             "depth": len(stack),
         }
-        ctx = getattr(_context._tls, "ctx", None)
+        ctx = _context._ctx.get()
         if ctx is not None:
             event["trace"] = ctx.trace_id
         if self.attrs:
@@ -333,7 +398,7 @@ def inc(name: str, value: int = 1) -> None:
     """Add ``value`` to the named monotone counter."""
     if not _enabled:
         return
-    counters = _state.counters
+    counters = (_sink.get() or _state).counters
     counters[name] = counters.get(name, 0) + value
 
 
@@ -341,7 +406,7 @@ def gauge(name: str, value: float) -> None:
     """Record the latest value of a named gauge."""
     if not _enabled:
         return
-    _state.gauges[name] = value
+    (_sink.get() or _state).gauges[name] = value
 
 
 def observe(name: str, value: float) -> None:
@@ -355,9 +420,10 @@ def observe(name: str, value: float) -> None:
     """
     if not _enabled:
         return
-    hist = _state.hists.get(name)
+    hists = (_sink.get() or _state).hists
+    hist = hists.get(name)
     if hist is None:
-        hist = _state.hists[name] = _Hist()
+        hist = hists[name] = _Hist()
     hist.add(value)
 
 
@@ -409,19 +475,24 @@ def snapshot() -> dict:
 
     Plain dicts of plain scalars — picklable, JSON-serializable,
     mergeable across processes with :func:`merge_snapshots`, and safe
-    to take from a scraper thread while worker threads record.
+    to take from a scraper thread while worker threads record.  A
+    :func:`capture` scope's activity shows here once the scope exits.
     """
+    return _render(_state, _enabled)
+
+
+def _render(sink: _Sink, enabled: bool) -> dict:
     return {
-        "enabled": _enabled,
-        "counters": _safe_copy(_state.counters),
-        "gauges": _safe_copy(_state.gauges),
+        "enabled": enabled,
+        "counters": _safe_copy(sink.counters),
+        "gauges": _safe_copy(sink.gauges),
         "spans": {
             name: {"count": s[0], "total_s": s[1], "max_s": s[2]}
-            for name, s in _safe_copy(_state.span_stats).items()
+            for name, s in _safe_copy(sink.span_stats).items()
         },
         "hists": {
             name: _hist_snapshot(h)
-            for name, h in _safe_copy(_state.hists).items()
+            for name, h in _safe_copy(sink.hists).items()
         },
     }
 
@@ -429,6 +500,15 @@ def snapshot() -> dict:
 def events() -> list[dict]:
     """A copy of the bounded event buffer (oldest first)."""
     return list(_state.events)
+
+
+def events_since(marker: int, trace: str | None = None) -> list[dict]:
+    """The buffered events of spans opened since :func:`span_sequence`
+    returned ``marker``; with ``trace``, only those of that trace.
+    Iterates a copy, since other threads may be appending."""
+    return [e for e in list(_state.events)
+            if e.get("id", 0) >= marker
+            and (trace is None or e.get("trace") == trace)]
 
 
 def event_count() -> int:
@@ -671,76 +751,33 @@ class _Capture:
 
 @contextmanager
 def capture():
-    """Delta-scope: counters/gauges/spans accrued inside the block.
+    """Scope: counters/gauges/spans accrued inside the block.
 
     Yields a holder whose ``snapshot`` attribute is filled in on exit
-    with only the activity of the block (counters and span stats are
-    differenced against the entry state).  No-op (snapshot None) while
+    with only the activity of the block in this context — a report's
+    gauges are the ones it set — which then folds into the enclosing
+    scope (or the process aggregate).  No-op (snapshot None) while
     disabled.
     """
     holder = _Capture()
     if not _enabled:
         yield holder
         return
-    before = snapshot()
+    sink = _Sink()
+    token = _sink.set(sink)
     try:
         yield holder
     finally:
-        after = snapshot()
-        holder.snapshot = _diff_snapshots(before, after)
-
-
-def _diff_snapshots(before: dict, after: dict) -> dict:
-    counters = {
-        name: value - before["counters"].get(name, 0)
-        for name, value in after["counters"].items()
-        if value - before["counters"].get(name, 0)
-    }
-    spans = {}
-    for name, stats in after["spans"].items():
-        prior = before["spans"].get(name)
-        count = stats["count"] - (prior["count"] if prior else 0)
-        if count <= 0:
-            continue
-        spans[name] = {
-            "count": count,
-            "total_s": stats["total_s"] - (prior["total_s"] if prior
-                                           else 0.0),
-            "max_s": stats["max_s"],
-        }
-    hists = {}
-    for name, h in after.get("hists", {}).items():
-        prior = before.get("hists", {}).get(name)
-        count = h["count"] - (prior["count"] if prior else 0)
-        if count <= 0:
-            continue
-        if prior is None:
-            samples = h["samples"]
-        elif prior.get("stride") == h.get("stride"):
-            # no decimation happened inside the block: the new samples
-            # are exactly the tail appended since entry
-            samples = h["samples"][len(prior["samples"]):]
+        _sink.reset(token)
+        snap = holder.snapshot = _render(sink, True)
+        # report activity only: a probe that added zero leaves no entry
+        snap["counters"] = {k: v for k, v in snap["counters"].items() if v}
+        outer = _sink.get()
+        if outer is not None:
+            outer.absorb(sink)
         else:
-            samples = h["samples"]  # decimated: the reservoir is the
-            #                         best remaining sketch of the block
-        hists[name] = {
-            "count": count,
-            "total": h["total"] - (prior["total"] if prior else 0.0),
-            "min": h["min"],
-            "max": h["max"],
-            "p50": percentile(samples, 0.50),
-            "p95": percentile(samples, 0.95),
-            "p99": percentile(samples, 0.99),
-            "samples": samples,
-            "stride": h.get("stride", 1),
-        }
-    return {
-        "enabled": True,
-        "counters": counters,
-        "gauges": dict(after["gauges"]),
-        "spans": spans,
-        "hists": hists,
-    }
+            with _fold_lock:
+                _state.absorb(sink)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Run-history store: per-run telemetry snapshots with regression flags.
 
-The ROADMAP's north star (production scale, hardware speed) needs a
-*trajectory*, not a point: a perf regression is invisible unless today's
-run can be compared against yesterday's.  This module appends one entry
+Measured performance needs a *trajectory*, not a point: a perf
+regression is invisible unless today's run can be compared against
+yesterday's.  This module appends one entry
 per instrumented run to a JSON file (``BENCH_obs.json`` by convention,
 schema ``repro.history/1``) and flags stage-level latency regressions
 against the stored baseline.

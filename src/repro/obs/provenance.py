@@ -161,9 +161,12 @@ def mark() -> int:
     return _next_id
 
 
-def nodes_since(marker: int) -> list[dict]:
-    """The nodes recorded since :func:`mark` returned ``marker``."""
-    return [n for n in _nodes if n["id"] >= marker]
+def nodes_since(marker: int, trace: str | None = None) -> list[dict]:
+    """The nodes recorded since :func:`mark` returned ``marker``; with
+    ``trace``, only those recorded under that trace.  Iterates a copy,
+    since other threads may be appending."""
+    return [n for n in list(_nodes) if n["id"] >= marker
+            and (trace is None or n.get("trace") == trace)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Abductive repair synthesis (ROADMAP item 1).
+"""Abductive repair synthesis: verified patches from abduced conditions.
 
 From "is this a real bug?" to "here is the minimal verified fix": the
 weakest minimum proof obligation Γ the diagnosis engine computes *is* a

@@ -1,7 +1,7 @@
 """Patch splicing: apply structured edits to a program AST.
 
-An :class:`Edit` is one concrete source change, in the vocabulary the
-ISSUE/ROADMAP names:
+An :class:`Edit` is one concrete source change, of one of three
+placement kinds:
 
 * ``assume`` — conjoin a predicate onto the ``@assume`` of the ``havoc``
   that introduced the relevant abstraction variable (a missing library

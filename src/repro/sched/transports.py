@@ -63,20 +63,12 @@ class TransportBroken(Exception):
 
 @dataclass(frozen=True)
 class TriageSpec:
-    """Per-batch settings shared by every attempt the scheduler runs.
-
-    ``thread_scoped`` marks batches whose in-process attempts run on a
-    worker *thread* sharing the process with concurrent attempts
-    (``repro serve``): resource governors and the cache-store binding
-    then install thread-locally, because the process-global governor
-    and store slots are not reentrant across threads.
-    """
+    """Per-batch settings shared by every attempt the scheduler runs."""
 
     config: EngineConfig | None = None
     telemetry: bool = False
     cache_dir: str | None = None
     incremental: bool = False
-    thread_scoped: bool = False
 
 
 @dataclass(frozen=True)
@@ -97,7 +89,8 @@ class InlineTransport:
     transport under the shared scheduler core — there is no separate
     serial retry loop any more.  ``submit`` blocks until the attempt
     finishes, so ``done`` is always immediately true and the grace
-    window can never fire.
+    window can never fire.  ``repro serve`` runs one per worker thread;
+    each attempt binds its per-run state in its own context.
     """
 
     spec: TriageSpec = field(default_factory=TriageSpec)
@@ -116,7 +109,6 @@ class InlineTransport:
             cache_dir=self.spec.cache_dir,
             incremental=self.spec.incremental,
             trace=task.trace,
-            thread_scoped=self.spec.thread_scoped,
         )
 
     def done(self, handle: TriageOutcome) -> bool:

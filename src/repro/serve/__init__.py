@@ -1,11 +1,11 @@
 """Triage-as-a-service: the ``repro serve`` daemon.
 
-The ROADMAP's north star is serving the paper's interactive pitch — "is
-this error report a real bug or a missing precondition?" — at
-production scale.  PRs 1–6 built the ingredients (Pipeline facade, the
+Triage as a service answers the paper's interactive question — "is
+this error report a real bug or a missing precondition?" — for many
+clients at once.  This package wires the Pipeline facade, the
 ``repro.result/2`` envelope, Limits admission control, the
-content-addressed CacheStore, the Prometheus exporter); this package
-wires them behind a long-running stdlib-only HTTP/JSON daemon:
+content-addressed CacheStore and the Prometheus exporter behind a
+long-running stdlib-only HTTP/JSON daemon:
 
 * :mod:`repro.serve.jobs` — the job registry: coalescing (identical
   in-flight submissions share one computation), bounded retention,

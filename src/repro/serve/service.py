@@ -17,7 +17,10 @@ forked workers all inherit it), the result envelope carries it as
 :class:`FlightRecorder` queryable by that id (``GET
 /debug/traces/<trace_id>``, SIGUSR1 JSONL dump).  :class:`RouteStats`
 keeps the sliding-window per-route latency/error SLOs behind
-``/v1/statusz`` and /metrics.
+``/v1/statusz`` and /metrics.  The trace, the governor, the store and
+the telemetry scope are all bound per context, so jobs on concurrent
+worker threads never share them, and a job's events and provenance
+nodes are the ones stamped with its own trace id.
 
 Two submission kinds share one pipeline:
 
@@ -60,14 +63,13 @@ import queue
 import threading
 import time
 from collections import OrderedDict, deque
-from typing import Any
-
 from contextlib import nullcontext
+from typing import Any
 
 from .. import obs
 from ..batch.driver import triage_with_retries
 from ..batch.outcomes import _report_key
-from ..cache import open_store, use_store_here
+from ..cache import open_store, use_store
 from ..diagnosis import EngineConfig, SamplingOracle, diagnose_error
 from ..diagnosis.stages import STAGE_VERSION, config_fingerprint
 from ..limits import Limits, ResourceExhausted
@@ -494,9 +496,9 @@ class TriageService:
 
         For a finished job the HTTP status follows the shared contract
         (:func:`repro.schema.http_status`): verdict-bearing results are
-        200, degraded results 503.  Running jobs stream the obs event
-        buffer accrued since their start marker (``since`` resumes an
-        earlier poll by event id).
+        200, degraded results 503.  Running jobs stream the obs events
+        of their own trace accrued since their start marker (``since``
+        resumes an earlier poll by event id).
         """
         from ..schema import http_status
 
@@ -507,9 +509,8 @@ class TriageService:
         if job.status == "done":
             events = job.events
         else:
-            marker = max(job.events_marker, since)
-            events = tuple(e for e in obs.events()
-                           if e.get("id", 0) >= marker) \
+            events = obs.events_since(max(job.events_marker, since),
+                                      job.trace_id) \
                 if job.status == "running" else ()
         body["events"] = [dict(e) for e in events
                           if e.get("id", 0) >= since]
@@ -717,7 +718,8 @@ class TriageService:
             finally:
                 if explain and not prov_was_on:
                     prov.disable()
-            nodes = tuple(prov.nodes_since(prov_marker)) \
+            nodes = tuple(prov.nodes_since(
+                prov_marker, ocontext.current_trace_id())) \
                 if prov_marker is not None else ()
             if code is None:
                 degraded = bool(envelope.get("degraded")) \
@@ -757,7 +759,6 @@ class TriageService:
             name, self.config, True, limits,
             cache_dir=self.cache_dir,
             incremental=self.cache_dir is not None,
-            thread_scoped=True,
         )
         return outcome.to_dict(), outcome.events
 
@@ -782,8 +783,8 @@ class TriageService:
         obs.inc("serve.repair.verified", result.verified_count)
         if result.exit_status == EXIT_DEGRADED:
             obs.inc("serve.repair.degraded")
-        events = tuple(e for e in obs.events()
-                       if e.get("id", 0) >= marker)
+        events = tuple(obs.events_since(marker,
+                                        ocontext.current_trace_id()))
         return result.to_dict(), events, result.exit_status
 
     def _run_source(self, source: str, limits: Limits | None
@@ -793,9 +794,7 @@ class TriageService:
         from ..api import InitialVerdict, Pipeline
 
         marker = obs.span_sequence()
-        # thread-scoped: this runs on a worker thread concurrent with
-        # other requests — never touch the process-global store slot
-        scoped = use_store_here(open_store(self.cache_dir)) \
+        scoped = use_store(open_store(self.cache_dir)) \
             if self.cache_dir is not None else nullcontext()
         pipeline = Pipeline(config=self.config)
         try:
@@ -817,6 +816,6 @@ class TriageService:
                 "exhausted_stage": exc.stage,
                 "exhausted_kind": exc.kind,
             }
-        events = tuple(e for e in obs.events()
-                       if e.get("id", 0) >= marker)
+        events = tuple(obs.events_since(marker,
+                                        ocontext.current_trace_id()))
         return envelope, events

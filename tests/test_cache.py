@@ -221,13 +221,9 @@ class TestActiveStore:
         assert open_store(tmp_path / "other") is not first
 
     def test_thread_scoped_binding_never_poisons_the_global(self, tmp_path):
-        """Concurrent ``use_store_here`` scopes (the serve worker-thread
-        shape) are invisible to other threads and leave the process-wide
-        slot untouched — the global save/restore of ``use_store`` is not
-        reentrant across threads, which is exactly why serve binds
-        thread-locally."""
-        from repro.cache import use_store_here
-
+        """Concurrent ``use_store`` scopes (the serve worker-thread
+        shape) are invisible to other threads, and nothing stays
+        installed afterwards: the binding is per context."""
         store_a = open_store(tmp_path / "a")
         store_b = open_store(tmp_path / "b")
         errors: list[BaseException] = []
@@ -236,10 +232,11 @@ class TestActiveStore:
         def worker(store):
             try:
                 for _ in range(200):
-                    with use_store_here(store):
+                    with use_store(store):
                         barrier.wait()
                         assert current_store() is store
                         barrier.wait()
+                    assert current_store() is None
             except BaseException as exc:  # noqa: BLE001
                 errors.append(exc)
 
@@ -251,7 +248,7 @@ class TestActiveStore:
             t.join(timeout=60)
         assert not any(t.is_alive() for t in threads)
         assert not errors, errors
-        assert current_store() is None  # the global slot never moved
+        assert current_store() is None  # nothing leaked to this thread
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +271,8 @@ def _counter(result, name: str) -> int:
 class TestWarmRetriage:
     def test_warm_run_skips_all_msa_and_qe_work(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
+        # the cold run must not inherit QE memos from earlier tests
+        clear_qe_caches()
         cold = triage_many(ALL_NAMES, jobs=1, telemetry=True,
                            cache_dir=cache_dir)
         assert cold.accuracy == 1.0

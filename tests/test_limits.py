@@ -4,6 +4,7 @@ Governor, fault-spec parsing, removed knobs and aliases and the
 
 from __future__ import annotations
 
+import threading
 import time
 
 import pytest
@@ -165,6 +166,41 @@ class TestGovernor:
                 tick("sat")
         assert current_governor() is None
 
+    def test_overlapping_blocks_on_two_threads_never_leak(self):
+        """A enters, B enters, A exits, B exits: each thread sees only
+        its own governor, none stays installed, and an ungoverned tick
+        after A's deadline does not raise."""
+        a_in, b_in, a_out = (threading.Event() for _ in range(3))
+        seen = {}
+
+        def run_a():
+            with governed(Limits(deadline=0.05)) as governor:
+                a_in.set()
+                b_in.wait(10)
+                seen["a"] = current_governor() is governor
+            a_out.set()
+
+        def run_b():
+            a_in.wait(10)
+            with governed(Limits()) as governor:
+                b_in.set()
+                a_out.wait(10)
+                seen["b"] = current_governor() is governor
+            seen["b_after"] = current_governor()
+
+        threads = [threading.Thread(target=run_a),
+                   threading.Thread(target=run_b)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=20)
+        assert not any(t.is_alive() for t in threads)
+        assert seen == {"a": True, "b": True, "b_after": None}
+        assert current_governor() is None
+        time.sleep(0.06)
+        for _ in range(100):
+            tick("sat")
+
 
 class TestFaultSpecs:
     def test_parse_simple(self):
@@ -231,6 +267,42 @@ class TestFaultSpecs:
         finally:
             faults.set_report(None)
 
+    def test_report_is_per_thread(self):
+        """Thread A sets p10_toggle, then thread B sets p06_chroot: A's
+        report-scoped spec still matches on A, and not on B."""
+        from repro.limits import faults
+        spec = parse_fault("exhaust@smt@p10_toggle")
+        a_set, b_set = threading.Event(), threading.Event()
+        seen = {}
+
+        def run_a():
+            faults.set_report("p10_toggle")
+            try:
+                a_set.set()
+                b_set.wait(10)
+                seen["a"] = faults.matches(spec, "smt")
+            finally:
+                faults.set_report(None)
+
+        def run_b():
+            a_set.wait(10)
+            faults.set_report("p06_chroot")
+            try:
+                b_set.set()
+                seen["b"] = faults.matches(spec, "smt")
+            finally:
+                faults.set_report(None)
+
+        threads = [threading.Thread(target=run_a),
+                   threading.Thread(target=run_b)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=20)
+        assert not any(t.is_alive() for t in threads)
+        assert seen == {"a": True, "b": False}
+        assert faults.current_report() is None
+
     def test_kill_downgrades_outside_workers(self):
         install("kill@omega")
         with governed(Limits()):
@@ -280,13 +352,25 @@ class TestDeprecatedKnobs:
                      "portfolio", id="SmtSolver.portfolio"),
         pytest.param(lambda: SatSolver().solve(assumptions=[1]),
                      "assumptions", id="SatSolver.solve.assumptions"),
-        pytest.param(lambda: limits_mod.governed_here(Limits(),
-                                                      fold_spend=True),
-                     "fold_spend", id="governed_here.fold_spend"),
     ])
     def test_alternative_solver_paths_removed(self, make, knob):
         with pytest.raises(TypeError, match=knob):
             make()
+
+    def test_thread_local_twins_removed(self):
+        import repro.cache
+        assert not hasattr(limits_mod, "governed_here")
+        assert not hasattr(repro.cache, "use_store_here")
+        assert not hasattr(repro.cache, "set_store")
+
+    def test_thread_scoped_flag_removed(self):
+        from repro.batch.driver import triage_with_retries
+        from repro.sched import TriageSpec
+        with pytest.raises(TypeError, match="thread_scoped"):
+            TriageSpec(thread_scoped=True)
+        with pytest.raises(TypeError, match="thread_scoped"):
+            triage_with_retries("d01_plus_one", None, False, None,
+                                thread_scoped=True)
 
     @pytest.mark.parametrize("argv", [
         ["diagnose", "prog.err"], ["triage"], ["serve"],

@@ -189,6 +189,82 @@ class TestCapture:
                 raise RuntimeError
         assert cap.snapshot["counters"] == {"partial": 1}
 
+    def test_nested_scope_folds_into_the_enclosing_one(self):
+        obs.enable()
+        obs.gauge("before", 1.0)
+        with obs.capture() as outer:
+            obs.inc("outer")
+            with obs.capture() as inner:
+                obs.inc("inner")
+                obs.gauge("set_inside", 2.0)
+            assert obs.snapshot()["counters"] == {}
+        assert inner.snapshot["counters"] == {"inner": 1}
+        assert outer.snapshot["counters"] == {"outer": 1, "inner": 1}
+        # a scope's gauges are the ones set inside it
+        assert outer.snapshot["gauges"] == {"set_inside": 2.0}
+        assert obs.snapshot()["counters"] == {"outer": 1, "inner": 1}
+        assert obs.snapshot()["gauges"] == {"before": 1.0,
+                                            "set_inside": 2.0}
+
+    def test_concurrent_scopes_capture_only_their_own_activity(self):
+        """Two barrier-interleaved threads, each in ``capture()``, each
+        increment their own counter and open their own span: each
+        snapshot holds only its own, the aggregate holds both."""
+        import threading
+
+        obs.enable()
+        barrier = threading.Barrier(2, timeout=10)
+        snaps = {}
+
+        def worker(tag):
+            with obs.capture() as cap:
+                barrier.wait()
+                obs.inc(f"count.{tag}")
+                with obs.span(f"span.{tag}"):
+                    barrier.wait()
+                barrier.wait()
+            snaps[tag] = cap.snapshot
+
+        threads = [threading.Thread(target=worker, args=(tag,))
+                   for tag in "ab"]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=20)
+        assert not any(t.is_alive() for t in threads)
+        for tag in "ab":
+            assert snaps[tag]["counters"] == {f"count.{tag}": 1}
+            assert set(snaps[tag]["spans"]) == {f"span.{tag}"}
+        aggregate = obs.snapshot()
+        assert aggregate["counters"] == {"count.a": 1, "count.b": 1}
+        assert set(aggregate["spans"]) == {"span.a", "span.b"}
+
+    def test_scoped_increments_are_never_lost(self):
+        """4 scoped threads x 200,000 increments under a 1 us switch
+        interval: the aggregate reads exactly 800,000."""
+        import sys
+        import threading
+
+        obs.enable()
+
+        def worker():
+            with obs.capture():
+                for _ in range(200_000):
+                    obs.inc("shared")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert obs.snapshot()["counters"]["shared"] == 800_000
+
 
 class TestStubbed:
     def test_stubbed_turns_probes_into_noops(self):

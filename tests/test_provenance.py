@@ -19,6 +19,7 @@ import pytest
 from repro import obs
 from repro.obs import provenance as prov
 from repro.batch import triage_many
+from repro.qe.cooper import clear_qe_caches
 from repro.suite import BENCHMARKS
 
 FIGURE7 = [b.name for b in BENCHMARKS]
@@ -94,6 +95,8 @@ class TestDerivationDagShape:
         prov.reset()
         obs.disable()
         obs.reset()
+        # forked workers inherit this process's QE memos; start them cold
+        clear_qe_caches()
         prov.enable()
         try:
             result = triage_many(FIGURE7, jobs=2, telemetry=True)

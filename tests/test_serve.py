@@ -20,7 +20,7 @@ from repro.schema import (
     read_envelope,
 )
 from repro.serve import AdmissionError, BadRequest, TriageService, TriageServer
-from repro.suite import BENCHMARKS
+from repro.suite import BENCHMARKS, benchmark_by_name, load_source
 
 SAFE = "program safe(x) { var y = x + 1; assert(y > x); }"
 DOOMED = "program doomed(x) { var y = x; assert(y > x); }"
@@ -438,3 +438,91 @@ class TestTraceObservability:
         for name, value in before.items():
             assert after.get(name, 0.0) >= value, (
                 f"counter {name} went backwards")
+
+
+# ---------------------------------------------------------------------------
+# per-job state under concurrent worker threads
+# ---------------------------------------------------------------------------
+
+#: Memo tiers shared by the whole process: which job misses first
+#: depends on scheduling, so only their lookup totals are comparable.
+_PROCESS_MEMOS = {"qe.elim": ("hit", "miss"),
+                  "qe.clause_sat": ("hit", "miss", "model_hit")}
+
+
+def _per_report(snap: dict) -> tuple[dict, dict]:
+    counters = dict(snap["counters"])
+    for tier, kinds in _PROCESS_MEMOS.items():
+        counters[f"{tier}.lookups"] = sum(
+            counters.pop(f"{tier}.{kind}", 0) for kind in kinds)
+    spans = {name: s["count"] for name, s in snap["spans"].items()}
+    return counters, spans
+
+
+def _run_to_completion(service: TriageService, handles: list[dict],
+                       timeout: float = 300.0) -> list:
+    import time
+
+    deadline = time.monotonic() + timeout
+    jobs = []
+    for handle in handles:
+        while service.registry.get(handle["job_id"]).status != "done":
+            assert time.monotonic() < deadline, handle
+            time.sleep(0.02)
+        jobs.append(service.registry.get(handle["job_id"]))
+    return jobs
+
+
+class TestConcurrentJobs:
+    def test_figure7_telemetry_equals_serial_runs(self):
+        """All 11 Figure-7 reports through two worker threads: each
+        job's telemetry equals a serial run of the same report, counter
+        for counter and span count for span count, and every event a
+        job carries belongs to its own trace."""
+        from repro.batch.outcomes import _triage_one
+
+        names = [b.name for b in BENCHMARKS]
+        # room for every job's span events (~1,700 in all): the buffer
+        # keeps whatever size an earlier test gave it
+        obs.enable(buffer_size=10_000)
+        service = TriageService(max_inflight=len(names), workers=2)
+        handles = [service.submit({"benchmark": name})[1]
+                   for name in names]
+        service.start()
+        try:
+            jobs = _run_to_completion(service, handles)
+        finally:
+            service.stop()
+        for name, job in zip(names, jobs):
+            ours = job.result["telemetry"]
+            serial = _triage_one(name, telemetry=True).telemetry
+            assert _per_report(ours) == _per_report(serial), name
+            assert ours["spans"]["triage.report"]["count"] == 1
+            assert job.events, name
+            assert all(e.get("trace") == job.trace_id
+                       for e in job.events), name
+
+    def test_deadline_jobs_never_leak_their_governor(self):
+        """Two concurrent ad-hoc sources run under a 1.0 s deadline; a
+        source with no limits submitted 1.1 s later gets a real
+        verdict, not the expired governor's ``unknown resource``."""
+        import time
+
+        def adhoc(name: str, tag: str) -> str:
+            # the trailing comment keeps the daemon from resolving the
+            # text to its benchmark
+            return load_source(benchmark_by_name(name)) + f"\n// {tag}\n"
+
+        service = TriageService(max_inflight=4, workers=2)
+        service.start()
+        try:
+            governed = [service.submit({"source": adhoc(name, "governed"),
+                                        "limits": {"deadline": 1.0}})[1]
+                        for name in ("p03_square", "p05_strlcpy")]
+            time.sleep(1.1)
+            late = service.submit({"source": adhoc("p10_toggle", "late")})
+            jobs = _run_to_completion(service, governed + [late[1]])
+        finally:
+            service.stop()
+        assert jobs[-1].result["verdict"] != "unknown resource", \
+            jobs[-1].result

@@ -22,12 +22,11 @@ def clean_slate():
     olog.reset()
     obs.disable()
     obs.reset()
-    ocontext._adopt(None)
-    yield
+    with ocontext.bind(None):
+        yield
     olog.reset()
     obs.disable()
     obs.reset()
-    ocontext._adopt(None)
 
 
 # ---------------------------------------------------------------------------
