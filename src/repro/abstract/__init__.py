@@ -3,25 +3,21 @@
 from .annotate import (
     DOMAINS,
     IntervalDomain,
-    OctagonDomain,
     ZoneDomain,
     annotate_program,
     infer_loop_posts,
 )
 from .intervals import Interval, IntervalEnv, eval_interval
-from .octagons import Octagon
 from .zones import Zone
 
 __all__ = [
     "DOMAINS",
     "IntervalDomain",
-    "OctagonDomain",
     "ZoneDomain",
     "annotate_program",
     "infer_loop_posts",
     "Interval",
     "IntervalEnv",
     "eval_interval",
-    "Octagon",
     "Zone",
 ]

@@ -152,56 +152,9 @@ class ZoneDomain:
         return state.facts(only=modified)
 
 
-class OctagonDomain:
-    """Adapter over :mod:`repro.abstract.octagons`."""
-
-    def initial(self, program: Program):
-        from .octagons import Octagon
-
-        names = tuple(program.param_names()) + tuple(program.locals)
-        octagon = Octagon.top(names)
-        for param in program.params:
-            if param.unsigned:
-                octagon.set_lower(param.name, 0)
-        for name in program.locals:
-            octagon.set_upper(name, 0)
-            octagon.set_lower(name, 0)
-        return octagon
-
-    def assign(self, state, name: str, expr):
-        result = state.copy()
-        result.assign(name, expr)
-        return result
-
-    def havoc(self, state, name: str, assumption: Pred | None):
-        result = state.copy()
-        result.forget(name)
-        if assumption is not None:
-            result.assume(assumption)
-        return result
-
-    def assume(self, state, pred: Pred):
-        result = state.copy()
-        result.assume(pred)
-        return result
-
-    def join(self, a, b):
-        return a.join(b)
-
-    def widen(self, a, b):
-        return a.widen(b)
-
-    def le(self, a, b) -> bool:
-        return a.le(b)
-
-    def loop_facts(self, state, modified: set[str]) -> list[Pred]:
-        return state.facts(only=modified)
-
-
 DOMAINS: dict[str, type] = {
     "interval": IntervalDomain,
     "zone": ZoneDomain,
-    "octagon": OctagonDomain,
 }
 
 

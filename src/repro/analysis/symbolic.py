@@ -119,11 +119,6 @@ class ValueSet:
             result |= pi.variables | phi.free_vars()
         return result
 
-    def domain_constraint(self) -> Formula:
-        """The disjunction of all guards (should be valid on loop-free
-        code: some entry always applies)."""
-        return disj(*(phi for _, phi in self.entries))
-
     def __str__(self) -> str:
         inner = ", ".join(f"({pi}, {phi})" for pi, phi in self.entries)
         return "{" + inner + "}"

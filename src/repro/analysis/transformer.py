@@ -93,12 +93,6 @@ class AnalysisResult:
     input_vars: dict[str, Var]
     info: dict[Var, AbstractionInfo] = field(default_factory=dict)
 
-    def describe(self, v: Var) -> str:
-        meta = self.info.get(v)
-        if meta is not None:
-            return meta.description
-        return f"the value of {v.name}"
-
     @property
     def all_vars(self) -> frozenset[Var]:
         return self.invariants.free_vars() | self.success.free_vars()

@@ -156,13 +156,15 @@ class Pipeline:
             if self._auto_annotate:
                 program = annotate_program(program)
             analysis = analyze_program(program)
-            if self._solver.entails(analysis.invariants,
-                                    analysis.success):
-                verdict = InitialVerdict.VERIFIED
-            elif self._solver.entails(analysis.invariants,
-                                      neg(analysis.success)):
-                verdict = InitialVerdict.REFUTED
+            proves = self._solver.entails(analysis.invariants,
+                                          analysis.success)
+            refutes = self._solver.entails(analysis.invariants,
+                                           neg(analysis.success))
+            if proves != refutes:
+                verdict = (InitialVerdict.VERIFIED if proves
+                           else InitialVerdict.REFUTED)
             else:
+                # neither, or both: an inconsistent I entails everything
                 verdict = InitialVerdict.UNCERTAIN
         return AnalysisOutcome(program, analysis, verdict,
                                telemetry=cap.snapshot)

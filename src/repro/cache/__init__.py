@@ -11,12 +11,15 @@ cross-run, cross-worker wins:
   versioned keys, LRU eviction and corruption-tolerant reads;
 * the *active store* (:func:`use_store` / :func:`current_store`) is how
   the solver stack finds it: the SMT verdict cache consults the active
-  store on a memory miss, and the diagnosis engine's stage functions
-  (:mod:`repro.diagnosis.stages`) persist whole stage artifacts through
-  it.  The binding is per context, so concurrent ``repro serve`` worker
-  threads each see only their own store.  QE memos stay in-process: a
-  warm run replays stage artifacts and never reaches QE, so persisting
-  them only cost writes.
+  store on a memory miss (the analyzer's guard checks and repair
+  synthesis run under it), and the diagnosis engine hands it to its
+  stage functions (:mod:`repro.diagnosis.stages`), which persist whole
+  stage artifacts.  The engine runs its session under no active store:
+  a warm run replays those stages whole, so the verdicts of the solver
+  checks beneath them would never be read back.  The binding is per
+  context, so concurrent ``repro serve`` worker threads each see only
+  their own store.  QE memos stay in-process for the same reason: a
+  warm run never reaches QE, so persisting them only cost writes.
 
 Opening a store is idempotent per path (:func:`open_store` memoizes), so
 the batch driver and its forked workers can all "open" the same

@@ -541,14 +541,7 @@ def _cmd_repair(args: argparse.Namespace) -> int:
         target = path.read_text()
     pipeline = Pipeline(cache_dir=cache_dir,
                         limits=_limits_from_args(args))
-    try:
-        result = pipeline.repair(target, max_patches=args.max_patches)
-    except SourceError as exc:
-        # neither a benchmark name, a file, nor a parseable program:
-        # that is a usage error, not a real-bug verdict
-        print(f"repair: {exc}", file=sys.stderr)
-        _end_trace(args)
-        return schema.EXIT_USAGE
+    result = pipeline.repair(target, max_patches=args.max_patches)
     if args.json:
         print(result.to_json(indent=2))
         _end_trace(args)
@@ -810,7 +803,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except SourceError as exc:
+        # a malformed program is a usage error, not a real-bug verdict
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        _end_trace(args)
+        return schema.EXIT_USAGE
 
 
 if __name__ == "__main__":  # pragma: no cover

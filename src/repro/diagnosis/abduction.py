@@ -195,11 +195,3 @@ class Abducer:
     @property
     def solver(self) -> SmtSolver:
         return self._solver
-
-    @property
-    def msa_solver(self) -> MsaSolver:
-        return self._msa
-
-    @property
-    def simplifier(self) -> Simplifier:
-        return self._simplifier

@@ -16,7 +16,7 @@ A uniform model is provided for the cost-function ablation (A1).
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Callable
 
 from ..logic.formulas import Formula
 from ..logic.terms import Var
@@ -57,7 +57,3 @@ def uniform(_invariants: Formula, _success: Formula) -> CostFn:
 def formula_cost(phi: Formula, cost: CostFn) -> int:
     """``Cost(Gamma) = sum of costs of Vars(Gamma)`` (Definitions 2/9)."""
     return sum(cost(v) for v in phi.free_vars())
-
-
-def assignment_cost(variables: Iterable[Var], cost: CostFn) -> int:
-    return sum(cost(v) for v in variables)

@@ -156,20 +156,24 @@ class DiagnosisEngine:
 
     # ------------------------------------------------------------------
     def run(self) -> DiagnosisResult:
-        from ..cache import current_store
+        from ..cache import current_store, use_store
 
         store = current_store()
         before = store.stats() if store is not None else None
-        with obs.capture() as cap, obs.span("engine.session"):
+        # The stages persist whole artifacts to ``store``; the solver
+        # checks beneath them see no store, since a warm run replays
+        # those stages and would never read their verdicts back.
+        with use_store(None), obs.capture() as cap, \
+                obs.span("engine.session"):
             if self._limits is not None:
                 with _limits_mod.governed(self._limits) as governor:
-                    result = self._run()
+                    result = self._run(store)
                 result.limits = self._limits.to_dict()
             else:
                 # an ambient governor (e.g. installed by the batch
                 # driver around the whole report) still attributes spend
                 governor = _limits_mod.current_governor()
-                result = self._run()
+                result = self._run(store)
             if governor is not None:
                 result.resource_spend = governor.spend_snapshot()
         if cap.snapshot is not None:
@@ -191,14 +195,11 @@ class DiagnosisEngine:
             "puts": after["puts"] - before["puts"],
         }
 
-    def _run(self) -> DiagnosisResult:
-        from ..cache import current_store
-
+    def _run(self, store) -> DiagnosisResult:
         start = time.perf_counter()
         invariants = self._analysis.invariants
         success = self._analysis.success
         solver = self._abducer.solver
-        store = current_store()
 
         witnesses: list[Formula] = []
         potential_invariants: list[Formula] = []

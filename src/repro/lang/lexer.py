@@ -13,7 +13,7 @@ class TokenKind(Enum):
     INT = auto()
     KEYWORD = auto()
     OP = auto()
-    ANNOT = auto()     # @post, @assume, @invariant
+    ANNOT = auto()     # @post, @assume
     EOF = auto()
 
 
@@ -22,7 +22,7 @@ KEYWORDS = {
     "havoc", "unsigned", "true", "false", "proc", "return", "call",
 }
 
-ANNOTATIONS = {"@post", "@assume", "@invariant"}
+ANNOTATIONS = {"@post", "@assume"}
 
 _OPERATORS = [
     # longest first

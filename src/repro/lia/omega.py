@@ -61,41 +61,6 @@ class Model(dict):
         return self.get(v, default)
 
 
-# Backwards-compatible aliases; the shared definitions live in
-# :mod:`repro.lia.intmath` now.
-_ceil_div = ceil_div
-_floor_div = floor_div
-_mod_hat = mod_hat
-
-
-def _normalize_le(term: LinTerm) -> LinTerm | None | bool:
-    """Tighten ``term <= 0``.
-
-    Returns ``None`` when trivially true, ``False`` when trivially false,
-    otherwise the gcd-tightened term.
-    """
-    if term.is_constant:
-        return None if term.const <= 0 else False
-    g = term.content()
-    if g > 1:
-        coeffs = [(v, c // g) for v, c in term.coeffs]
-        bound = floor_div(-term.const, g)
-        term = LinTerm.make(coeffs, -bound)
-    return term
-
-
-def _normalize_eq(term: LinTerm) -> LinTerm | None | bool:
-    """Normalize ``term = 0``; ``None``/``False`` as in :func:`_normalize_le`."""
-    if term.is_constant:
-        return None if term.const == 0 else False
-    g = term.content()
-    if g > 1:
-        if term.const % g != 0:
-            return False
-        term = term.exact_div(g)
-    return term
-
-
 # ---------------------------------------------------------------------------
 # dense-row helpers: a row is [c0, ..., c_{n-1}, const] over a var order
 # ---------------------------------------------------------------------------
@@ -108,14 +73,12 @@ def _term_to_row(term: LinTerm, col: dict[Var, int], width: int) -> list[int]:
     return row
 
 
-def _row_to_term(row: list[int], order: list[Var]) -> LinTerm:
-    return LinTerm.make(
-        [(order[k], row[k]) for k in range(len(row) - 1) if row[k]], row[-1]
-    )
-
-
 def _normalize_le_row(row: list[int]) -> list[int] | None | bool:
-    """Row form of :func:`_normalize_le` (may return the input row)."""
+    """Tighten the row ``row <= 0`` by the gcd of its coefficients.
+
+    Returns ``None`` when trivially true, ``False`` when trivially false,
+    otherwise the tightened row (possibly the input row itself).
+    """
     g = 0
     for k in range(len(row) - 1):
         c = row[k]
@@ -131,7 +94,8 @@ def _normalize_le_row(row: list[int]) -> list[int] | None | bool:
 
 
 def _normalize_eq_row(row: list[int]) -> list[int] | None | bool:
-    """Row form of :func:`_normalize_eq` (may return the input row)."""
+    """Normalize the row ``row = 0``; ``None``/``False`` as in
+    :func:`_normalize_le_row`."""
     g = 0
     for k in range(len(row) - 1):
         c = row[k]

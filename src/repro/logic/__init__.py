@@ -47,7 +47,6 @@ from .serialize import (
 )
 from .parser import FormulaParseError, parse_formula, parse_term
 from .printer import term_to_source, to_source
-from .smtlib import to_smtlib
 from .terms import (
     LinTerm,
     Var,
@@ -69,7 +68,7 @@ __all__ = [
     "DIGEST_VERSION", "digest", "digest_many", "digest_text",
     "formula_from_obj", "formula_to_obj", "term_from_obj", "term_to_obj",
     "FormulaParseError", "parse_formula", "parse_term",
-    "term_to_source", "to_source", "to_smtlib",
+    "term_to_source", "to_source",
     "LinTerm", "Var", "VarKind", "VarSupply", "abstraction_var", "gcd_all",
     "input_var", "lcm", "lcm_all",
 ]

@@ -23,7 +23,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from typing import ClassVar, Iterable, Iterator, Mapping
 
 from .intern import INTERN_LIMIT, register_table
@@ -218,9 +217,6 @@ class LinTerm:
     def __iter__(self) -> Iterator[tuple[Var, int]]:
         return iter(self.coeffs)
 
-    def coeff_map(self) -> dict[Var, int]:
-        return dict(self.coeffs)
-
     def content(self) -> int:
         """gcd of the variable coefficients (0 for constant terms)."""
         g = 0
@@ -287,13 +283,6 @@ class LinTerm:
     def evaluate(self, env: Mapping[Var, int]) -> int:
         """Evaluate under a total assignment to this term's variables."""
         total = self.const
-        for v, c in self.coeffs:
-            total += c * env[v]
-        return total
-
-    def evaluate_fraction(self, env: Mapping[Var, Fraction]) -> Fraction:
-        """Evaluate under a rational assignment (used by the LP relaxation)."""
-        total = Fraction(self.const)
         for v, c in self.coeffs:
             total += c * env[v]
         return total

@@ -38,6 +38,7 @@ self-describing file that round-trips losslessly.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from collections import deque
@@ -69,7 +70,11 @@ _FORMULA_LIMIT = 160
 
 _enabled = False
 _nodes: deque[dict] = deque(maxlen=_DEFAULT_BUFFER)
-_next_id = 1
+# ids come from an itertools.count, whose next() is one atomic call under
+# the GIL, so concurrent threads never mint the same id; ``_seq`` trails
+# the allocator so mark() can peek without consuming an id
+_ids = itertools.count(1)
+_seq = 1
 
 
 # ---------------------------------------------------------------------------
@@ -101,9 +106,10 @@ def is_enabled() -> bool:
 
 def reset() -> None:
     """Drop every recorded node and restart the id sequence."""
-    global _nodes, _next_id
+    global _nodes, _ids, _seq
     _nodes = deque(maxlen=_nodes.maxlen or _DEFAULT_BUFFER)
-    _next_id = 1
+    _ids = itertools.count(1)
+    _seq = 1
 
 
 # ---------------------------------------------------------------------------
@@ -119,12 +125,14 @@ def record(kind: str, **data: Any) -> int:
     bound — the ambient ``trace`` id, so derivation steps join both the
     span tree and the cross-process request trace.
     """
-    global _next_id
+    global _seq
     if not _enabled:
         return 0
+    node_id = next(_ids)
+    _seq = node_id + 1
     node = {
         "type": "prov",
-        "id": _next_id,
+        "id": node_id,
         "span": core.current_span_id(),
         "at": core.span_sequence(),
         "kind": kind,
@@ -133,9 +141,8 @@ def record(kind: str, **data: Any) -> int:
     if trace is not None:
         node["trace"] = trace
     node.update(data)
-    _next_id += 1
     _nodes.append(node)
-    return node["id"]
+    return node_id
 
 
 def fmla(formula: Any, limit: int = _FORMULA_LIMIT) -> str:
@@ -158,7 +165,7 @@ def node_count() -> int:
 def mark() -> int:
     """A position marker: pass to :func:`nodes_since` to get only the
     nodes recorded after this call (survives buffer eviction)."""
-    return _next_id
+    return _seq
 
 
 def nodes_since(marker: int, trace: str | None = None) -> list[dict]:

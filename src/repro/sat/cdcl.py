@@ -53,10 +53,6 @@ def _lit_index(lit: int) -> int:
     return 2 * lit if lit > 0 else -2 * lit + 1
 
 
-def _index_lit(index: int) -> int:
-    return index // 2 if index % 2 == 0 else -(index // 2)
-
-
 def luby(x: int) -> int:
     """The Luby restart sequence (0-based): 1 1 2 1 1 2 4 1 1 2 1 1 2 4 8 ..."""
     size, seq = 1, 0
@@ -133,7 +129,6 @@ class SatSolver:
         self._ok = True
         self._conflicts = 0
         self._restarts = 0
-        self._reductions = 0
         self._next_reduce = reduce_interval
 
     # ------------------------------------------------------------------
@@ -165,21 +160,6 @@ class SatSolver:
     def num_clauses(self) -> int:
         """Attached (non-unit) clauses, including learned ones."""
         return self._num_clauses - self._deleted
-
-    @property
-    def num_conflicts(self) -> int:
-        """Total conflicts across every ``solve()`` call."""
-        return self._conflicts
-
-    @property
-    def num_restarts(self) -> int:
-        """Total Luby restarts across every ``solve()`` call."""
-        return self._restarts
-
-    @property
-    def num_reductions(self) -> int:
-        """Learned-clause database reductions across every ``solve()``."""
-        return self._reductions
 
     def add_clause(self, literals: Iterable[int]) -> bool:
         """Add a clause; returns False if the formula became trivially unsat.
@@ -624,7 +604,6 @@ class SatSolver:
         drop = set(candidates[:len(candidates) // 2])
         if not drop:
             return
-        self._reductions += 1
         obs.inc("sat.reductions")
         self._compact(drop)
 

@@ -58,6 +58,7 @@ beyond ``max_inflight`` are refused with a Retry-After hint.
 from __future__ import annotations
 
 import json
+import math
 import os
 import queue
 import threading
@@ -229,10 +230,17 @@ def _clamped_limits(base: Limits | None, requested: dict | None) -> Limits | Non
         # admission request must not silently grant unlimited budget
         raise BadRequest(
             f"bad limits: unknown bound(s) {', '.join(unknown)}")
-    try:
-        asked = Limits.from_dict(requested)
-    except (TypeError, ValueError) as exc:
-        raise BadRequest(f"bad limits: {exc}") from None
+    for name, value in requested.items():
+        if value is None and name not in ("retries", "backoff"):
+            continue  # an unset bound, as in Limits()
+        seconds = name in ("deadline", "backoff")
+        if isinstance(value, bool) or not isinstance(
+                value, (int, float) if seconds else int) \
+                or not 0 <= value < math.inf:
+            raise BadRequest(
+                f"bad limits: {name} must be a non-negative "
+                + ("number" if seconds else "integer"))
+    asked = Limits.from_dict(requested)
     if base is None:
         return asked
     merged = {}

@@ -126,8 +126,8 @@ SOUNDNESS_PROGRAMS = [
 class TestSoundness:
     @pytest.mark.parametrize("src", SOUNDNESS_PROGRAMS)
     @pytest.mark.parametrize("domains", [("interval",), ("zone",),
-                                         ("octagon",),
-                                         ("interval", "zone", "octagon")])
+                                         ("zone", "interval"),
+                                         ("interval", "zone")])
     def test_posts_hold_on_executions(self, src, domains):
         program = parse_program(src)
         annotated = annotate_program(program, domains)

@@ -25,6 +25,14 @@ program foo(flag, unsigned n) {
 
 SAFE = "program safe(x) { var y = x + 1; assert(y > x); }"
 DOOMED = "program doomed(x) { var y = x; assert(y > x); }"
+# the @post contradicts itself, so I is unsatisfiable
+INCONSISTENT = """
+program incons(unsigned n) {
+  var i = 0;
+  while (i < n) { i = i + 1; } @post(i >= n && i < 0 && n >= 0)
+  assert(i == 7);
+}
+"""
 
 
 class TestApi:
@@ -39,6 +47,12 @@ class TestApi:
 
     def test_analyze_uncertain(self):
         outcome = Pipeline().analyze(FOO)
+        assert outcome.verdict is InitialVerdict.UNCERTAIN
+
+    def test_analyze_inconsistent_invariants_decide_nothing(self):
+        # an unsatisfiable I entails phi and !phi alike; the engine's
+        # consistency check says "unknown" for it, and so must analyze
+        outcome = Pipeline(auto_annotate=False).analyze(INCONSISTENT)
         assert outcome.verdict is InitialVerdict.UNCERTAIN
 
     def test_diagnose_source(self):
@@ -102,6 +116,17 @@ class TestCli:
         code = main(["diagnose", str(path)])
         assert code == 0
         assert "FALSE ALARM" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["analyze", "diagnose"])
+    def test_malformed_source_is_a_usage_error(self, command, tmp_path,
+                                               capsys):
+        path = tmp_path / "bad.err"
+        path.write_text("program bad(x) { assert(x > ; }")
+        code = main([command, str(path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"{command}: expected an expression")
+        assert "^" in err
 
     def test_missing_command_rejected(self):
         with pytest.raises(SystemExit):

@@ -28,6 +28,7 @@ from repro.cache import (
     use_store,
 )
 from repro.logic.digest import DIGEST_VERSION
+from repro.logic.intern import clear_intern_tables
 from repro.qe.cooper import clear_qe_caches
 from repro.suite import BENCHMARKS
 
@@ -289,6 +290,36 @@ class TestWarmRetriage:
         assert _counter(warm, "cache.store.hit") > 0
         assert warm.cache is not None
         assert warm.cache["path"] == os.path.abspath(cache_dir)
+
+    def test_warm_run_reads_back_every_entry_the_fill_wrote(
+            self, tmp_path, monkeypatch):
+        """An entry no later run reads is a wasted write: a warm re-run
+        with memos cleared reads back every ``(stage, key)`` that a
+        Figure-7 triage into a fresh store wrote."""
+        cache_dir = tmp_path / "cache"
+        clear_qe_caches()
+        clear_intern_tables()
+        triage_many(ALL_NAMES, jobs=1, cache_dir=str(cache_dir))
+        base = cache_dir / f"{STORE_VERSION}-{DIGEST_VERSION}"
+        written = {(stage.name, entry.stem)
+                   for stage in base.iterdir() if stage.is_dir()
+                   for entry in stage.iterdir()}
+        assert written
+
+        read: set[tuple[str, str]] = set()
+        get = CacheStore.get
+
+        def recording_get(self, stage, key):
+            artifact = get(self, stage, key)
+            if artifact is not None:
+                read.add((stage, key))
+            return artifact
+
+        monkeypatch.setattr(CacheStore, "get", recording_get)
+        clear_qe_caches()
+        clear_intern_tables()
+        triage_many(ALL_NAMES, jobs=1, cache_dir=str(cache_dir))
+        assert sorted(written - read) == []
 
     def test_store_holds_only_flat_stage_entries(self, tmp_path):
         """QE memos stay in-process: a Figure-7 triage into a fresh

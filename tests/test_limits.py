@@ -384,11 +384,32 @@ class TestDeprecatedKnobs:
 
     @pytest.mark.parametrize("module", [
         "repro.smt.portfolio", "repro.smt.incremental", "repro.lia.backend",
+        "repro.abstract.octagons", "repro.logic.smtlib",
     ])
     def test_alternative_modules_removed(self, module):
         import importlib
         with pytest.raises(ImportError):
             importlib.import_module(module)
+
+    def test_octagon_domain_and_smtlib_export_removed(self):
+        import repro.abstract
+        import repro.logic
+        from repro.lang import parse_program
+        program = parse_program("program p(x) { assert(x == x); }")
+        with pytest.raises(ValueError,
+                           match="unknown abstract domain 'octagon'"):
+            repro.abstract.annotate_program(program, ("octagon",))
+        assert not hasattr(repro.abstract, "Octagon")
+        assert not hasattr(repro.abstract, "OctagonDomain")
+        assert not hasattr(repro.logic, "to_smtlib")
+
+    def test_invariant_annotation_removed(self):
+        from repro.lang import ParseError, parse_program
+        with pytest.raises(ParseError,
+                           match="unknown annotation '@invariant'"):
+            parse_program("program p(x) { var i; while (i < x) "
+                          "@invariant(i >= 0) { i = i + 1; } "
+                          "assert(i >= 0); }")
 
     def test_runtime_imports_only_the_standard_library(self):
         import pathlib

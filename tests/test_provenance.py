@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import io
 import json
+import sys
+import threading
 
 import pytest
 
@@ -78,6 +80,30 @@ class TestRecorder:
         prov.reset()
         assert prov.nodes() == []
         assert prov.record("query") == 1
+
+    def test_concurrent_records_get_distinct_ids(self):
+        # a lost update in the id allocator shows as a duplicate id
+        prov.enable()
+        per_thread, ids = 20_000, [[] for _ in range(4)]
+
+        def work(out):
+            for _ in range(per_thread):
+                out.append(prov.record("query"))
+
+        threads = [threading.Thread(target=work, args=(out,))
+                   for out in ids]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        every = [i for out in ids for i in out]
+        assert len(every) == len(set(every)) == 4 * per_thread
 
     def test_fmla_truncates_long_renderings(self):
         assert prov.fmla("x <= 0") == "x <= 0"

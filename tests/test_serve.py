@@ -24,6 +24,9 @@ from repro.suite import BENCHMARKS, benchmark_by_name, load_source
 
 SAFE = "program safe(x) { var y = x + 1; assert(y > x); }"
 DOOMED = "program doomed(x) { var y = x; assert(y > x); }"
+# request limits of the wrong type or range (each must be a 400)
+BAD_LIMITS = ({"deadline": "abc"}, {"deadline": True}, {"deadline": -1},
+              {"max_steps": 2.5}, {"retries": None})
 
 
 def _request(url: str, payload: dict | None = None):
@@ -161,6 +164,9 @@ class TestHttpSurface:
         status, body = _request(base, {"source": SAFE,
                                        "limits": {"bogus_knob": 1}})
         assert status == 400 and "limits" in body["error"]
+        for bad in BAD_LIMITS:
+            status, body = _request(base, {"source": SAFE, "limits": bad})
+            assert status == 400 and "limits" in body["error"], bad
 
     def test_unknown_job_is_404(self, server):
         assert _request(f"{server.url}/v1/jobs/j999999")[0] == 404
@@ -286,6 +292,9 @@ class TestAdmission:
         assert _clamped_limits(base, None) is base
         with pytest.raises(BadRequest):
             _clamped_limits(base, {"no_such_field": 1})
+        for bad in BAD_LIMITS + ({"deadline": float("nan")},):
+            with pytest.raises(BadRequest):
+                _clamped_limits(base, bad)
 
     def test_shutdown_settles_queued_jobs_degraded(self, tmp_path):
         service = TriageService(cache_dir=str(tmp_path / "store"),
