@@ -31,23 +31,24 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import obs
-from .abstract import annotate_program
-from .analysis import AnalysisResult, analyze_program
+from .analysis import AnalysisResult
 from .batch import BatchResult, triage_many
+from .batch.outcomes import ReportRun, run_report
+from .cache import open_store
 from .diagnosis import (
     DiagnosisResult,
     EngineConfig,
     ExhaustiveOracle,
     Oracle,
     SamplingOracle,
-    diagnose_error,
+    Verdict,
 )
-from .lang import Program, parse_program
-from .limits import Limits, ResourceExhausted
-from .logic import neg
+from .diagnosis.stages import entail_stage
+from .lang import Program
+from .limits import Limits
 from .schema import TriageVerdict, dump_json, envelope
 from .smt import SmtSolver
-from .suite import Benchmark, benchmark_by_name, load_analysis
+from .suite import Benchmark, benchmark_by_name, front_end, load_analysis
 from .userstudy import StudyResult
 from .userstudy import run_user_study as _run_user_study
 
@@ -98,12 +99,27 @@ class AnalysisOutcome:
         return dump_json(self.to_dict(), indent=indent)
 
 
+def report_envelope(result: DiagnosisResult) -> dict:
+    """The envelope of an ad-hoc report, shared by ``repro diagnose
+    --json`` and ``repro serve``: ``analysis`` when Lemma 1 or 2 decided
+    the report alone, ``diagnosis`` otherwise."""
+    if not result.decided_by_analysis:
+        return result.to_dict()
+    verdict = InitialVerdict.VERIFIED \
+        if result.verdict is Verdict.DISCHARGED else InitialVerdict.REFUTED
+    return AnalysisOutcome(result.analysis.program, result.analysis,
+                           verdict, telemetry=result.telemetry).to_dict()
+
+
 class Pipeline:
     """The one front door to the whole reproduction.
 
     Bundles the configuration every entry point used to take ad hoc —
-    annotation, engine knobs, a shared solver — and exposes the four
-    workloads as methods.  Passing ``telemetry=True`` switches the
+    annotation, engine knobs, limits, the store — and exposes the
+    workloads as methods.  ``diagnose``, ``repair`` and ``triage`` each
+    run every report through :func:`repro.batch.outcomes.run_report`,
+    so ``limits`` governs a whole report: front end, diagnosis loop and
+    repair synthesis.  Passing ``telemetry=True`` switches the
     process-wide obs instrumentation on, so every result produced by
     this pipeline embeds its telemetry snapshot.
 
@@ -118,7 +134,6 @@ class Pipeline:
 
     def __init__(self, *, auto_annotate: bool = True,
                  config: EngineConfig | None = None,
-                 solver: SmtSolver | None = None,
                  telemetry: bool = False,
                  limits: Limits | None = None,
                  cache_dir: str | None = None,
@@ -127,60 +142,62 @@ class Pipeline:
             raise ValueError("incremental re-triage needs cache_dir")
         self._auto_annotate = auto_annotate
         self._config = config
-        self._solver = solver or SmtSolver()
         self._limits = limits
         self._cache_dir = cache_dir
         self._incremental = incremental
         if telemetry:
             obs.enable()
 
-    def _scoped_store(self):
-        """Context manager activating this pipeline's store, if any.
-
-        The binding is per context, so a pipeline on a serve worker
-        thread never sees a concurrent request's store.
-        """
-        from contextlib import nullcontext
-
-        from .cache import open_store, use_store
-
-        if self._cache_dir is None:
-            return nullcontext()
-        return use_store(open_store(self._cache_dir))
+    def _run(self, source: str | None, **kwargs) -> ReportRun:
+        """One report through the runner, under this pipeline's
+        configuration, limits and store; errors other than running out
+        of a limit propagate."""
+        run = run_report(
+            source, config=self._config, limits=self._limits,
+            store=open_store(self._cache_dir)
+            if self._cache_dir is not None else None,
+            auto_annotate=self._auto_annotate, **kwargs)
+        if run.error is not None:
+            raise run.error
+        return run
 
     # ------------------------------------------------------------------
     def analyze(self, source: str) -> AnalysisOutcome:
-        """Parse, annotate, analyze and pre-classify a program."""
+        """Parse, annotate, analyze and pre-classify a program.
+
+        The engine's entail stage decides the verdict, as it does in
+        round 0 of every diagnosis: consistent and discharged (Lemma 1)
+        is ``VERIFIED``, consistent and validated (Lemma 2) is
+        ``REFUTED``, and anything else — including an inconsistent
+        ``I``, which entails everything — is ``UNCERTAIN``.
+        """
         with obs.capture() as cap, obs.span("api.analyze"):
-            program = parse_program(source)
-            if self._auto_annotate:
-                program = annotate_program(program)
-            analysis = analyze_program(program)
-            proves = self._solver.entails(analysis.invariants,
-                                          analysis.success)
-            refutes = self._solver.entails(analysis.invariants,
-                                           neg(analysis.success))
-            if proves != refutes:
-                verdict = (InitialVerdict.VERIFIED if proves
-                           else InitialVerdict.REFUTED)
-            else:
-                # neither, or both: an inconsistent I entails everything
-                verdict = InitialVerdict.UNCERTAIN
+            program, analysis = front_end(
+                source, auto_annotate=self._auto_annotate)
+            entail = entail_stage(SmtSolver(), analysis.invariants,
+                                  analysis.success)
+        if entail.discharged:
+            verdict = InitialVerdict.VERIFIED
+        elif entail.validated:
+            verdict = InitialVerdict.REFUTED
+        else:
+            verdict = InitialVerdict.UNCERTAIN
         return AnalysisOutcome(program, analysis, verdict,
                                telemetry=cap.snapshot)
 
-    def diagnose(self, source: str, oracle: Oracle) -> DiagnosisResult:
-        """The full pipeline: analysis plus the Figure 6 loop.
+    def diagnose(self, source: str,
+                 oracle: Oracle | None = None) -> DiagnosisResult:
+        """The full pipeline: the front end, then the Figure 6 loop,
+        whose round 0 is the Lemma 1/2 check.
 
-        A pipeline constructed with ``limits=`` governs the diagnosis
-        loop: running out yields the ``RESOURCE_EXHAUSTED`` verdict
-        (``UNKNOWN_RESOURCE`` in the unified vocabulary), not an
-        exception.
+        ``oracle`` defaults to the sampling oracle (random testing) over
+        the analyzed program.  A pipeline constructed with ``limits=``
+        governs the whole report: running out anywhere yields the
+        ``RESOURCE_EXHAUSTED`` verdict (``UNKNOWN_RESOURCE`` in the
+        unified vocabulary), not an exception.  When the front end ran
+        out, the result has no ``analysis`` and no ``invariants``.
         """
-        outcome = self.analyze(source)
-        with self._scoped_store():
-            return diagnose_error(outcome.analysis, oracle, self._config,
-                                  limits=self._limits)
+        return self._run(source, oracle=oracle).diagnosis
 
     def triage(self, names: list[str] | None = None, *,
                jobs: int | None = None,
@@ -217,9 +234,6 @@ class Pipeline:
                            workers=workers,
                            transport=transport)
 
-    #: Transport-explicit alias, mirroring :func:`repro.batch.triage_many`.
-    triage_many = triage
-
     def repair(self, name_or_source: str, *,
                max_patches: int | None = None,
                oracle: Oracle | None = None) -> "RepairResult":
@@ -240,106 +254,23 @@ class Pipeline:
         documented contract: 0 = verified patch found (or already
         clean), 1 = real bug / no patch, 3 = degraded.
         """
-        from .repair import RepairResult, synthesize_repairs
+        from .repair import RepairResult
 
         try:
-            bench = benchmark_by_name(name_or_source)
+            name, source = benchmark_by_name(name_or_source).name, None
         except KeyError:
-            bench = None
-        from .suite import load_source
-
-        source = load_source(bench) if bench is not None \
-            else name_or_source
-        with obs.capture() as cap, obs.span("api.repair"), \
-                self._scoped_store():
-            outcome = self.analyze(source)
-            analysis = outcome.analysis
-            program = outcome.program
-            session = None
-            if outcome.verdict is InitialVerdict.VERIFIED:
-                result = RepairResult(
-                    program=program.name,
-                    verdict=TriageVerdict.FALSE_ALARM,
-                    already_clean=True,
-                    note="the report already discharges; no patch "
-                         "needed",
-                )
-            elif outcome.verdict is InitialVerdict.REFUTED:
-                result = RepairResult(
-                    program=program.name,
-                    verdict=TriageVerdict.REAL_BUG,
-                    note="the analysis refutes the success condition "
-                         "(Lemma 2): fix the program, not the report",
-                )
-            else:
-                if oracle is None:
-                    if bench is not None:
-                        oracle = ExhaustiveOracle(
-                            program, analysis,
-                            radius=bench.oracle_radius)
-                    else:
-                        oracle = SamplingOracle(program, analysis)
-                try:
-                    session = diagnose_error(analysis, oracle,
-                                             self._config,
-                                             limits=self._limits)
-                except ResourceExhausted as exc:
-                    session = None
-                    result = RepairResult(
-                        program=program.name,
-                        verdict=TriageVerdict.UNKNOWN_RESOURCE,
-                        note=f"resource limit hit in stage "
-                             f"{exc.stage} ({exc.kind}) before "
-                             "repair could start",
-                    )
-                    verdict = None
-                else:
-                    verdict = session.triage_verdict
-                if verdict is None:
-                    pass  # degraded result already built above
-                elif verdict is TriageVerdict.REAL_BUG:
-                    result = RepairResult(
-                        program=program.name, verdict=verdict,
-                        num_queries=session.num_queries,
-                        note="diagnosis validated the report as a "
-                             "real bug: no patch is synthesized",
-                    )
-                elif verdict is TriageVerdict.UNKNOWN_RESOURCE:
-                    result = RepairResult(
-                        program=program.name, verdict=verdict,
-                        num_queries=session.num_queries,
-                        note="diagnosis ran out of budget before "
-                             "repair could start",
-                    )
-                else:
-                    patches = synthesize_repairs(
-                        program, analysis,
-                        config=self._config, solver=self._solver,
-                        session=session, max_patches=max_patches,
-                    )
-                    result = RepairResult(
-                        program=program.name, verdict=verdict,
-                        patches=tuple(patches),
-                        num_queries=session.num_queries,
-                    )
-        result.telemetry = cap.snapshot
-        if session is not None and session.cache is not None:
-            result.cache = session.cache
-        return result
+            name, source = None, name_or_source
+        return RepairResult.from_run(self._run(
+            source, name=name, oracle=oracle, repair=True,
+            max_patches=max_patches))
 
     def user_study(self, *, seed: int = 2012, num_recruited: int = 56,
                    benchmarks: tuple[Benchmark, ...] | None = None,
                    jobs: int | None = 1) -> StudyResult:
         """Regenerate the Figure 7 user study (see repro.userstudy)."""
-        kwargs: dict = {
-            "seed": seed,
-            "num_recruited": num_recruited,
-            "engine_config": self._config,
-            "jobs": jobs,
-        }
-        if benchmarks is not None:
-            kwargs["benchmarks"] = benchmarks
-        return _run_user_study(**kwargs)
+        return run_user_study(seed=seed, num_recruited=num_recruited,
+                              benchmarks=benchmarks,
+                              engine_config=self._config, jobs=jobs)
 
 
 # ---------------------------------------------------------------------------

@@ -54,16 +54,8 @@ from ..suite import BENCHMARKS
 from .outcomes import (  # noqa: F401  (re-exports)
     BatchResult,
     TriageOutcome,
-    _cacheable,
-    _finalize,
-    _is_retryable,
     _load_one,
-    _max_attempts,
-    _merge_cache_info,
     _merged_telemetry,
-    _report_key,
-    _stuck_outcome,
-    _triage_one,
 )
 from ..sched import (
     InlineTransport,

@@ -1,8 +1,9 @@
-"""Plain-data triage outcomes and the worker-side report runner.
+"""Plain-data triage outcomes and the report runner.
 
 This module is the *bottom* of the batch layer: the result types
-(:class:`TriageOutcome`, :class:`BatchResult`), the picklable
-per-report worker function (:func:`_triage_one`) and the small policy
+(:class:`TriageOutcome`, :class:`BatchResult`), the report runner every
+surface shares (:func:`run_report`), the picklable per-report worker
+function around it (:func:`_triage_one`) and the small policy
 predicates the scheduler applies to its results (retry eligibility,
 cacheability, quarantine finalization).  Everything here is importable
 by both :mod:`repro.batch.driver` (the user-facing surface) and
@@ -24,14 +25,23 @@ from .. import obs
 from ..obs import context as ocontext
 from ..obs import provenance as prov
 from ..cache import open_store, use_store
-from ..diagnosis import EngineConfig, ExhaustiveOracle, diagnose_error
+from ..diagnosis import (
+    DiagnosisResult,
+    EngineConfig,
+    ExhaustiveOracle,
+    Oracle,
+    SamplingOracle,
+    Verdict,
+    diagnose_error,
+)
 from ..diagnosis.stages import STAGE_VERSION, config_fingerprint
-from ..limits import Limits, ResourceExhausted, governed
+from ..lang import Program
+from ..limits import Limits, ResourceExhausted, current_governor, governed
 from ..limits import faults
 from ..logic.digest import digest, digest_many, digest_text
 from ..schema import TriageVerdict, dump_json, envelope
 from .. import suite as _suite
-from ..suite import benchmark_by_name
+from ..suite import Benchmark, benchmark_by_name
 
 
 @dataclass(frozen=True)
@@ -197,41 +207,222 @@ class BatchResult:
 
 
 # ---------------------------------------------------------------------------
-# worker side
+# the report runner
 # ---------------------------------------------------------------------------
 
-def _report_key(bench, config: EngineConfig,
-                invariants_digest: str, success_digest: str) -> str:
+def _analyze_key(bench, source_digest: str) -> str:
+    """Cache key of the ``analyze`` artifact, which maps a benchmark's
+    source digest to its judgment digests."""
+    return digest_many("analyze", STAGE_VERSION, bench.name, source_digest)
+
+
+def _report_key(bench, config: EngineConfig, judgment: dict) -> str:
     """Cache key of a whole-report triage artifact: the analysis
     judgment digests plus everything else the verdict depends on."""
     return digest_many(
         "triage", STAGE_VERSION, bench.name, str(bench.oracle_radius),
         str(config.max_rounds), config_fingerprint(config),
-        invariants_digest, success_digest,
+        judgment["invariants"], judgment["success"],
     )
 
 
-def _merge_cache_info(report: dict | None,
-                      engine: dict | None) -> dict | None:
-    """One ``cache`` block per outcome: the engine's store delta and
-    judgment digests, overlaid with the report-level analyze/triage
-    status (the report level is authoritative where they overlap)."""
-    if report is None and engine is None:
-        return None
-    merged = dict(engine or {})
-    merged.update(report or {})
-    return merged
+def recorded_judgment(store, bench) -> dict | None:
+    """The judgment digests (``invariants``, ``success``) the store
+    records for a benchmark's current source: the first link of the
+    incremental chain."""
+    source_digest = digest_text(_suite.load_source(bench))
+    return store.get("analyze", _analyze_key(bench, source_digest))
 
 
-def _cacheable(outcome: TriageOutcome) -> bool:
-    """Only clean, deterministic verdicts may be served from the store:
-    crashes and resource exhaustion depend on the run, not the input."""
-    return outcome.error is None and outcome.exhausted_kind is None \
-        and outcome.verdict is not TriageVerdict.UNKNOWN_RESOURCE
+def recorded_verdict(store, bench, config: EngineConfig) -> dict | None:
+    """The whole chain: the ``triage`` artifact recorded for the
+    judgment of a benchmark's current source."""
+    judgment = recorded_judgment(store, bench)
+    return None if judgment is None \
+        else store.get("triage", _report_key(bench, config, judgment))
 
 
 #: The outcome fields a ``triage`` store artifact records.
 _RECORDED = ("classification", "expected", "num_queries", "rounds")
+
+
+@dataclass
+class ReportRun:
+    """Everything :func:`run_report` produced for one report."""
+
+    bench: Benchmark | None = None
+    program: Program | None = None      # None until the front end finished
+    diagnosis: DiagnosisResult | None = None  # None if recorded or error
+    patches: list | None = None         # synthesized when repair was asked
+    exhausted: ResourceExhausted | None = None  # a limit that ran out
+    recorded: dict | None = None        # the stored verdict that replaced it
+    cache: dict | None = None           # report-level store status
+    telemetry: dict | None = None       # the report's obs snapshot
+    error: Exception | None = None      # anything else the run raised
+
+
+def _recall(run: ReportRun, store, config: EngineConfig,
+            judgment: dict) -> str:
+    """Look up the verdict recorded for ``judgment`` into ``run``,
+    stamping its digests on the cache block; returns the lookup key."""
+    run.cache["invariants_digest"] = judgment["invariants"]
+    run.cache["success_digest"] = judgment["success"]
+    key = _report_key(run.bench, config, judgment)
+    run.recorded = store.get("triage", key)
+    return key
+
+
+def run_report(source: str | None = None, *, name: str | None = None,
+               oracle: Oracle | None = None,
+               config: EngineConfig | None = None,
+               limits: Limits | None = None, store=None,
+               auto_annotate: bool = True, incremental: bool = False,
+               repair: bool = False, max_patches: int | None = None,
+               attempt: int = 0) -> ReportRun:
+    """Run one report from start to finish.
+
+    The front end (parse → annotate → analyze), then the Figure 6 loop,
+    whose round 0 is the Lemma 1/2 check, then, with ``repair``, patch
+    synthesis for a report the loop did not close alone or as a bug.
+    ``source`` is the program text; without it, ``name`` must be a
+    Figure 7 benchmark.  ``name`` also labels the ``triage.report``
+    span.  The oracle defaults to the benchmark's ground truth, or to
+    random testing (:class:`SamplingOracle`) for other sources.
+
+    One scope covers it all: the span, an obs capture, a governor over
+    ``limits`` and ``store`` as the active store.  Running out of a
+    limit anywhere sets ``exhausted``, and ``diagnosis`` is then a
+    ``RESOURCE_EXHAUSTED`` result (with no analysis when the front end
+    ran out); any other exception lands in ``error``.  With
+    ``incremental`` and a store, a benchmark whose source, or failing
+    that whose ``(I, phi)`` judgment, has a recorded verdict skips the
+    loop (``recorded``), and a fresh clean verdict is recorded once the
+    scope has closed.
+    """
+    cfg = config or EngineConfig()
+    run = ReportRun()
+    cap = report_key = None
+    try:
+        with obs.capture() as cap, \
+                obs.span("triage.report", report=name, attempt=attempt), \
+                governed(limits) if limits is not None else nullcontext(), \
+                use_store(store) if store is not None else nullcontext():
+            try:
+                if source is None:
+                    run.bench = benchmark_by_name(name)
+                    source = _suite.load_source(run.bench)
+                chain = incremental and store is not None \
+                    and run.bench is not None
+                if chain:
+                    source_digest = digest_text(source)
+                    judgment = store.get(
+                        "analyze", _analyze_key(run.bench, source_digest))
+                    run.cache = {
+                        "store": str(store.root), "incremental": True,
+                        "source_digest": source_digest,
+                        "analyze": "miss" if judgment is None else "hit",
+                        "triage": "miss",
+                    }
+                    if judgment is not None:
+                        report_key = _recall(run, store, cfg, judgment)
+                if run.recorded is None:
+                    program, analysis = _suite.front_end(
+                        source, auto_annotate=auto_annotate)
+                    run.program = program
+                    if chain:
+                        fresh = {"invariants": digest(analysis.invariants),
+                                 "success": digest(analysis.success)}
+                        if judgment is None:
+                            store.put("analyze", _analyze_key(
+                                run.bench, source_digest), fresh)
+                        # an edited source with an unchanged judgment
+                        # still resolves to the recorded verdict
+                        report_key = _recall(run, store, cfg, fresh)
+                if run.recorded is not None:
+                    run.cache["triage"] = "hit"
+                    obs.inc("batch.reports_cached")
+                else:
+                    if oracle is None:
+                        oracle = ExhaustiveOracle(
+                            program, analysis,
+                            radius=run.bench.oracle_radius) \
+                            if run.bench is not None \
+                            else SamplingOracle(program, analysis)
+                    # the engine inherits the governor installed above
+                    result = run.diagnosis = diagnose_error(
+                        analysis, oracle, config)
+                    if repair and not result.decided_by_analysis \
+                            and result.triage_verdict in (
+                                TriageVerdict.FALSE_ALARM,
+                                TriageVerdict.UNKNOWN):
+                        from ..repair import synthesize_repairs
+
+                        run.patches = synthesize_repairs(
+                            program, analysis, config=config,
+                            session=result, max_patches=max_patches)
+            except ResourceExhausted as exc:
+                run.exhausted = exc
+                if run.diagnosis is None:
+                    # the front end ran out before the engine could
+                    governor = current_governor()
+                    run.diagnosis = DiagnosisResult(
+                        verdict=Verdict.RESOURCE_EXHAUSTED,
+                        interactions=[], rounds=0, invariants=None,
+                        witnesses=[], analysis=None,
+                        resource_spend=governor.spend_snapshot()
+                        if governor is not None else None,
+                        exhausted_stage=exc.stage,
+                        exhausted_kind=exc.kind,
+                    )
+    except Exception as exc:  # noqa: BLE001 - the caller decides
+        run.error = exc
+    run.telemetry = cap.snapshot if cap is not None else None
+    result = run.diagnosis
+    if result is not None:
+        result.telemetry = run.telemetry
+        if limits is not None:
+            result.limits = limits.to_dict()
+    if report_key is not None and run.recorded is None \
+            and run.error is None and result is not None \
+            and result.triage_verdict is not TriageVerdict.UNKNOWN_RESOURCE:
+        store.put("triage", report_key, {
+            "classification": result.classification,
+            "expected": run.bench.classification,
+            "num_queries": result.num_queries,
+            "rounds": result.rounds,
+        })
+    return run
+
+
+def _outcome_fields(run: ReportRun) -> dict:
+    """The :class:`TriageOutcome` fields of a finished run."""
+    if run.error is not None:
+        exc = run.error
+        return dict(classification="unknown",
+                    error=f"{type(exc).__name__}: {exc}",
+                    exhausted_stage=getattr(exc, "stage", None))
+    if run.recorded is not None:
+        return {**{k: run.recorded[k] for k in _RECORDED},
+                "cache": run.cache}
+    result = run.diagnosis
+    fields = dict(
+        classification=result.classification,
+        timed_out=result.exhausted_kind == "deadline",
+        exhausted_stage=result.exhausted_stage,
+        exhausted_kind=result.exhausted_kind,
+    )
+    if result.analysis is not None:
+        # the report level is authoritative where the engine's store
+        # delta and the analyze/triage status overlap
+        cache = {**(result.cache or {}), **(run.cache or {})}
+        fields.update(
+            expected=run.bench.classification,
+            num_queries=result.num_queries,
+            rounds=result.rounds,
+            resource_spend=result.resource_spend,
+            cache=cache or None,
+        )
+    return fields
 
 
 def _triage_one(name: str, config: EngineConfig | None = None,
@@ -244,41 +435,23 @@ def _triage_one(name: str, config: EngineConfig | None = None,
 
     Top-level so it pickles under any multiprocessing start method.  All
     process-global caches (default solver, intern tables, QE caches)
-    stay warm between calls within one worker.
+    stay warm between calls within one worker.  The report itself is
+    one :func:`run_report` call, with the store under ``cache_dir``
+    (workers share the directory; writes are atomic) and, with
+    ``incremental``, served from recorded verdicts where it can be.
+    Fault injection (``REPRO_FAULT``) needs a governor to observe
+    checkpoints, so an active fault spec forces an (otherwise
+    unlimited) one.
 
-    With ``cache_dir`` the report runs with the persistent store active:
-    the engine's stage functions and the SMT verdict cache read and write
-    content-addressed artifacts under it (workers share the directory;
-    writes are atomic).  With ``incremental`` additionally, the report
-    itself can be short-circuited: the source digest resolves to the
-    judgment digests through the ``analyze`` artifact, and an unchanged
-    judgment resolves to a recorded verdict through the ``triage``
-    artifact — reports whose ``(I, phi)`` digest is unchanged are never
-    recomputed.
-
-    With ``limits`` the whole report — loading, analysis and the
-    diagnosis loop — runs under one governor, so the deadline covers
-    everything and per-stage spend is attributed to this report.  Fault
-    injection (``REPRO_FAULT``) needs a governor to observe checkpoints,
-    so an active fault spec forces an (otherwise unlimited) one.
-
-    With ``telemetry`` the report runs under an obs capture scope: the
-    outcome carries the report's own counter/span snapshot plus the span
-    events (and, when provenance is on, derivation nodes) it emitted,
-    all plain data, so the driver can merge them across workers.  The
-    snapshot is stamped with the attempt number, and failed attempts
-    keep their partial telemetry too — a quarantined report still shows
-    up in the fleet-wide merge.
-
-    ``trace`` carries a :class:`~repro.obs.context.TraceContext` as
-    plain data across the process boundary; it (or, failing that, the
-    ambient context) is bound for the report's duration, so every span,
-    provenance node, log line and the telemetry snapshot recorded here
-    joins the ingress's trace.
-
-    The trace, the capture scope, the governor and the store are all
-    bound per context, so concurrent attempts on ``repro serve`` worker
-    threads never see each other's.
+    With ``telemetry`` the outcome carries the report's own counter/span
+    snapshot, stamped with the attempt number, plus the span events
+    (and, when provenance is on, derivation nodes) it emitted, all
+    plain data, so :func:`triage_many` can merge them across workers;
+    failed attempts keep their partial telemetry too.  ``trace`` carries a
+    :class:`~repro.obs.context.TraceContext` as plain data across the
+    process boundary; it (or, failing that, the ambient context) is
+    bound for the report's duration, so everything recorded here joins
+    the ingress's trace.
     """
     start = time.perf_counter()
     ctx = ocontext.TraceContext.from_dict(trace) if trace is not None \
@@ -295,102 +468,21 @@ def _triage_one(name: str, config: EngineConfig | None = None,
     prov_marker = prov.mark() if prov.is_enabled() else None
     if limits is None and faults.active() is not None:
         limits = Limits()
-    store = open_store(cache_dir) if cache_dir is not None else None
-    cfg = config or EngineConfig()
-    cap = recorded = cache_info = report_key = None
     try:
-        with ocontext.bind(ctx), obs.capture() as cap, \
-                obs.span("triage.report", report=name, attempt=attempt), \
-                governed(limits) if limits is not None else nullcontext(), \
-                use_store(store) if store is not None else nullcontext():
-            bench = benchmark_by_name(name)
-            if store is not None and incremental:
-                # analyze stage: map the source digest to the judgment
-                # digests without re-running the abstract interpreter
-                source_digest = digest_text(_suite.load_source(bench))
-                analyze_key = digest_many(
-                    "analyze", STAGE_VERSION, bench.name, source_digest)
-                analyzed = store.get("analyze", analyze_key)
-                cache_info = {
-                    "store": str(store.root),
-                    "incremental": True,
-                    "source_digest": source_digest,
-                    "analyze": "hit" if analyzed is not None else "miss",
-                    "triage": "miss",
-                }
-                if analyzed is not None:
-                    cache_info["invariants_digest"] = \
-                        analyzed["invariants"]
-                    cache_info["success_digest"] = analyzed["success"]
-                    report_key = _report_key(
-                        bench, cfg,
-                        analyzed["invariants"], analyzed["success"],
-                    )
-                    recorded = store.get("triage", report_key)
-            if recorded is None:
-                program, analysis = _suite.load_analysis(bench)
-                if store is not None and incremental:
-                    invariants_digest = digest(analysis.invariants)
-                    success_digest = digest(analysis.success)
-                    cache_info["invariants_digest"] = invariants_digest
-                    cache_info["success_digest"] = success_digest
-                    if cache_info["analyze"] == "miss":
-                        store.put("analyze", analyze_key, {
-                            "invariants": invariants_digest,
-                            "success": success_digest,
-                        })
-                    # an edited source with an unchanged judgment still
-                    # resolves to the recorded verdict
-                    report_key = _report_key(
-                        bench, cfg, invariants_digest, success_digest)
-                    recorded = store.get("triage", report_key)
-            if recorded is None:
-                oracle = ExhaustiveOracle(
-                    program, analysis, radius=bench.oracle_radius
-                )
-                # the engine inherits the ambient governor installed above
-                result = diagnose_error(analysis, oracle, config)
-                verdict = dict(
-                    classification=result.classification,
-                    expected=bench.classification,
-                    num_queries=result.num_queries,
-                    rounds=result.rounds,
-                    timed_out=result.exhausted_kind == "deadline",
-                    exhausted_stage=result.exhausted_stage,
-                    exhausted_kind=result.exhausted_kind,
-                    resource_spend=result.resource_spend,
-                    cache=_merge_cache_info(cache_info, result.cache),
-                )
-            else:
-                cache_info["triage"] = "hit"
-                obs.inc("batch.reports_cached")
-                verdict = {k: recorded[k] for k in _RECORDED}
-                verdict["cache"] = cache_info
-    except ResourceExhausted as exc:
-        # a limit ran out before the engine's own handler could see it
-        # (loading / abstract interpretation) — same verdict, same shape;
-        # the capture scope already closed, so the partial telemetry of
-        # the failed attempt is still collected
-        verdict = dict(
-            classification=TriageVerdict.UNKNOWN_RESOURCE.value,
-            timed_out=exc.kind == "deadline",
-            exhausted_stage=exc.stage,
-            exhausted_kind=exc.kind,
-        )
-    except Exception as exc:  # noqa: BLE001 - outcomes must cross processes
-        verdict = dict(
-            classification="unknown",
-            error=f"{type(exc).__name__}: {exc}",
-            exhausted_stage=getattr(exc, "stage", None),
-        )
+        with ocontext.bind(ctx):
+            run = run_report(
+                name=name, config=config, limits=limits,
+                store=open_store(cache_dir) if cache_dir is not None
+                else None,
+                incremental=incremental, attempt=attempt)
     finally:
         faults.set_report(None)
-    snap = cap.snapshot if cap is not None else None
+    snap = run.telemetry
     if snap is not None:
         snap.update(report=name, attempt=attempt)
         if trace_id is not None:
             snap["trace"] = trace_id
-    outcome = TriageOutcome(
+    return TriageOutcome(
         name=name,
         elapsed_seconds=time.perf_counter() - start,
         telemetry=snap,
@@ -399,13 +491,8 @@ def _triage_one(name: str, config: EngineConfig | None = None,
         provenance=() if prov_marker is None
         else tuple(prov.nodes_since(prov_marker, trace_id)),
         trace_id=trace_id,
-        **verdict,
+        **_outcome_fields(run),
     )
-    if report_key is not None and recorded is None \
-            and _cacheable(outcome):
-        store.put("triage", report_key,
-                  {k: getattr(outcome, k) for k in _RECORDED})
-    return outcome
 
 
 def _load_one(name: str):

@@ -55,17 +55,10 @@ from .obs import context as ocontext
 from .obs import history as obs_history
 from .obs import logging as olog
 from .obs import provenance as prov
-from .api import InitialVerdict, Pipeline
+from .api import Pipeline, report_envelope
 from .lang import SourceError
-from .diagnosis import (
-    EngineConfig,
-    ExhaustiveOracle,
-    InteractiveOracle,
-    SamplingOracle,
-    diagnose_error,
-)
+from .diagnosis import EngineConfig, InteractiveOracle, Verdict
 from .limits import Limits
-from .suite import BENCHMARKS, benchmark_by_name, load_analysis
 
 
 def _limits_from_args(args: argparse.Namespace) -> Limits | None:
@@ -109,7 +102,7 @@ def _end_trace(args: argparse.Namespace) -> None:
     trace = getattr(args, "trace", None)
     if trace is None:
         return
-    lines = obs.export_jsonl(trace)
+    lines = prov.export_trace(trace)
     print(f"telemetry trace written to {trace} ({lines} lines)",
           file=sys.stderr)
 
@@ -130,39 +123,50 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return schema.exit_code([outcome.triage_verdict])
 
 
+class _Banner:
+    """The query-session banner, printed once: before the first
+    question, or after a session that asked none."""
+
+    def __init__(self):
+        self.shown = False
+
+    def show(self) -> None:
+        if not self.shown:
+            self.shown = True
+            print("the analysis cannot decide; starting the query session")
+
+    def print(self, *args) -> None:
+        """:class:`InteractiveOracle`'s output: banner first."""
+        self.show()
+        print(*args)
+
+
 def _cmd_diagnose(args: argparse.Namespace) -> int:
     _begin_trace(args)
     source = Path(args.file).read_text()
-    config = EngineConfig(max_rounds=args.max_rounds)
     pipeline = Pipeline(
         auto_annotate=not args.no_annotate,
-        config=config,
+        config=EngineConfig(max_rounds=args.max_rounds),
     )
-    outcome = pipeline.analyze(source)
-    if outcome.verdict is not InitialVerdict.UNCERTAIN:
-        if args.json:
-            print(outcome.to_json(indent=2))
-        elif outcome.verdict is InitialVerdict.VERIFIED:
-            print("verified outright: the report is a FALSE ALARM")
-        else:
-            print("refuted outright: the program has a REAL BUG")
-        _end_trace(args)
-        return schema.exit_code([outcome.triage_verdict])
-    if not args.json:
-        print("the analysis cannot decide; starting the query session")
+    banner = _Banner()
+    oracle = None  # the sampling oracle
     if args.oracle == "interactive":
-        oracle = InteractiveOracle()
-    else:
-        oracle = SamplingOracle(outcome.program, outcome.analysis)
-    result = diagnose_error(outcome.analysis, oracle, config)
+        oracle = InteractiveOracle(
+            print_fn=print if args.json else banner.print)
+    result = pipeline.diagnose(source, oracle)
     if args.json:
-        print(result.to_json(indent=2))
+        print(schema.dump_json(report_envelope(result), indent=2))
+    elif result.decided_by_analysis:
+        print("verified outright: the report is a FALSE ALARM"
+              if result.verdict is Verdict.DISCHARGED
+              else "refuted outright: the program has a REAL BUG")
     else:
+        banner.show()
         print()
         print(f"verdict: {result.classification.upper()} "
               f"after {result.num_queries} queries "
               f"({result.elapsed_seconds:.2f}s)")
-    if args.report is not None:
+    if args.report is not None and not result.decided_by_analysis:
         from .diagnosis import render_report
 
         Path(args.report).write_text(
@@ -174,26 +178,20 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
 
 
 def _cmd_suite(args: argparse.Namespace) -> int:
-    benches = (
-        [benchmark_by_name(args.name)] if args.name else list(BENCHMARKS)
-    )
-    failures = 0
-    for bench in benches:
-        program, analysis = load_analysis(bench)
-        oracle = ExhaustiveOracle(program, analysis,
-                                  radius=bench.oracle_radius)
-        result = diagnose_error(analysis, oracle)
-        ok = result.classification == bench.classification
-        failures += 0 if ok else 1
-        marker = "ok " if ok else "FAIL"
-        print(f"[{marker}] {bench.name:16s} -> {result.classification:12s}"
-              f" ({result.num_queries} queries, "
-              f"{result.elapsed_seconds:.2f}s)")
+    if args.verbose:
+        prov.enable()  # the query nodes carry each question and answer
+    result = Pipeline().triage([args.name] if args.name else None, jobs=1)
+    for outcome in result.outcomes:
+        marker = "ok " if outcome.correct else "FAIL"
+        print(f"[{marker}] {outcome.name:16s} -> "
+              f"{outcome.classification:12s} ({outcome.num_queries} "
+              f"queries, {outcome.elapsed_seconds:.2f}s)")
         if args.verbose:
-            for interaction in result.interactions:
-                print(f"        Q: {interaction.query.text}")
-                print(f"        A: {interaction.answer.value}")
-    return 1 if failures else 0
+            for node in outcome.provenance:
+                if node["kind"] == "query":
+                    print(f"        Q: {node['text']}")
+                    print(f"        A: {node['answer']}")
+    return 0 if all(o.correct for o in result.outcomes) else 1
 
 
 def _batch_events(result) -> list[dict]:
@@ -491,7 +489,11 @@ def _cmd_trace_export(args: argparse.Namespace) -> int:
     """Render a traced run (or an existing ``repro.trace/1`` stream) in
     the requested exporter format."""
     if args.input is not None:
-        data = prov.read_trace(args.input)
+        try:
+            data = prov.read_trace(args.input)
+        except ValueError as exc:
+            print(f"trace export: {args.input}: {exc}", file=sys.stderr)
+            return schema.EXIT_USAGE
         events = data["events"]
         nodes = data["nodes"]
         snap = data["snapshot"] or {}
@@ -546,7 +548,8 @@ def _cmd_repair(args: argparse.Namespace) -> int:
         print(result.to_json(indent=2))
         _end_trace(args)
         return result.exit_status
-    print(f"program: {result.program}")
+    if result.program is not None:
+        print(f"program: {result.program}")
     print(f"verdict: {result.verdict.value}")
     if result.note:
         print(f"note: {result.note}")
@@ -605,8 +608,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="emit the stable JSON schema "
                                 "(docs/API.md) instead of text")
         p.add_argument("--trace", default=None, metavar="FILE",
-                       help="enable instrumentation and write a JSONL "
-                            "telemetry trace to FILE")
+                       help="enable instrumentation and write a "
+                            "repro.trace/1 JSONL trace to FILE")
 
     p_analyze = sub.add_parser("analyze", help="run the static analysis")
     p_analyze.add_argument("file")

@@ -22,7 +22,7 @@ from every subquery even when the enclosing query fails.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .. import limits as _limits_mod
@@ -60,9 +60,9 @@ class DiagnosisResult:
     verdict: Verdict
     interactions: list[Interaction]
     rounds: int
-    invariants: Formula            # final (possibly strengthened) I
+    invariants: Formula | None     # final I; None if the front end ran out
     witnesses: list[Formula]       # learned witnesses W
-    analysis: AnalysisResult
+    analysis: AnalysisResult | None  # None if the front end ran out
     elapsed_seconds: float = 0.0
     immediate: bool = False        # closed with zero queries
     telemetry: dict | None = None  # obs snapshot delta, when enabled
@@ -91,12 +91,20 @@ class DiagnosisResult:
     def num_queries(self) -> int:
         return len(self.interactions)
 
+    @property
+    def decided_by_analysis(self) -> bool:
+        """Round 0's Lemma 1/2 check closed the report: the analysis
+        decided it without abduction or a query."""
+        return self.rounds == 0 and self.verdict in (Verdict.DISCHARGED,
+                                                     Verdict.VALIDATED)
+
     def to_dict(self) -> dict:
         """The stable ``repro.result`` payload (see docs/API.md)."""
         return envelope(
             "diagnosis",
             self.triage_verdict,
-            program=self.analysis.program.name,
+            program=self.analysis.program.name
+            if self.analysis is not None else None,
             rounds=self.rounds,
             num_queries=self.num_queries,
             elapsed_seconds=self.elapsed_seconds,
@@ -109,7 +117,8 @@ class DiagnosisResult:
                 }
                 for i in self.interactions
             ],
-            invariants=str(self.invariants),
+            invariants=str(self.invariants)
+            if self.invariants is not None else None,
             witnesses=[str(w) for w in self.witnesses],
             telemetry=self.telemetry,
             limits=self.limits,

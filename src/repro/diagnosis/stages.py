@@ -24,8 +24,8 @@ Telemetry is not: hits skip the solver counters/spans by construction
 (that is the observable proof of the skipped work) and surface instead
 as ``cache.<stage>.hit`` counters from the store.
 
-The ``analyze`` stage lives with the batch driver
-(:mod:`repro.batch.driver`), which owns program loading; its artifact
+The ``analyze`` stage lives with the report runner
+(:mod:`repro.batch.outcomes`), which owns program loading; its artifact
 maps a *source* digest to the judgment digests so an unchanged report
 can be recognized without re-running the abstract interpreter.
 """

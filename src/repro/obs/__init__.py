@@ -13,10 +13,11 @@ All probes are no-ops until :func:`enable` is called (or the
 ``REPRO_OBS`` environment variable is set), and the disabled fast path
 costs one global check per probe — see ``benchmarks/bench_overhead.py``
 for the enforced bound.  :func:`snapshot` returns the aggregate
-counters/gauges/span stats/histograms; :func:`export_jsonl` dumps the
-bounded event buffer for offline analysis; :func:`export_chrome` and
-:func:`export_prometheus` render the same data for Perfetto and
-Prometheus scrapers; :func:`merge_snapshots` combines per-worker
+counters/gauges/span stats/histograms;
+:func:`repro.obs.provenance.export_trace` writes the bounded event
+buffer as the versioned ``repro.trace/1`` stream for offline analysis;
+:func:`export_chrome` and :func:`export_prometheus` render the same
+data for Perfetto and Prometheus scrapers; :func:`merge_snapshots` combines per-worker
 snapshots from the batch driver into one fleet-wide view.
 
 The sibling modules layer on top: :mod:`.context` carries the
@@ -47,7 +48,6 @@ from .core import (
     events,
     events_since,
     export_chrome,
-    export_jsonl,
     export_prometheus,
     gauge,
     hit_rate,
@@ -78,7 +78,6 @@ __all__ = [
     "events",
     "events_since",
     "export_chrome",
-    "export_jsonl",
     "export_prometheus",
     "from_traceparent",
     "gauge",

@@ -57,7 +57,7 @@ import time
 from collections import deque
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Any, Callable, Iterable, TextIO
+from typing import Any, Callable, TextIO
 
 from . import context as _context
 
@@ -71,7 +71,6 @@ __all__ = [
     "events",
     "events_since",
     "export_chrome",
-    "export_jsonl",
     "export_prometheus",
     "gauge",
     "hit_rate",
@@ -514,29 +513,6 @@ def events_since(marker: int, trace: str | None = None) -> list[dict]:
 def event_count() -> int:
     """Current number of buffered events (cheap; no copy)."""
     return len(_state.events)
-
-
-def export_jsonl(destination: str | os.PathLike | TextIO) -> int:
-    """Write the event buffer (then a snapshot line) as JSONL.
-
-    Returns the number of lines written.  ``destination`` may be a path
-    or an open text file.
-    """
-    lines = events()
-    lines.append({"type": "snapshot", **snapshot()})
-    if isinstance(destination, (str, os.PathLike)):
-        with open(destination, "w", encoding="utf-8") as handle:
-            return _write_jsonl(handle, lines)
-    return _write_jsonl(destination, lines)
-
-
-def _write_jsonl(handle: TextIO, lines: Iterable[dict]) -> int:
-    count = 0
-    for line in lines:
-        handle.write(json.dumps(line, default=str))
-        handle.write("\n")
-        count += 1
-    return count
 
 
 def export_chrome(destination: str | os.PathLike | TextIO,

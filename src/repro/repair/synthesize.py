@@ -32,20 +32,20 @@ patches without re-verifying.
 from __future__ import annotations
 
 import difflib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .. import obs
-from ..abstract import annotate_program
-from ..analysis import AnalysisResult, analyze_program
-from ..cache import current_store
+from ..analysis import AnalysisResult
+from ..cache import current_store, use_store
 from ..diagnosis.abduction import Abducer
 from ..diagnosis.queries import Answer
 from ..diagnosis.stages import (
     STAGE_VERSION,
     abduce_stage,
     config_fingerprint,
+    entail_stage,
 )
-from ..lang import Program, parse_program, render_pred, render_program
+from ..lang import Program, render_pred, render_program
 from ..logic.digest import digest, digest_many, digest_text
 from ..logic.formulas import Formula, conj, neg
 from ..logic.serialize import formula_from_obj, formula_to_obj
@@ -58,6 +58,7 @@ from ..schema import (
     dump_json,
     envelope,
 )
+from ..suite import front_end
 from .candidates import Plan, plan_placements
 from .splice import apply_edits
 
@@ -139,7 +140,7 @@ class RepairResult:
     """Outcome of ``Pipeline.repair``: the triage verdict plus the
     ranked patch list (the envelope's additive ``repairs`` block)."""
 
-    program: str
+    program: str | None              # None if the front end ran out
     verdict: TriageVerdict
     patches: tuple[RepairPatch, ...] = ()
     already_clean: bool = False
@@ -195,6 +196,42 @@ class RepairResult:
     def to_json(self, *, indent: int | None = None) -> str:
         return dump_json(self.to_dict(), indent=indent)
 
+    @classmethod
+    def from_run(cls, run) -> "RepairResult":
+        """The repair view of a :func:`repro.batch.outcomes.run_report`
+        run made with ``repair=True``: already clean, a real bug, out of
+        budget, or the ranked patches."""
+        session = run.diagnosis
+        result = cls(
+            program=run.program.name if run.program is not None else None,
+            verdict=session.triage_verdict, telemetry=run.telemetry,
+            cache=session.cache,
+        )
+        if session.decided_by_analysis:
+            result.already_clean = \
+                result.verdict is TriageVerdict.FALSE_ALARM
+            result.note = (
+                "the report already discharges; no patch needed"
+                if result.already_clean else
+                "the analysis refutes the success condition (Lemma 2): "
+                "fix the program, not the report")
+            return result
+        result.num_queries = session.num_queries
+        if result.verdict is TriageVerdict.REAL_BUG:
+            result.note = ("diagnosis validated the report as a real bug: "
+                           "no patch is synthesized")
+        elif result.verdict is TriageVerdict.UNKNOWN_RESOURCE:
+            result.note = ("diagnosis ran out of budget before repair "
+                           "could start")
+        elif run.patches is None:
+            exc = run.exhausted
+            result.verdict = TriageVerdict.UNKNOWN_RESOURCE
+            result.note = (f"repair synthesis ran out of budget "
+                           f"({exc.kind} limit in stage {exc.stage})")
+        else:
+            result.patches = tuple(run.patches)
+        return result
+
 
 # ---------------------------------------------------------------------------
 # candidates
@@ -248,21 +285,17 @@ def _candidate_formulas(analysis: AnalysisResult, config, solver,
 # verification
 # ---------------------------------------------------------------------------
 
-def _verify(patched: Program, solver, store) -> tuple[str | None, str]:
-    """Render, re-parse, re-annotate, re-analyze, re-entail (Lemma 1).
+def _verify(patched: Program, solver) -> tuple[str | None, str]:
+    """Render, then re-run the front end and the entail stage (Lemma 1).
 
     Returns ``(rejection_reason_or_None, patched_source)``.  The reason
     is ``'inconsistent'`` when the patched axioms are UNSAT (the
     post-splice half of the consistency guard) and ``'not-discharged'``
     when the patched judgment still does not close.
     """
-    from ..diagnosis.stages import entail_stage
-
     source = render_program(patched)
-    reparsed = annotate_program(parse_program(source))
-    analysis = analyze_program(reparsed)
-    outcome = entail_stage(solver, analysis.invariants,
-                           analysis.success, store=store)
+    _, analysis = front_end(source)
+    outcome = entail_stage(solver, analysis.invariants, analysis.success)
     if not outcome.consistent:
         return "inconsistent", source
     if outcome.discharged:
@@ -334,6 +367,51 @@ def _record_prov(patches: list[RepairPatch], candidates: int) -> None:
         )
 
 
+def _plan_and_verify(program: Program, analysis: AnalysisResult,
+                     candidates: list[Formula], solver,
+                     original: str) -> list[RepairPatch]:
+    """Place every candidate and verify each placement (unranked)."""
+    raw: list[RepairPatch] = []
+    for psi in candidates:
+        plans = plan_placements(program, analysis, psi)
+        if not plans:
+            obs.inc("repair.rejected.inexpressible")
+            continue
+        # the ARGIR consistency guard: a condition contradicting the
+        # axioms must never be spliced in, however well it "proves"
+        # the obligation (UNSAT premises prove anything)
+        consistent = solver.is_sat(conj(analysis.invariants, psi))
+        cost = (len(psi.free_vars()), psi.size())
+        for plan in plans:
+            obs.inc("repair.plans")
+            if not consistent:
+                obs.inc("repair.rejected.inconsistent")
+                raw.append(RepairPatch(
+                    rank=0, kind=plan.kind, formula=psi,
+                    edits=_edit_records(plan), diff="",
+                    patched_source="", verified=False,
+                    rejected="inconsistent", cost=cost,
+                ))
+                continue
+            patched = apply_edits(program, plan.edits)
+            rejected, source = _verify(patched, solver)
+            if rejected is None:
+                obs.inc("repair.verified")
+            elif rejected == "inconsistent":
+                obs.inc("repair.rejected.inconsistent")
+            else:
+                obs.inc("repair.rejected.unverified")
+            raw.append(RepairPatch(
+                rank=0, kind=plan.kind, formula=psi,
+                edits=_edit_records(plan),
+                diff=_diff(program.name, original, source),
+                patched_source=source,
+                verified=rejected is None, rejected=rejected,
+                cost=cost,
+            ))
+    return raw
+
+
 # ---------------------------------------------------------------------------
 # the synthesis stage
 # ---------------------------------------------------------------------------
@@ -379,44 +457,11 @@ def synthesize_repairs(program: Program, analysis: AnalysisResult, *,
                 _record_prov(patches, len(candidates))
                 return patches[:max_patches]
 
-        raw: list[RepairPatch] = []
-        for psi in candidates:
-            plans = plan_placements(program, analysis, psi)
-            if not plans:
-                obs.inc("repair.rejected.inexpressible")
-                continue
-            # the ARGIR consistency guard: a condition contradicting the
-            # axioms must never be spliced in, however well it "proves"
-            # the obligation (UNSAT premises prove anything)
-            consistent = solver.is_sat(conj(analysis.invariants, psi))
-            cost = (len(psi.free_vars()), psi.size())
-            for plan in plans:
-                obs.inc("repair.plans")
-                if not consistent:
-                    obs.inc("repair.rejected.inconsistent")
-                    raw.append(RepairPatch(
-                        rank=0, kind=plan.kind, formula=psi,
-                        edits=_edit_records(plan), diff="",
-                        patched_source="", verified=False,
-                        rejected="inconsistent", cost=cost,
-                    ))
-                    continue
-                patched = apply_edits(program, plan.edits)
-                rejected, source = _verify(patched, solver, store)
-                if rejected is None:
-                    obs.inc("repair.verified")
-                elif rejected == "inconsistent":
-                    obs.inc("repair.rejected.inconsistent")
-                else:
-                    obs.inc("repair.rejected.unverified")
-                raw.append(RepairPatch(
-                    rank=0, kind=plan.kind, formula=psi,
-                    edits=_edit_records(plan),
-                    diff=_diff(program.name, original, source),
-                    patched_source=source,
-                    verified=rejected is None, rejected=rejected,
-                    cost=cost,
-                ))
+        # a warm run replays the whole ``repair`` artifact, so it would
+        # never read what the consistency guard and verification write
+        with use_store(None):
+            raw = _plan_and_verify(program, analysis, candidates, solver,
+                                   original)
 
         kind_order = {"targeted": 0, "guard": 1}
         raw.sort(key=lambda p: (

@@ -50,10 +50,9 @@ from dataclasses import dataclass, field
 
 from .. import obs
 from ..cache import open_store
-from ..diagnosis.stages import STAGE_VERSION
 from ..logic.digest import digest_many, digest_text
 from ..obs import context as ocontext
-from ..batch.outcomes import TriageOutcome
+from ..batch.outcomes import TriageOutcome, recorded_judgment
 from ..suite import benchmark_by_name, load_source
 from .transports import TransportBroken, TriageSpec, TriageTask
 
@@ -346,11 +345,10 @@ class RemoteTransport:
             return key
         key = digest_many("sched.shard", source_digest)
         if self._store is not None:
-            analyzed = self._store.get("analyze", digest_many(
-                "analyze", STAGE_VERSION, bench.name, source_digest))
-            if analyzed is not None:
-                key = digest_many("sched.shard", analyzed["invariants"],
-                                  analyzed["success"])
+            judgment = recorded_judgment(self._store, bench)
+            if judgment is not None:
+                key = digest_many("sched.shard", judgment["invariants"],
+                                  judgment["success"])
         self._shards[name] = key
         return key
 

@@ -29,9 +29,9 @@ Two submission kinds share one pipeline:
   path (`triage_with_retries`): ground-truth oracle, retry/quarantine
   policy, persistent store, incremental short-circuit.  Verdicts are
   therefore identical to ``Pipeline.triage``'s.
-* ``{"source": ...}`` for unknown programs runs analyze → (if
-  undecided) the Figure 6 loop under a :class:`SamplingOracle` — the
-  paper's auto-answering future-work mode — and returns the
+* ``{"source": ...}`` for unknown programs runs the report runner —
+  the front end, then the Figure 6 loop under a :class:`SamplingOracle`
+  (the paper's auto-answering future-work mode) — and returns the
   ``analysis`` or ``diagnosis`` envelope.
 
 Either kind may add ``"repair": true`` to run :meth:`Pipeline.repair`
@@ -64,28 +64,22 @@ import queue
 import threading
 import time
 from collections import OrderedDict, deque
-from contextlib import nullcontext
 from typing import Any
 
 from .. import obs
 from ..batch.driver import triage_with_retries
-from ..batch.outcomes import _report_key
-from ..cache import open_store, use_store
-from ..diagnosis import EngineConfig, SamplingOracle, diagnose_error
+from ..batch.outcomes import recorded_verdict
+from ..cache import open_store
+from ..diagnosis import EngineConfig
 from ..diagnosis.stages import STAGE_VERSION, config_fingerprint
-from ..limits import Limits, ResourceExhausted
+from ..limits import Limits
 from ..lang import parse_program
 from ..logic.digest import digest_many, digest_text
 from ..obs import context as ocontext
 from ..obs import logging as olog
 from ..obs import provenance as prov
 from ..obs.core import percentile
-from ..schema import (
-    EXIT_DEGRADED,
-    SCHEMA_VERSION,
-    TriageVerdict,
-    exit_code,
-)
+from ..schema import EXIT_DEGRADED, SCHEMA_VERSION, exit_code
 from ..suite import BENCHMARKS, DIAGNOSTICS, benchmark_by_name, load_source
 
 __all__ = ["BadRequest", "FlightRecorder", "RouteStats", "TriageService"]
@@ -406,17 +400,9 @@ class TriageService:
         ``triage`` verdict (the incremental re-triage chain)."""
         if self.cache_dir is None:
             return False
-        store = open_store(self.cache_dir)
-        bench = benchmark_by_name(name)
-        source_digest = digest_text(load_source(bench))
-        analyzed = store.get("analyze", digest_many(
-            "analyze", STAGE_VERSION, bench.name, source_digest))
-        if analyzed is None:
-            return False
-        report_key = _report_key(bench, self.config,
-                                 analyzed["invariants"],
-                                 analyzed["success"])
-        return store.get("triage", report_key) is not None
+        return recorded_verdict(open_store(self.cache_dir),
+                                benchmark_by_name(name),
+                                self.config) is not None
 
     @staticmethod
     def _reusable(job) -> bool:
@@ -713,16 +699,19 @@ class TriageService:
         with ocontext.bind(ctx):
             olog.info("serve.job_start", job=job_id, name=job.name,
                       kind=job.kind)
+            marker = obs.span_sequence()
             try:
-                if request.get("repair"):
-                    envelope, events, code = self._run_repair(
-                        request, limits)
-                elif request["kind"] == "benchmark":
-                    envelope, events = self._run_benchmark(
-                        request["name"], limits)
+                if request.get("repair") or request["kind"] == "source":
+                    envelope, code = self._run_report(request, limits)
+                    events = tuple(obs.events_since(
+                        marker, ocontext.current_trace_id()))
                 else:
-                    envelope, events = self._run_source(
-                        request["source"], limits)
+                    outcome = triage_with_retries(
+                        request["name"], self.config, True, limits,
+                        cache_dir=self.cache_dir,
+                        incremental=self.cache_dir is not None,
+                    )
+                    envelope, events = outcome.to_dict(), outcome.events
             finally:
                 if explain and not prov_was_on:
                     prov.disable()
@@ -758,72 +747,25 @@ class TriageService:
                 "joined_traces": list(done.joined_traces) if done else [],
             }, aliases=tuple(done.joined_traces) if done else ())
 
-    def _run_benchmark(self, name: str, limits: Limits | None
-                       ) -> tuple[dict, tuple]:
-        """The exact batch-driver path: ground-truth oracle, retries,
-        store, incremental short-circuit — verdicts identical to
-        ``Pipeline.triage``."""
-        outcome = triage_with_retries(
-            name, self.config, True, limits,
-            cache_dir=self.cache_dir,
-            incremental=self.cache_dir is not None,
-        )
-        return outcome.to_dict(), outcome.events
+    def _run_report(self, request: dict, limits: Limits | None
+                    ) -> tuple[dict, int | None]:
+        """An ad-hoc source (under the sampling oracle) or a ``repair:
+        true`` submission: one report-runner call.  A repair's exit code
+        follows the repair contract rather than the bare-verdict
+        mapping: a false alarm with no surviving patch is not repaired."""
+        from ..api import Pipeline, report_envelope
 
-    def _run_repair(self, request: dict, limits: Limits | None
-                    ) -> tuple[dict, tuple, int]:
-        """A ``repair: true`` submission: triage + patch synthesis via
-        ``Pipeline.repair``.  The exit code follows the repair contract
-        (0 = verified patch / already clean, 1 = real bug / no patch,
-        3 = degraded) rather than the bare-verdict mapping — a false
-        alarm without a surviving patch must not read as repaired."""
-        from ..api import Pipeline
-
-        marker = obs.span_sequence()
-        target = request["name"] if request["kind"] == "benchmark" \
-            else request["source"]
         pipeline = Pipeline(config=self.config, limits=limits,
                             cache_dir=self.cache_dir)
-        with obs.span("serve.report"):
-            result = pipeline.repair(target)
+        if not request.get("repair"):
+            result = pipeline.diagnose(request["source"])
+            return report_envelope(result), None
+        result = pipeline.repair(request["name"]
+                                 if request["kind"] == "benchmark"
+                                 else request["source"])
         obs.inc("serve.repair.jobs")
         obs.inc("serve.repair.patches", len(result.patches))
         obs.inc("serve.repair.verified", result.verified_count)
         if result.exit_status == EXIT_DEGRADED:
             obs.inc("serve.repair.degraded")
-        events = tuple(obs.events_since(marker,
-                                        ocontext.current_trace_id()))
-        return result.to_dict(), events, result.exit_status
-
-    def _run_source(self, source: str, limits: Limits | None
-                    ) -> tuple[dict, tuple]:
-        """Ad-hoc source: analyze, then (if undecided) the Figure 6
-        loop under the auto-answering sampling oracle."""
-        from ..api import InitialVerdict, Pipeline
-
-        marker = obs.span_sequence()
-        scoped = use_store(open_store(self.cache_dir)) \
-            if self.cache_dir is not None else nullcontext()
-        pipeline = Pipeline(config=self.config)
-        try:
-            with obs.span("serve.report"), scoped:
-                outcome = pipeline.analyze(source)
-                if outcome.verdict is not InitialVerdict.UNCERTAIN:
-                    envelope = outcome.to_dict()
-                else:
-                    oracle = SamplingOracle(outcome.program,
-                                            outcome.analysis)
-                    result = diagnose_error(outcome.analysis, oracle,
-                                            self.config, limits=limits)
-                    envelope = result.to_dict()
-        except ResourceExhausted as exc:
-            envelope = {
-                "schema": SCHEMA_VERSION,
-                "kind": "diagnosis",
-                "verdict": TriageVerdict.UNKNOWN_RESOURCE.value,
-                "exhausted_stage": exc.stage,
-                "exhausted_kind": exc.kind,
-            }
-        events = tuple(obs.events_since(marker,
-                                        ocontext.current_trace_id()))
-        return envelope, events
+        return result.to_dict(), result.exit_status

@@ -112,20 +112,21 @@ def load_source(bench: Benchmark) -> str:
     )
 
 
-def load_program(bench: Benchmark, *, auto_annotate: bool = True) -> Program:
-    """Parse (and, for unannotated loops, auto-annotate) a benchmark."""
-    program = parse_program(load_source(bench))
+def front_end(source: str, *, auto_annotate: bool = True
+              ) -> tuple[Program, AnalysisResult]:
+    """Parse, annotate (unannotated loops get inferred ``@post``s) and
+    analyze program text; returns both artifacts."""
+    program = parse_program(source)
     if auto_annotate:
         program = annotate_program(program)
-    return program
+    return program, analyze_program(program)
 
 
 def load_analysis(bench: Benchmark,
                   *, auto_annotate: bool = True
                   ) -> tuple[Program, AnalysisResult]:
-    """Parse, annotate and analyze a benchmark; returns both artifacts."""
-    program = load_program(bench, auto_annotate=auto_annotate)
-    return program, analyze_program(program)
+    """:func:`front_end` on a benchmark's source."""
+    return front_end(load_source(bench), auto_annotate=auto_annotate)
 
 
 __all__ = [
@@ -134,7 +135,7 @@ __all__ = [
     "DIAGNOSTICS",
     "benchmark_by_id",
     "benchmark_by_name",
+    "front_end",
     "load_source",
-    "load_program",
     "load_analysis",
 ]

@@ -1,5 +1,8 @@
 """Tests for the public API facade and the command-line interface."""
 
+import io
+import json
+
 import pytest
 
 from repro.api import (
@@ -9,9 +12,11 @@ from repro.api import (
     dynamic_oracle,
     ground_truth_oracle,
     load_benchmark,
+    report_envelope,
 )
 from repro.cli import build_parser, main
 from repro.diagnosis import ScriptedOracle, Verdict, diagnose_error
+from repro.suite import BENCHMARKS, load_source
 
 FOO = """
 program foo(flag, unsigned n) {
@@ -131,3 +136,66 @@ class TestCli:
     def test_missing_command_rejected(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+# ---------------------------------------------------------------------------
+# ad-hoc reports: every surface runs the same report runner
+# ---------------------------------------------------------------------------
+
+#: Ad-hoc sources; the trailing comment keeps ``repro serve`` from
+#: resolving a Figure-7 text to its benchmark.
+ADHOC = {"safe": SAFE, "doomed": DOOMED, "foo": FOO,
+         **{b.name: load_source(b) + "\n// ad hoc\n" for b in BENCHMARKS}}
+
+
+def _surface_view(envelope: dict) -> tuple:
+    return (envelope["kind"], envelope["verdict"],
+            envelope.get("num_queries", 0),
+            [i["text"] for i in envelope.get("interactions", ())])
+
+
+class TestAdHocSurfaces:
+    @pytest.mark.parametrize("name", ADHOC)
+    def test_pipeline_cli_and_serve_agree(self, name, tmp_path, capsys):
+        from repro.serve import TriageService
+
+        source = ADHOC[name]
+        api = _surface_view(report_envelope(Pipeline().diagnose(source)))
+
+        path = tmp_path / f"{name}.err"
+        path.write_text(source)
+        main(["diagnose", str(path), "--oracle", "sampling", "--json"])
+        cli = _surface_view(json.loads(capsys.readouterr().out))
+
+        service = TriageService()
+        _, handle = service.submit({"source": source})
+        service._run_job(handle["job_id"])
+        serve = _surface_view(service.registry.get(handle["job_id"]).result)
+
+        assert api == cli == serve
+        assert api[0] == ("analysis" if name in ("safe", "doomed")
+                          else "diagnosis")
+
+
+class TestInteractiveDiagnose:
+    def test_banner_precedes_the_first_question(self, tmp_path, capsys,
+                                                monkeypatch):
+        path = tmp_path / "foo.err"
+        path.write_text(FOO)
+        monkeypatch.setattr("sys.stdin", io.StringIO("yes\n"))
+        assert main(["diagnose", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(
+            "the analysis cannot decide; starting the query session\n\n")
+        assert out.index("[yes/no/unknown] > ") \
+            < out.index("verdict: FALSE ALARM after 1 queries")
+
+    def test_decided_report_writes_no_session_report(self, tmp_path,
+                                                     capsys):
+        path = tmp_path / "safe.err"
+        path.write_text(SAFE)
+        report = tmp_path / "session.md"
+        assert main(["diagnose", str(path), "--report", str(report)]) == 0
+        assert capsys.readouterr().out == \
+            "verified outright: the report is a FALSE ALARM\n"
+        assert not report.exists()

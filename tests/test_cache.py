@@ -19,6 +19,7 @@ import threading
 import pytest
 
 from repro import obs
+from repro.api import Pipeline
 from repro.batch import triage_many
 from repro.cache import (
     STORE_VERSION,
@@ -33,6 +34,7 @@ from repro.qe.cooper import clear_qe_caches
 from repro.suite import BENCHMARKS
 
 ALL_NAMES = [b.name for b in BENCHMARKS]
+FALSE_ALARMS = [b.name for b in BENCHMARKS if b.is_false_alarm]
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +271,36 @@ def _counter(result, name: str) -> int:
     return (result.telemetry or {}).get("counters", {}).get(name, 0)
 
 
+def _unread_entries(cache_dir: str, monkeypatch, run) -> list:
+    """Run ``run`` into a fresh store, then again with every memo
+    cleared; the ``(stage, key)`` entries the first run wrote and the
+    second never read."""
+    clear_qe_caches()
+    clear_intern_tables()
+    run()
+    base = os.path.join(cache_dir, f"{STORE_VERSION}-{DIGEST_VERSION}")
+    written = {(stage, os.path.splitext(entry)[0])
+               for stage in os.listdir(base)
+               if os.path.isdir(os.path.join(base, stage))
+               for entry in os.listdir(os.path.join(base, stage))}
+    assert written
+
+    read: set[tuple[str, str]] = set()
+    get = CacheStore.get
+
+    def recording_get(self, stage, key):
+        artifact = get(self, stage, key)
+        if artifact is not None:
+            read.add((stage, key))
+        return artifact
+
+    monkeypatch.setattr(CacheStore, "get", recording_get)
+    clear_qe_caches()
+    clear_intern_tables()
+    run()
+    return sorted(written - read)
+
+
 class TestWarmRetriage:
     def test_warm_run_skips_all_msa_and_qe_work(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
@@ -296,30 +328,25 @@ class TestWarmRetriage:
         """An entry no later run reads is a wasted write: a warm re-run
         with memos cleared reads back every ``(stage, key)`` that a
         Figure-7 triage into a fresh store wrote."""
-        cache_dir = tmp_path / "cache"
-        clear_qe_caches()
-        clear_intern_tables()
-        triage_many(ALL_NAMES, jobs=1, cache_dir=str(cache_dir))
-        base = cache_dir / f"{STORE_VERSION}-{DIGEST_VERSION}"
-        written = {(stage.name, entry.stem)
-                   for stage in base.iterdir() if stage.is_dir()
-                   for entry in stage.iterdir()}
-        assert written
+        cache_dir = str(tmp_path / "cache")
+        assert _unread_entries(
+            cache_dir, monkeypatch,
+            lambda: triage_many(ALL_NAMES, jobs=1, cache_dir=cache_dir),
+        ) == []
 
-        read: set[tuple[str, str]] = set()
-        get = CacheStore.get
+    def test_warm_repair_reads_back_every_entry_the_fill_wrote(
+            self, tmp_path, monkeypatch):
+        """The same for repair of the six false alarms: a warm run
+        replays the whole ``repair`` artifact, so plan verification
+        writes nothing to the store."""
+        cache_dir = str(tmp_path / "cache")
+        pipeline = Pipeline(cache_dir=cache_dir)
 
-        def recording_get(self, stage, key):
-            artifact = get(self, stage, key)
-            if artifact is not None:
-                read.add((stage, key))
-            return artifact
+        def repair_all():
+            for name in FALSE_ALARMS:
+                assert pipeline.repair(name).verified_count, name
 
-        monkeypatch.setattr(CacheStore, "get", recording_get)
-        clear_qe_caches()
-        clear_intern_tables()
-        triage_many(ALL_NAMES, jobs=1, cache_dir=str(cache_dir))
-        assert sorted(written - read) == []
+        assert _unread_entries(cache_dir, monkeypatch, repair_all) == []
 
     def test_store_holds_only_flat_stage_entries(self, tmp_path):
         """QE memos stay in-process: a Figure-7 triage into a fresh

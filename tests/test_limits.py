@@ -357,6 +357,11 @@ class TestDeprecatedKnobs:
         with pytest.raises(TypeError, match=knob):
             make()
 
+    def test_pipeline_solver_knob_removed(self):
+        from repro.api import Pipeline
+        with pytest.raises(TypeError, match="solver"):
+            Pipeline(solver=SmtSolver())
+
     def test_thread_local_twins_removed(self):
         import repro.cache
         assert not hasattr(limits_mod, "governed_here")
@@ -454,6 +459,64 @@ class TestEngineIntegration:
         assert result.verdict is Verdict.DISCHARGED
         assert result.resource_spend is None
         assert result.exhausted_stage is None
+
+
+def _spy_governor(monkeypatch, analyzer_cls, synth) -> list:
+    """Record, for every front-end analysis and every repair placement,
+    whether a governor was active when it ran."""
+    calls: list[tuple[str, bool]] = []
+    analyze = analyzer_cls.analyze
+    plan = synth.plan_placements
+
+    def spy_analyze(self, program):
+        calls.append(("analyze", limits_mod.current_governor() is not None))
+        return analyze(self, program)
+
+    def spy_plan(*args, **kwargs):
+        calls.append(("plan", limits_mod.current_governor() is not None))
+        return plan(*args, **kwargs)
+
+    monkeypatch.setattr(analyzer_cls, "analyze", spy_analyze)
+    monkeypatch.setattr(synth, "plan_placements", spy_plan)
+    return calls
+
+
+class TestWholeReportGovernance:
+    """Every surface runs a report under one governor, front end and
+    repair synthesis included."""
+
+    def test_repair_governs_front_end_and_synthesis(self, monkeypatch):
+        """``Pipeline(limits=...).repair`` runs the whole report under
+        one governor: the analyzer and repair planning both see it."""
+        from repro.analysis.transformer import SymbolicAnalyzer
+        from repro.api import Pipeline
+        import repro.repair.synthesize as synth
+
+        governed_calls = _spy_governor(monkeypatch, SymbolicAnalyzer,
+                                       synth)
+        result = Pipeline(limits=Limits(deadline=600.0)).repair(
+            "p06_chroot")
+        assert result.verified_count
+        assert set(governed_calls) == {("analyze", True),
+                                       ("plan", True)}
+
+    def test_serve_repair_job_governs_front_end_and_synthesis(
+            self, monkeypatch):
+        from repro.analysis.transformer import SymbolicAnalyzer
+        from repro.serve import TriageService
+        import repro.repair.synthesize as synth
+
+        governed_calls = _spy_governor(monkeypatch, SymbolicAnalyzer,
+                                       synth)
+        service = TriageService()
+        _, handle = service.submit({"benchmark": "p06_chroot",
+                                    "repair": True,
+                                    "limits": {"deadline": 600.0}})
+        service._run_job(handle["job_id"])
+        job = service.registry.get(handle["job_id"])
+        assert job.result["verified_patches"], job.result
+        assert set(governed_calls) == {("analyze", True),
+                                       ("plan", True)}
 
 
 class TestEnvelopeV2:

@@ -1,8 +1,5 @@
 """Tests for the observability layer (repro.obs)."""
 
-import io
-import json
-
 import pytest
 
 from repro import obs
@@ -114,29 +111,6 @@ class TestEnabled:
         assert obs.snapshot()["counters"]["kept"] == 1
         obs.inc("kept")  # no-op while disabled
         assert obs.snapshot()["counters"]["kept"] == 1
-
-
-class TestExportJsonl:
-    def test_export_events_plus_snapshot_line(self):
-        obs.enable()
-        with obs.span("work"):
-            obs.inc("c")
-        buf = io.StringIO()
-        count = obs.export_jsonl(buf)
-        lines = [json.loads(l) for l in buf.getvalue().splitlines()]
-        assert count == len(lines) == 2
-        assert lines[0]["type"] == "span" and lines[0]["name"] == "work"
-        assert lines[1]["type"] == "snapshot"
-        assert lines[1]["counters"] == {"c": 1}
-
-    def test_export_to_path(self, tmp_path):
-        obs.enable()
-        obs.inc("c")
-        path = tmp_path / "trace.jsonl"
-        count = obs.export_jsonl(path)
-        lines = path.read_text().splitlines()
-        assert count == len(lines) == 1  # snapshot only, no events
-        assert json.loads(lines[0])["type"] == "snapshot"
 
 
 class TestMergeAndRates:

@@ -197,6 +197,14 @@ class TestRemovedAliases:
         with pytest.raises(AttributeError):
             getattr(repro, name)
 
+    def test_pipeline_triage_many_alias_is_gone(self):
+        """``Pipeline.triage`` is the one spelling."""
+        assert not hasattr(Pipeline, "triage_many")
+
+    def test_obs_export_jsonl_is_gone(self):
+        """Every trace is ``repro.trace/1`` (``prov.export_trace``)."""
+        assert not hasattr(obs, "export_jsonl")
+
     def test_triage_timeout_is_gone(self):
         """The PR-7-era ``timeout=`` shim is removed: the only spelling
         is ``limits=Limits(deadline=...)``, and a stale caller fails
@@ -260,6 +268,31 @@ class TestCliJsonModes:
         assert obs.hit_rate(merged, "smt.is_sat") is not None
         reports = {l.get("report") for l in lines[:-1]}
         assert {"d01_plus_one", "d02_negate"} <= reports
+
+    def test_analyze_trace_converts_with_trace_export(self, tmp_path,
+                                                      capsys):
+        """``analyze --trace`` writes the same ``repro.trace/1`` stream
+        as ``triage --trace``, so ``trace export --in`` converts it."""
+        source = tmp_path / "safe.err"
+        source.write_text(SAFE)
+        trace = tmp_path / "a.jsonl"
+        assert main(["analyze", str(source), "--trace", str(trace)]) == 0
+        chrome = tmp_path / "a.json"
+        assert main(["trace", "export", "--in", str(trace),
+                     "--format", "chrome", "--out", str(chrome)]) == 0
+        doc = json.loads(chrome.read_text())
+        assert "api.analyze" in {e.get("name") for e in doc["traceEvents"]}
+
+    def test_trace_export_rejects_a_headerless_stream(self, tmp_path,
+                                                      capsys):
+        bare = tmp_path / "bare.jsonl"
+        bare.write_text('{"type": "snapshot"}\n')
+        capsys.readouterr()
+        assert main(["trace", "export", "--in", str(bare),
+                     "--out", str(tmp_path / "out.json")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "missing header" in err
 
     def test_stats_command(self, capsys):
         assert main(["stats", "p10_toggle", "--jobs", "1"]) == 0

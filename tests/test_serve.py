@@ -511,6 +511,32 @@ class TestConcurrentJobs:
             assert all(e.get("trace") == job.trace_id
                        for e in job.events), name
 
+    def test_adhoc_and_repair_jobs_cover_their_whole_report(self):
+        """Ad-hoc and repair jobs run through the report runner: their
+        telemetry holds one ``triage.report`` span, front end included,
+        and every event a job carries belongs to its own trace."""
+        chroot = load_source(benchmark_by_name("p06_chroot"))
+        service = TriageService(max_inflight=4, workers=2)
+        handles = [
+            service.submit({"source": SAFE + "// one span"})[1],
+            service.submit({"source": chroot + "\n// ad hoc\n",
+                            "limits": {"deadline": 60.0}})[1],
+            service.submit({"benchmark": "p06_chroot", "repair": True})[1],
+        ]
+        service.start()
+        try:
+            jobs = _run_to_completion(service, handles)
+        finally:
+            service.stop()
+        assert [job.result["kind"] for job in jobs] == \
+            ["analysis", "diagnosis", "repair"]
+        for job in jobs:
+            spans = job.result["telemetry"]["spans"]
+            assert spans["triage.report"]["count"] == 1, job.result
+            assert job.events, job.name
+            assert all(e.get("trace") == job.trace_id
+                       for e in job.events), job.name
+
     def test_deadline_jobs_never_leak_their_governor(self):
         """Two concurrent ad-hoc sources run under a 1.0 s deadline; a
         source with no limits submitted 1.1 s later gets a real

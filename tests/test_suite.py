@@ -28,7 +28,6 @@ from repro.suite import (
     benchmark_by_id,
     benchmark_by_name,
     load_analysis,
-    load_program,
     load_source,
 )
 
@@ -152,7 +151,7 @@ class TestDiagnostics:
         or by a single obvious look: here we just check the ground truth
         labels are right."""
         for bench in DIAGNOSTICS:
-            program = load_program(bench)
+            program, _ = load_analysis(bench)
             radius = 5
             failing = 0
             ranges = []
