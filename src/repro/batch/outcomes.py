@@ -531,10 +531,10 @@ def _is_retryable(outcome: TriageOutcome) -> bool:
 
 def _finalize(outcome: TriageOutcome, attempts: int) -> TriageOutcome:
     """Stamp the attempt count; quarantine still-retryable outcomes."""
-    return replace(
-        outcome, attempts=attempts,
-        degraded=outcome.degraded or _is_retryable(outcome),
-    )
+    degraded = outcome.degraded or _is_retryable(outcome)
+    if attempts == outcome.attempts and degraded == outcome.degraded:
+        return outcome  # the usual first-attempt outcome: nothing to copy
+    return replace(outcome, attempts=attempts, degraded=degraded)
 
 
 def _max_attempts(limits: Limits | None) -> int:

@@ -18,11 +18,19 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Iterable, Iterator, Sequence
 
+from .. import obs
 from ..analysis import AnalysisResult
-from ..lang.ast import Havoc, Program
-from ..lang.interp import ExecutionResult, HavocPolicy, Interpreter, OutOfFuel
+from ..lang.ast import Assign, BinOp, Block, Havoc, If, Program, While
+from ..lang.interp import (
+    ExecutionResult,
+    HavocPolicy,
+    Interpreter,
+    OutOfFuel,
+    records_product,
+)
 from ..logic.terms import Var
 from .queries import Answer, Query
 
@@ -141,6 +149,16 @@ class _ExecutionEvaluator:
                 env[v] = value
         return env
 
+    def sources(self, program: Program) -> dict[Var, frozenset[str]]:
+        """The sources (see :func:`_dependences`) of every analysis
+        variable whose loop exit or site the program records."""
+        exits, sites = _dependences(program)
+        table = {nu: frozenset([name]) for nu, name in self._inputs}
+        table.update((v, exits[label, name]) for v, label, name
+                     in self._loops if (label, name) in exits)
+        table.update((v, sites[at]) for v, at in self._sites if at in sites)
+        return table
+
     def holds(self, query: Query, env: dict[Var, int]) -> bool | None:
         """Whether the query formula holds on this execution; ``None`` if
         the execution does not bind every variable the query mentions."""
@@ -150,12 +168,98 @@ class _ExecutionEvaluator:
         return formula.evaluate(env)
 
 
-def _input_space(program: Program, radius: int) -> Iterable[dict[str, int]]:
-    """All input vectors in the box (unsigned params clipped at 0)."""
+#: the source standing for the havoc RNG stream (no variable's name)
+_STREAM = "$stream"
+
+
+def _recorded_products(node) -> Iterator[BinOp]:
+    """The product sites of an expression or predicate."""
+    if records_product(node):
+        yield node
+    for child in node.children():
+        yield from _recorded_products(child)
+
+
+def _dependences(program: Program) -> tuple[dict, dict]:
+    """Forward data- and control-dependence: ``(exits, sites)`` map
+    ``(loop label, variable)`` and the offset of a havoc or product site
+    to the sources (parameters and ``_STREAM``) that the last recorded
+    value, and whether there is one, can depend on in a run that
+    completes.  What runs under a branch or loop also depends on what
+    its conditions read (``pc``)."""
+    empty: frozenset[str] = frozenset()
+    exits: dict[tuple[int, str], frozenset[str]] = {}
+    sites: dict[int, frozenset[str]] = {}
+
+    def reads(names, env):
+        return empty.union(*[env.get(name, empty) for name in names])
+
+    def note(table, key, deps):
+        table[key] = table.get(key, empty) | deps
+
+    def predicate(pred, env, pc):
+        # && and || decide whether a product runs
+        inner = pc | reads(pred.variables(), env)
+        for product in _recorded_products(pred):
+            note(sites, product.span.start, inner)
+        return inner
+
+    def run(stmt, env, pc):
+        """Carry ``env`` (variable -> sources) over ``stmt`` in place."""
+        if isinstance(stmt, Assign):
+            for product in _recorded_products(stmt.value):
+                note(sites, product.span.start,
+                     pc | reads(product.variables(), env))
+            env[stmt.target] = pc | reads(stmt.value.variables(), env)
+        elif isinstance(stmt, Havoc):
+            # the assumption's other variables decide how many draws the
+            # site takes from the stream, so later sites see them too
+            others = stmt.assume.variables() - {stmt.target} \
+                if stmt.assume is not None else ()
+            deps = pc | env[_STREAM] | reads(others, env)
+            env[stmt.target] = env[_STREAM] = deps
+            note(sites, stmt.span.start, deps)
+        elif isinstance(stmt, Block):
+            for sub in stmt.body:
+                run(sub, env, pc)
+        elif isinstance(stmt, If):
+            inner = predicate(stmt.cond, env, pc)
+            other = dict(env)
+            run(stmt.then_branch, env, inner)
+            run(stmt.else_branch, other, inner)
+            for name, deps in other.items():
+                note(env, name, deps)
+        elif isinstance(stmt, While):
+            while True:  # to a fixpoint
+                inner = predicate(stmt.cond, env, pc)
+                after = dict(env)
+                run(stmt.body, after, inner)
+                if all(deps <= env.get(name, empty)
+                       for name, deps in after.items()):
+                    break
+                for name, deps in after.items():
+                    note(env, name, deps)
+            for name, deps in env.items():
+                note(exits, (stmt.label, name), deps | inner)
+
+    env = {name: frozenset([name]) for name in program.param_names()}
+    env.update(dict.fromkeys(program.locals, empty))
+    env[_STREAM] = frozenset([_STREAM])
+    run(program.body, env, empty)
+    predicate(program.check.pred, env, empty)
+    return exits, sites
+
+
+def _input_space(program: Program, radius: int,
+                 pinned: frozenset[str] = frozenset()
+                 ) -> Iterable[dict[str, int]]:
+    """All input vectors in the box (unsigned params clipped at 0), with
+    the parameters in ``pinned`` held at 0."""
     ranges = []
     for param in program.params:
         low = 0 if param.unsigned else -radius
-        ranges.append(range(low, radius + 1))
+        ranges.append((0,) if param.name in pinned
+                      else range(low, radius + 1))
     for combo in itertools.product(*ranges):
         yield dict(zip((p.name for p in program.params), combo))
 
@@ -167,6 +271,18 @@ class ExhaustiveOracle(Oracle):
     calibrated so that box-exhaustive answers coincide with the true
     (unbounded) answers.  Programs with havocs are run ``havoc_rounds``
     times per input with different seeds.
+
+    A query runs only its *slice*, the sources its variables depend on
+    (:func:`_dependences`; the whole box for a variable with no entry):
+    other parameters are pinned to 0, and the seeds past 0 run only for
+    a slice holding the stream.  The answer is the full box's, since it
+    depends only on the value tuples of the query's variables over the
+    runs binding them all, and on a run that completes these do not
+    depend on the pinned sources.  A slice with a run out of fuel is
+    answered from the full box: a pinned value that diverges could hide
+    tuples.  Bindings are memoized per slice.  Other errors propagate,
+    but a slice may never reach an input whose ``@assume`` is
+    unsatisfiable, where the full box raises ``AnalysisError``.
     """
 
     def __init__(self, program: Program, analysis: AnalysisResult,
@@ -178,40 +294,74 @@ class ExhaustiveOracle(Oracle):
         self._havoc_rounds = havoc_rounds
         self._fuel = fuel
         self._evaluator = _ExecutionEvaluator(analysis)
-        self._envs: list[dict[Var, int]] | None = None
+        self._sources: dict[Var, frozenset[str]] | None = None
+        self._slices: dict[frozenset[str], list[dict[Var, int]]] = {}
+        self._rng: random.Random | None = None
+        self._interp: Interpreter | None = None
 
-    def _bound(self) -> list[dict[Var, int]]:
-        """The analysis-variable binding of every execution in the box
-        (runs out of fuel are skipped), each bound once, right after its
-        run."""
-        if self._envs is None:
-            self._envs = []
-            bind = self._evaluator.bind
-            has_havoc = any(
-                isinstance(s, Havoc) for s in self._program.body.walk()
-            )
-            rounds = self._havoc_rounds if has_havoc else 1
-            # one interpreter compiles the program once; re-seeding its
-            # policy's RNG gives each round the stream of Random(seed)
-            rng = random.Random()
-            interp = Interpreter(fuel=self._fuel,
-                                 havoc_policy=HavocPolicy(rng))
-            for inputs in _input_space(self._program, self._radius):
-                for seed in range(rounds):
-                    if has_havoc:
-                        rng.seed(seed)
-                    try:
-                        run = interp.run(self._program, inputs)
-                    except OutOfFuel:
+    @cached_property
+    def _box(self) -> frozenset[str]:
+        """Every source: the slice that is the full box."""
+        havoc = any(isinstance(s, Havoc) for s in self._program.body.walk())
+        return frozenset(self._program.param_names()) | (
+            {_STREAM} if havoc else set())
+
+    def _slice(self, variables: Iterable[Var]) -> frozenset[str]:
+        """The sources the analysis variables depend on; the full box
+        when one of them has no entry."""
+        if self._sources is None:
+            self._sources = self._evaluator.sources(self._program)
+        sources: frozenset[str] = frozenset()
+        for v in variables:
+            if v not in self._sources:
+                return self._box
+            sources |= self._sources[v]
+        return sources
+
+    def _bound(self, sources: frozenset[str] | None = None
+               ) -> list[dict[Var, int]]:
+        """The analysis-variable bindings of the runs of a slice (by
+        default the full box), each bound once, right after its run.
+        The full box skips runs that run out of fuel; any other slice
+        with such a run is answered from the full box."""
+        sources = self._box if sources is None else sources
+        if sources in self._slices:
+            return self._slices[sources]
+        if self._interp is None:
+            # one interpreter compiles the program once for every slice;
+            # re-seeding its RNG gives each round Random(seed)'s stream
+            self._rng = random.Random()
+            self._interp = Interpreter(fuel=self._fuel,
+                                       havoc_policy=HavocPolicy(self._rng))
+        pinned = self._box - sources
+        seeds = range(self._havoc_rounds if _STREAM in self._box else 1)
+        if _STREAM not in sources:
+            seeds = seeds[:1]
+        envs: list[dict[Var, int]] = []
+        runs = 0
+        bind, rng = self._evaluator.bind, self._rng
+        for inputs in _input_space(self._program, self._radius, pinned):
+            for seed in seeds:
+                rng.seed(seed)
+                runs += 1
+                try:
+                    run = self._interp.run(self._program, inputs)
+                except OutOfFuel:
+                    if not pinned:
                         continue
-                    self._envs.append(bind(inputs, run))
-        return self._envs
+                    obs.inc("oracle.executions", runs)
+                    envs = self._slices[sources] = self._bound()
+                    return envs
+                envs.append(bind(inputs, run))
+        obs.inc("oracle.executions", runs)
+        self._slices[sources] = envs
+        return envs
 
     def answer(self, query: Query) -> Answer:
         # a holding run decides a witness query, a violating run an
         # invariant query
         witness = query.kind == "witness"
-        for env in self._bound():
+        for env in self._bound(self._slice(query.formula.free_vars())):
             if self._evaluator.holds(query, env) == witness:
                 return Answer.YES if witness else Answer.NO
         return Answer.NO if witness else Answer.YES

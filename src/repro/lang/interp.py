@@ -239,6 +239,13 @@ def _combine(op, left: Expr, right: Expr, bound: frozenset[str]) -> ExprFn:
     return lambda env, sites: op(a(env, sites), b(env, sites))
 
 
+def records_product(expr: Expr) -> bool:
+    """Whether evaluating ``expr`` records its value as a product site:
+    a ``*`` with no constant operand."""
+    return isinstance(expr, BinOp) and expr.op == "*" and not (
+        isinstance(expr.left, Const) or isinstance(expr.right, Const))
+
+
 def _compile_expr(expr: Expr, bound: frozenset[str]) -> ExprFn:
     """Compile an expression; names in ``bound`` skip the unbound check."""
     if isinstance(expr, Const):
@@ -268,7 +275,7 @@ def _compile_expr(expr: Expr, bound: frozenset[str]) -> ExprFn:
                 raise AnalysisError(f"unknown operator {op!r}", span)
 
             return unknown
-        if isinstance(expr.left, Const) or isinstance(expr.right, Const):
+        if not records_product(expr):
             return _combine(operator.mul, expr.left, expr.right, bound)
         at = span.start
 

@@ -17,6 +17,7 @@ the substitution rationale.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from importlib import resources
 
 from ..abstract import annotate_program
@@ -105,9 +106,16 @@ def benchmark_by_name(name: str) -> Benchmark:
 
 def load_source(bench: Benchmark) -> str:
     """Read a benchmark's program text from package data."""
+    return _read_program(bench.filename)
+
+
+@lru_cache(maxsize=None)
+def _read_program(filename: str) -> str:
+    """Each shipped program is read once per process: every report of a
+    batch or a daemon reads its benchmark's source."""
     return (
         resources.files(__package__)
-        .joinpath("programs", bench.filename)
+        .joinpath("programs", filename)
         .read_text()
     )
 

@@ -1,4 +1,5 @@
-"""Hypothesis strategies for random terms, atoms and formulas.
+"""Hypothesis strategies for random terms, atoms and formulas, and a
+seeded generator of random source programs.
 
 Small coefficient/constant magnitudes keep brute-force boxes meaningful:
 a radius-3 box decides most facts about terms with coefficients in
@@ -6,6 +7,8 @@ a radius-3 box decides most facts about terms with coefficients in
 """
 
 from __future__ import annotations
+
+import random
 
 from hypothesis import strategies as st
 
@@ -144,3 +147,148 @@ def linear_systems(draw, max_vars: int = 5, max_atoms: int = 8,
         rel = draw(st.sampled_from([Rel.LE, Rel.LE, Rel.LE, Rel.EQ]))
         system.append(atom(rel, term))
     return system
+
+
+# ---------------------------------------------------------------------------
+# programs
+# ---------------------------------------------------------------------------
+
+class _ProgramGen:
+    """Builds one random program from one seeded RNG (see
+    :func:`random_program`)."""
+
+    DATA = ("x", "y", "z")
+    HAVOCS = ("h", "g")
+
+    def __init__(self, rng: random.Random):
+        self.rng = rng
+        self.params = [("a", False), ("b", True), ("c", rng.random() < 0.5)]
+        if rng.random() < 0.25:
+            self.params.append(("d", rng.random() < 0.5))
+        self.counters: list[str] = []
+
+    def param(self) -> str:
+        return self.rng.choice(self.params)[0]
+
+    def operand(self, names: list[str]) -> str:
+        r = self.rng
+        roll = r.random()
+        if roll < 0.15:
+            return str(r.randint(-2, 3))
+        if roll < 0.35:
+            # a product the analysis abstracts: parameters are never
+            # constant
+            return f"{self.param()} * {r.choice(names)}"
+        return r.choice(names)
+
+    def expr(self, names: list[str] | None = None) -> str:
+        names = names or [p for p, _ in self.params] + list(self.DATA) \
+            + list(self.HAVOCS)
+        text = self.operand(names)
+        for _ in range(self.rng.randint(0, 2)):
+            text += f" {self.rng.choice('+-')} {self.operand(names)}"
+        return text
+
+    def cmp(self) -> str:
+        op = self.rng.choice(["<", "<=", "==", "!=", ">", ">="])
+        return f"{self.expr()} {op} {self.expr()}"
+
+    def pred(self) -> str:
+        r = self.rng
+        roll = r.random()
+        if roll < 0.4:
+            return self.cmp()
+        op = r.choice(["&&", "||"])
+        if roll < 0.7:
+            # a parameter test that decides, at 0, whether the right
+            # side (often a product) runs
+            guard = f"{self.param()} {'!=' if op == '&&' else '=='} 0"
+            return f"{guard} {op} {self.cmp()}"
+        return f"{self.cmp()} {op} {self.cmp()}"
+
+    def havoc(self, pad: str) -> list[str]:
+        r = self.rng
+        target = r.choice(self.HAVOCS)
+        others = [p for p, _ in self.params] + list(self.DATA) + [
+            h for h in self.HAVOCS if h != target]
+        bound = self.expr(others)
+        # satisfiable, and wide enough that few draws miss: a miss draws
+        # again, up to 64 times
+        assume = r.choice([
+            None,
+            f"{target} >= {bound}",
+            f"{target} <= {bound} + {r.randint(0, 3)}",
+            f"{target} >= {bound} && {target} <= {bound} + 40",
+            f"{target} != {bound}",
+        ])
+        suffix = f" @assume({assume})" if assume else ""
+        return [f"{pad}havoc {target}{suffix};"]
+
+    def block(self, depth: int, indent: int) -> list[str]:
+        lines: list[str] = []
+        for _ in range(self.rng.randint(1, 2)):
+            lines += self.stmt(depth, indent)
+        return lines
+
+    def stmt(self, depth: int, indent: int) -> list[str]:
+        r = self.rng
+        pad = "  " * indent
+        roll = r.random()
+        if depth > 0 and roll < 0.25:
+            lines = [f"{pad}if ({self.pred()}) {{",
+                     *self.block(depth - 1, indent + 1)]
+            if r.random() < 0.6:
+                lines += [f"{pad}}} else {{",
+                          *self.block(depth - 1, indent + 1)]
+            return lines + [f"{pad}}}"]
+        if depth > 0 and roll < 0.5:
+            # a counted loop: it terminates whatever its body does
+            counter = f"i{len(self.counters) + 1}"
+            self.counters.append(counter)
+            cond = f"{counter} < {self.param()} + {r.randint(0, 2)}"
+            if r.random() < 0.4:
+                cond += f" && {self.cmp()}"
+            return [f"{pad}{counter} = 0;",
+                    f"{pad}while ({cond}) {{",
+                    *self.block(depth - 1, indent + 1),
+                    f"{pad}  {counter} = {counter} + 1;",
+                    f"{pad}}}"]
+        if roll < 0.75:
+            return self.havoc(pad)
+        return [f"{pad}{r.choice(self.DATA)} = {self.expr()};"]
+
+    def program(self) -> str:
+        r = self.rng
+        stmts = [self.stmt(2, 1) for _ in range(r.randint(3, 5))]
+        if r.random() < 0.35:
+            # reaches k == 0 only for odd p >= -1: it diverges at 0
+            stmts.insert(r.randint(0, len(stmts)), [
+                f"  k = {self.param()} + 1;",
+                "  while (k != 0) {",
+                "    k = k - 2;",
+                "  }"])
+        body = [line for stmt in stmts for line in stmt]
+        params = ", ".join(("unsigned " if unsigned else "") + p
+                           for p, unsigned in self.params)
+        names = [*self.DATA, *self.HAVOCS, "k", *self.counters]
+        return "\n".join([
+            f"program gen({params}) {{",
+            "  var " + ", ".join(f"{n} = 0" for n in names) + ";",
+            *body,
+            f"  assert({self.pred()});",
+            "}",
+        ])
+
+
+def random_program(seed: int) -> str:
+    """Source text of a random program, the same for the same seed.
+
+    Three or four parameters, some unsigned; assignments with products;
+    havocs whose ``@assume`` reads other variables and parameters; nested
+    ``if``s and counted ``while``s; conditions with products behind
+    ``&&``/``||``, often guarded by a parameter test that short-circuits
+    at 0; and, in about a third of the programs, a top-level loop
+    ``k = p + 1; while (k != 0) { k = k - 2; }`` that ends only for odd
+    ``p >= -1``, so it diverges at 0.
+    """
+    return _ProgramGen(random.Random(seed)).program()
