@@ -23,7 +23,6 @@ from dataclasses import dataclass, field, replace
 
 from .. import obs
 from ..obs import context as ocontext
-from ..obs import provenance as prov
 from ..cache import open_store, use_store
 from ..diagnosis import (
     DiagnosisResult,
@@ -258,6 +257,8 @@ class ReportRun:
     recorded: dict | None = None        # the stored verdict that replaced it
     cache: dict | None = None           # report-level store status
     telemetry: dict | None = None       # the report's obs snapshot
+    events: tuple = ()                  # the report's span events
+    nodes: tuple = ()                   # the report's provenance nodes
     error: Exception | None = None      # anything else the run raised
 
 
@@ -289,11 +290,12 @@ def run_report(source: str | None = None, *, name: str | None = None,
     span.  The oracle defaults to the benchmark's ground truth, or to
     random testing (:class:`SamplingOracle`) for other sources.
 
-    One scope covers it all: the span, an obs capture, a governor over
-    ``limits`` and ``store`` as the active store.  Running out of a
-    limit anywhere sets ``exhausted``, and ``diagnosis`` is then a
-    ``RESOURCE_EXHAUSTED`` result (with no analysis when the front end
-    ran out); any other exception lands in ``error``.  With
+    One scope covers it all: the span, an obs capture (its snapshot,
+    events and nodes land on the run), a governor over ``limits`` and
+    ``store`` as the active store.  Running out of a limit anywhere
+    sets ``exhausted``, and ``diagnosis`` is then a ``RESOURCE_EXHAUSTED``
+    result (with no analysis when the front end ran out); any other
+    exception lands in ``error``.  With
     ``incremental`` and a store, a benchmark whose source, or failing
     that whose ``(I, phi)`` judgment, has a recorded verdict skips the
     loop (``recorded``), and a fresh clean verdict is recorded once the
@@ -376,7 +378,9 @@ def run_report(source: str | None = None, *, name: str | None = None,
                     )
     except Exception as exc:  # noqa: BLE001 - the caller decides
         run.error = exc
-    run.telemetry = cap.snapshot if cap is not None else None
+    if cap is not None:
+        run.telemetry = cap.snapshot
+        run.events, run.nodes = tuple(cap.events), tuple(cap.nodes)
     result = run.diagnosis
     if result is not None:
         result.telemetry = run.telemetry
@@ -445,8 +449,8 @@ def _triage_one(name: str, config: EngineConfig | None = None,
 
     With ``telemetry`` the outcome carries the report's own counter/span
     snapshot, stamped with the attempt number, plus the span events
-    (and, when provenance is on, derivation nodes) it emitted, all
-    plain data, so :func:`triage_many` can merge them across workers;
+    (and, when provenance is on, derivation nodes) its scope recorded,
+    all plain data, so :func:`triage_many` can merge them across workers;
     failed attempts keep their partial telemetry too.  ``trace`` carries a
     :class:`~repro.obs.context.TraceContext` as plain data across the
     process boundary; it (or, failing that, the ambient context) is
@@ -462,10 +466,6 @@ def _triage_one(name: str, config: EngineConfig | None = None,
     faults.set_report(name)
     if telemetry and not obs.is_enabled():
         obs.enable()
-    # slice by span id, not buffer offset: the bounded event deque may
-    # evict old entries mid-report, which would shift any saved offset
-    events_marker = obs.span_sequence() if telemetry else None
-    prov_marker = prov.mark() if prov.is_enabled() else None
     if limits is None and faults.active() is not None:
         limits = Limits()
     try:
@@ -486,10 +486,8 @@ def _triage_one(name: str, config: EngineConfig | None = None,
         name=name,
         elapsed_seconds=time.perf_counter() - start,
         telemetry=snap,
-        events=() if events_marker is None
-        else tuple(obs.events_since(events_marker, trace_id)),
-        provenance=() if prov_marker is None
-        else tuple(prov.nodes_since(prov_marker, trace_id)),
+        events=run.events,
+        provenance=run.nodes,
         trace_id=trace_id,
         **_outcome_fields(run),
     )

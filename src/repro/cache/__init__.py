@@ -33,11 +33,12 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Iterator
 
-from .store import STORE_VERSION, CacheStore
+from .store import STORE_VERSION, CacheStore, counting
 
 __all__ = [
     "CacheStore",
     "STORE_VERSION",
+    "counting",
     "current_store",
     "open_store",
     "use_store",

@@ -41,7 +41,9 @@ import json
 import os
 import tempfile
 import time
+from collections import Counter
 from contextlib import contextmanager
+from contextvars import ContextVar
 from pathlib import Path
 from typing import Iterator
 
@@ -49,10 +51,25 @@ from .. import obs
 from ..obs import logging as olog
 from ..logic.digest import DIGEST_VERSION
 
-__all__ = ["CacheStore", "STORE_VERSION"]
+__all__ = ["CacheStore", "STORE_VERSION", "counting"]
 
 #: Store layout version; part of every entry path.
 STORE_VERSION = "v2"
+
+#: The counts of the innermost :func:`counting` block in this context.
+_tally: ContextVar[Counter | None] = ContextVar("repro.tally", default=None)
+
+
+@contextmanager
+def counting() -> Iterator[Counter]:
+    """Count this context's store operations (``hits``, ``misses``,
+    ``puts``, ...) in the block: unlike ``stats()``, no other thread's."""
+    counts: Counter = Counter()
+    token = _tally.set(counts)
+    try:
+        yield counts
+    finally:
+        _tally.reset(token)
 
 
 class CacheStore:
@@ -95,6 +112,9 @@ class CacheStore:
             stage, {"hits": 0, "misses": 0, "puts": 0,
                     "evictions": 0, "corrupt": 0})
         per[event] += 1
+        tally = _tally.get()
+        if tally is not None:
+            tally[event] += 1
         short = {"hits": "hit", "misses": "miss", "puts": "put",
                  "evictions": "eviction", "corrupt": "corrupt"}[event]
         obs.inc(f"cache.store.{short}")

@@ -165,14 +165,13 @@ class DiagnosisEngine:
 
     # ------------------------------------------------------------------
     def run(self) -> DiagnosisResult:
-        from ..cache import current_store, use_store
+        from ..cache import counting, current_store, use_store
 
         store = current_store()
-        before = store.stats() if store is not None else None
         # The stages persist whole artifacts to ``store``; the solver
         # checks beneath them see no store, since a warm run replays
         # those stages and would never read their verdicts back.
-        with use_store(None), obs.capture() as cap, \
+        with use_store(None), counting() as ops, obs.capture() as cap, \
                 obs.span("engine.session"):
             if self._limits is not None:
                 with _limits_mod.governed(self._limits) as governor:
@@ -188,21 +187,13 @@ class DiagnosisEngine:
         if cap.snapshot is not None:
             result.telemetry = cap.snapshot
         if store is not None:
-            result.cache = self._cache_provenance(store, before)
+            result.cache = {
+                "store": str(store.root),
+                "invariants_digest": digest(self._analysis.invariants),
+                "success_digest": digest(self._analysis.success),
+                **{key: ops[key] for key in ("hits", "misses", "puts")},
+            }
         return result
-
-    def _cache_provenance(self, store, before: dict) -> dict:
-        """Store path, judgment digests and this run's hit/miss delta —
-        the ``cache`` block of the result envelope."""
-        after = store.stats()
-        return {
-            "store": after["path"],
-            "invariants_digest": digest(self._analysis.invariants),
-            "success_digest": digest(self._analysis.success),
-            "hits": after["hits"] - before["hits"],
-            "misses": after["misses"] - before["misses"],
-            "puts": after["puts"] - before["puts"],
-        }
 
     def _run(self, store) -> DiagnosisResult:
         start = time.perf_counter()

@@ -46,7 +46,6 @@ from .core import (
     enable,
     event_count,
     events,
-    events_since,
     export_chrome,
     export_prometheus,
     gauge,
@@ -76,7 +75,6 @@ __all__ = [
     "enable",
     "event_count",
     "events",
-    "events_since",
     "export_chrome",
     "export_prometheus",
     "from_traceparent",

@@ -18,10 +18,11 @@ Enabled-mode data model:
   Each live span gets a process-unique id and remembers its parent, so
   the event stream reconstructs the call tree exactly (and the
   provenance layer can key derivation steps to the enclosing span).
-  Closing a span appends one event to the bounded buffer, folds its
-  duration into a per-name aggregate (count / total / max), and feeds a
-  per-name duration histogram, so aggregates and percentiles survive
-  even after the buffer evicts old events.
+  Closing a span appends one event to the bounded buffer (and to each
+  open :func:`capture` scope), folds its duration into a per-name
+  aggregate (count / total / max), and feeds a per-name duration
+  histogram, so aggregates and percentiles survive even after the
+  buffer evicts old events.
 * **counters** — monotone named integers (``inc("smt.is_sat.miss")``).
 * **gauges** — last-write-wins named numbers.
 * **histograms** — streaming value distributions (``observe("qe.blowup",
@@ -34,13 +35,13 @@ Snapshots are plain dicts of plain scalars, safe to pickle across the
 batch driver's process boundary; :func:`merge_snapshots` sums counters
 and span aggregates from many workers into one fleet-wide view.
 
-:func:`capture` scopes telemetry to a block: it binds a fresh sink in a
-:class:`contextvars.ContextVar`, and counters, gauges, span stats and
-histograms recorded in that context go to the innermost sink.  On exit
-the sink folds into the enclosing sink, or into the process aggregate
-when there is none, so concurrent ``repro serve`` jobs each capture
-exactly their own activity.  Outside any scope the probes write the
-aggregate directly.  The event buffer and span ids stay process-wide.
+:func:`capture` scopes telemetry to a block: it binds a fresh scope in
+a :class:`contextvars.ContextVar`, and counters, gauges, span stats and
+histograms recorded in that context go to the innermost scope.  On
+exit the scope folds into the enclosing one, or into the process
+aggregate when there is none, so concurrent ``repro serve`` jobs each
+capture exactly their own activity, span events and provenance nodes.
+Unscoped probes write the aggregate under the lock folds take.
 
 The state is process-local on purpose: the batch driver's fork()ed
 workers each start from the parent's (usually empty) state and ship
@@ -69,7 +70,6 @@ __all__ = [
     "enable",
     "event_count",
     "events",
-    "events_since",
     "export_chrome",
     "export_prometheus",
     "gauge",
@@ -79,6 +79,7 @@ __all__ = [
     "merge_snapshots",
     "observe",
     "percentile",
+    "percentiles",
     "reset",
     "set_span_hook",
     "snapshot",
@@ -88,6 +89,8 @@ __all__ = [
 ]
 
 _DEFAULT_BUFFER = 10_000
+
+_NODE_BUFFER = 200_000  # provenance nodes a scope (or the ring) keeps
 
 #: Histogram reservoirs are decimated (every other sample dropped, the
 #: sampling stride doubled) once they reach this many samples, so a
@@ -148,15 +151,21 @@ def percentile(samples: list[float], q: float) -> float:
     return ordered[rank]
 
 
+def percentiles(samples: list[float]) -> dict[str, float]:
+    """``p50``/``p95``/``p99``, each :func:`percentile`'s, from one sort."""
+    ordered, n = sorted(samples), len(samples)
+    return {key: ordered[max(0, min(n - 1, int(q * n + 0.5) - 1))]
+            if n else 0.0
+            for key, q in (("p50", 0.50), ("p95", 0.95), ("p99", 0.99))}
+
+
 def _hist_snapshot(h: _Hist) -> dict:
     return {
         "count": h.count,
         "total": h.total,
         "min": h.min if h.count else 0.0,
         "max": h.max if h.count else 0.0,
-        "p50": percentile(h.samples, 0.50),
-        "p95": percentile(h.samples, 0.95),
-        "p99": percentile(h.samples, 0.99),
+        **percentiles(h.samples),
         "samples": list(h.samples),
         "stride": h.stride,
     }
@@ -174,6 +183,23 @@ class _Sink:
         # name -> [count, total_seconds, max_seconds]
         self.span_stats: dict[str, list] = {}
         self.hists: dict[str, _Hist] = {}
+
+    def observe(self, name: str, value: float) -> None:
+        hist = self.hists.get(name)
+        if hist is None:
+            hist = self.hists[name] = _Hist()
+        hist.add(value)
+
+    def add_span(self, name: str, duration: float) -> None:
+        stats = self.span_stats.get(name)
+        if stats is None:
+            self.span_stats[name] = [1, duration, duration]
+        else:
+            stats[0] += 1
+            stats[1] += duration
+            if duration > stats[2]:
+                stats[2] = duration
+        self.observe(name, duration)
 
     def absorb(self, other: "_Sink") -> None:
         """Fold a closed scope's data into this one (``other`` is
@@ -198,6 +224,19 @@ class _Sink:
                 into.merge(hist)
 
 
+class _Scope(_Sink):
+    """A :func:`capture` scope: aggregates, span events and nodes."""
+
+    __slots__ = ("events", "nodes", "outer", "snapshot")
+
+    def __init__(self, outer: "_Scope | None") -> None:
+        super().__init__()
+        self.events: deque[dict] = deque(maxlen=_DEFAULT_BUFFER)
+        self.nodes: deque[dict] = deque(maxlen=_NODE_BUFFER)
+        self.outer = outer
+        self.snapshot: dict | None = None
+
+
 class _State(_Sink):
     __slots__ = ("events", "ids", "seq", "tls")
 
@@ -215,23 +254,16 @@ class _State(_Sink):
         # in the serve daemon cannot corrupt each other's nesting
         self.tls = threading.local()
 
-    def stack(self) -> list[int]:
-        stack = getattr(self.tls, "stack", None)
-        if stack is None:
-            stack = self.tls.stack = []
-        return stack
-
 
 _enabled = False
 _state = _State()
 
-#: The innermost open :func:`capture` scope's sink in this context
-#: (None outside any scope: probes then write ``_state`` directly).
-_sink: ContextVar[_Sink | None] = ContextVar("repro.obs.sink", default=None)
+#: The innermost open :func:`capture` scope in this context, if any.
+_scope: ContextVar[_Scope | None] = ContextVar("repro.obs.scope", default=None)
 
-#: Serializes folds of outermost scopes into the process aggregate.
-#: The unscoped probes stay lock-free.
-_fold_lock = threading.Lock()
+#: Held by :func:`snapshot` and every read-modify-write of the process
+#: aggregate: outermost scope folds and probes outside any scope.
+_state_lock = threading.Lock()
 
 #: Optional observer called with every closed span's event dict (after
 #: it is buffered).  The logging layer installs its slow-query watcher
@@ -301,7 +333,7 @@ NULL_SPAN = _NullSpan()
 
 
 class _Span:
-    __slots__ = ("name", "attrs", "id", "parent", "_start", "_wall")
+    __slots__ = ("name", "attrs", "id", "parent", "_start", "_wall", "_stack")
 
     def __init__(self, name: str, attrs: dict[str, Any]):
         self.name = name
@@ -320,7 +352,10 @@ class _Span:
         state = _state
         self.id = next(state.ids)
         state.seq = self.id + 1
-        stack = state.stack()
+        stack = getattr(state.tls, "stack", None)
+        if stack is None:
+            stack = state.tls.stack = []
+        self._stack = stack
         self.parent = stack[-1] if stack else 0
         stack.append(self.id)
         self._wall = time.time()
@@ -334,7 +369,7 @@ class _Span:
         # of order: remove this span wherever it sits in the stack, not
         # only when it is on top, so nothing downstream inherits a stale
         # parent
-        stack = state.stack()
+        stack = self._stack
         if stack:
             if stack[-1] == self.id:
                 stack.pop()
@@ -343,19 +378,12 @@ class _Span:
                     stack.remove(self.id)
                 except ValueError:
                     pass
-        sink = _sink.get() or state
-        stats = sink.span_stats.get(self.name)
-        if stats is None:
-            sink.span_stats[self.name] = [1, duration, duration]
+        scope = _scope.get()
+        if scope is not None:
+            scope.add_span(self.name, duration)
         else:
-            stats[0] += 1
-            stats[1] += duration
-            if duration > stats[2]:
-                stats[2] = duration
-        hist = sink.hists.get(self.name)
-        if hist is None:
-            hist = sink.hists[self.name] = _Hist()
-        hist.add(duration)
+            with _state_lock:
+                state.add_span(self.name, duration)
         event = {
             "type": "span",
             "name": self.name,
@@ -373,6 +401,9 @@ class _Span:
         if exc_type is not None:
             event["error"] = exc_type.__name__
         state.events.append(event)
+        while scope is not None:
+            scope.events.append(event)
+            scope = scope.outer
         hook = _span_hook
         if hook is not None:
             try:
@@ -397,15 +428,26 @@ def inc(name: str, value: int = 1) -> None:
     """Add ``value`` to the named monotone counter."""
     if not _enabled:
         return
-    counters = (_sink.get() or _state).counters
-    counters[name] = counters.get(name, 0) + value
+    scope = _scope.get()
+    if scope is not None:
+        counters = scope.counters
+        counters[name] = counters.get(name, 0) + value
+        return
+    # the hottest probe: acquire/release cost half of a ``with`` block
+    _state_lock.acquire()
+    try:
+        counters = _state.counters
+        counters[name] = counters.get(name, 0) + value
+    finally:
+        _state_lock.release()
 
 
 def gauge(name: str, value: float) -> None:
     """Record the latest value of a named gauge."""
     if not _enabled:
         return
-    (_sink.get() or _state).gauges[name] = value
+    # one dict store, atomic under the GIL: no lock needed unscoped
+    (_scope.get() or _state).gauges[name] = value
 
 
 def observe(name: str, value: float) -> None:
@@ -419,11 +461,12 @@ def observe(name: str, value: float) -> None:
     """
     if not _enabled:
         return
-    hists = (_sink.get() or _state).hists
-    hist = hists.get(name)
-    if hist is None:
-        hist = hists[name] = _Hist()
-    hist.add(value)
+    scope = _scope.get()
+    if scope is not None:
+        scope.observe(name, value)
+        return
+    with _state_lock:
+        _state.observe(name, value)
 
 
 def current_span_id() -> int:
@@ -448,66 +491,34 @@ def span_sequence() -> int:
 # reading the data out
 # ---------------------------------------------------------------------------
 
-def _safe_copy(d: dict) -> dict:
-    """Copy a dict that other threads may be growing right now.
-
-    ``dict(d)`` raises RuntimeError when the source is resized
-    mid-iteration (a /metrics scrape racing live jobs); retrying wins
-    almost immediately because copies are much faster than the mutation
-    rate.  Values already present are never torn — ints and list cells
-    are replaced atomically under the GIL — so counters in the copy are
-    always real (monotone) observed values.
-    """
-    for _ in range(64):
-        try:
-            return dict(d)
-        except RuntimeError:
-            continue
-    try:  # pathological churn: settle for whatever snapshot we can get
-        return dict(list(d.items()))
-    except RuntimeError:
-        return {}
-
-
 def snapshot() -> dict:
     """The aggregate view: counters, gauges and per-span-name stats.
 
     Plain dicts of plain scalars — picklable, JSON-serializable,
-    mergeable across processes with :func:`merge_snapshots`, and safe
-    to take from a scraper thread while worker threads record.  A
+    mergeable across processes with :func:`merge_snapshots`, and whole
+    even while other threads record (it is taken under their lock).  A
     :func:`capture` scope's activity shows here once the scope exits.
     """
-    return _render(_state, _enabled)
+    with _state_lock:
+        return _render(_state, _enabled)
 
 
 def _render(sink: _Sink, enabled: bool) -> dict:
     return {
         "enabled": enabled,
-        "counters": _safe_copy(sink.counters),
-        "gauges": _safe_copy(sink.gauges),
+        "counters": dict(sink.counters),
+        "gauges": dict(sink.gauges),
         "spans": {
             name: {"count": s[0], "total_s": s[1], "max_s": s[2]}
-            for name, s in _safe_copy(sink.span_stats).items()
+            for name, s in sink.span_stats.items()
         },
-        "hists": {
-            name: _hist_snapshot(h)
-            for name, h in _safe_copy(sink.hists).items()
-        },
+        "hists": {name: _hist_snapshot(h) for name, h in sink.hists.items()},
     }
 
 
 def events() -> list[dict]:
     """A copy of the bounded event buffer (oldest first)."""
     return list(_state.events)
-
-
-def events_since(marker: int, trace: str | None = None) -> list[dict]:
-    """The buffered events of spans opened since :func:`span_sequence`
-    returned ``marker``; with ``trace``, only those of that trace.
-    Iterates a copy, since other threads may be appending."""
-    return [e for e in list(_state.events)
-            if e.get("id", 0) >= marker
-            and (trace is None or e.get("trace") == trace)]
 
 
 def event_count() -> int:
@@ -692,9 +703,7 @@ def merge_snapshots(*snaps: dict | None) -> dict:
                     "total": into["total"] + h["total"],
                     "min": min(into["min"], h["min"]),
                     "max": max(into["max"], h["max"]),
-                    "p50": percentile(samples, 0.50),
-                    "p95": percentile(samples, 0.95),
-                    "p99": percentile(samples, 0.99),
+                    **percentiles(samples),
                     "samples": samples,
                 }
     if attempts:
@@ -716,44 +725,34 @@ def hit_rate(snap: dict, prefix: str) -> float | None:
     return hits / total
 
 
-class _Capture:
-    """Result holder for :func:`capture`."""
-
-    __slots__ = ("snapshot",)
-
-    def __init__(self) -> None:
-        self.snapshot: dict | None = None
-
-
 @contextmanager
 def capture():
     """Scope: counters/gauges/spans accrued inside the block.
 
-    Yields a holder whose ``snapshot`` attribute is filled in on exit
-    with only the activity of the block in this context — a report's
-    gauges are the ones it set — which then folds into the enclosing
-    scope (or the process aggregate).  No-op (snapshot None) while
-    disabled.
+    Yields the scope: its ``events`` and ``nodes`` grow with the span
+    events and provenance nodes recorded inside the block in this
+    context, and on exit its ``snapshot`` holds only the block's
+    activity (a report's gauges are the ones it set), which then folds
+    into the enclosing scope or the process aggregate.  No-op
+    (snapshot None, no events or nodes) while disabled.
     """
-    holder = _Capture()
     if not _enabled:
-        yield holder
+        yield _Scope(None)
         return
-    sink = _Sink()
-    token = _sink.set(sink)
+    scope = _Scope(_scope.get())
+    token = _scope.set(scope)
     try:
-        yield holder
+        yield scope
     finally:
-        _sink.reset(token)
-        snap = holder.snapshot = _render(sink, True)
+        _scope.reset(token)
+        snap = scope.snapshot = _render(scope, True)
         # report activity only: a probe that added zero leaves no entry
         snap["counters"] = {k: v for k, v in snap["counters"].items() if v}
-        outer = _sink.get()
-        if outer is not None:
-            outer.absorb(sink)
+        if scope.outer is not None:
+            scope.outer.absorb(scope)
         else:
-            with _fold_lock:
-                _state.absorb(sink)
+            with _state_lock:
+                _state.absorb(scope)
 
 
 # ---------------------------------------------------------------------------

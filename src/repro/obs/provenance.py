@@ -23,10 +23,11 @@ Every node is a plain dict stamped with the enclosing span's id
 span tree recorded by the core layer — :func:`render_tree` does exactly
 that join to print the derivation tree the ``explain`` CLI shows.
 
-The recorder is a separate switch from the core layer (``enable`` /
-``REPRO_PROV``) because it costs more: provenance nodes carry formula
-renderings.  Enabling provenance enables the core layer too (span ids
-are meaningless without it).  ``benchmarks/bench_overhead.py`` pins the
+The recorder is a separate switch from the core layer (:func:`enable`
+/ ``REPRO_PROV`` for the process, :func:`recording` for one block of
+one context) because it costs more: provenance nodes carry formula
+renderings.  Either enables the core layer too (span ids are
+meaningless without it).  ``benchmarks/bench_overhead.py`` pins the
 provenance-enabled overhead below 10% of an abduction round and the
 provenance-disabled overhead below 5%.
 
@@ -41,8 +42,11 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import threading
 from collections import deque
-from typing import Any, TextIO
+from contextlib import contextmanager
+from contextvars import ContextVar
+from typing import Any, Iterator, TextIO
 
 from . import context, core
 
@@ -53,63 +57,84 @@ __all__ = [
     "export_trace",
     "fmla",
     "is_enabled",
-    "mark",
     "node_count",
     "nodes",
-    "nodes_since",
     "read_trace",
     "record",
+    "recording",
     "render_tree",
     "reset",
 ]
 
 TRACE_SCHEMA = "repro.trace/1"
 
-_DEFAULT_BUFFER = 200_000
 _FORMULA_LIMIT = 160
 
-_enabled = False
-_nodes: deque[dict] = deque(maxlen=_DEFAULT_BUFFER)
+_enabled = False  # the process-wide switch
+_recording: ContextVar[bool] = ContextVar("repro.prov", default=False)
+_scoped = 0       # open recording() blocks, in all contexts
+_on = False       # _enabled or _scoped: the one check while off
+_switch_lock = threading.Lock()
+_nodes: deque[dict] = deque(maxlen=core._NODE_BUFFER)
 # ids come from an itertools.count, whose next() is one atomic call under
-# the GIL, so concurrent threads never mint the same id; ``_seq`` trails
-# the allocator so mark() can peek without consuming an id
+# the GIL, so concurrent threads never mint the same id
 _ids = itertools.count(1)
-_seq = 1
 
 
 # ---------------------------------------------------------------------------
 # lifecycle
 # ---------------------------------------------------------------------------
 
-def enable(*, buffer_size: int | None = None) -> None:
-    """Turn provenance recording on (idempotent).
+def enable() -> None:
+    """Turn provenance recording on for the whole process (idempotent).
 
     Also enables the core obs layer: provenance nodes are keyed to span
     ids, which only exist while spans are recorded.
     """
-    global _enabled, _nodes
-    if buffer_size is not None and buffer_size != _nodes.maxlen:
-        _nodes = deque(_nodes, maxlen=buffer_size)
+    global _enabled, _on
     core.enable()
-    _enabled = True
+    with _switch_lock:
+        _enabled = _on = True
 
 
 def disable() -> None:
-    """Stop recording; collected nodes stay readable."""
-    global _enabled
-    _enabled = False
+    """Stop process-wide recording; collected nodes stay readable."""
+    global _enabled, _on
+    with _switch_lock:
+        _enabled = False
+        _on = _scoped > 0
 
 
 def is_enabled() -> bool:
-    return _enabled
+    """Whether a node recorded here and now would be kept."""
+    return _on and (_enabled or _recording.get())
+
+
+@contextmanager
+def recording() -> Iterator[None]:
+    """Record provenance inside the block, in this context only (a
+    serve ``explain`` job's scope and the scopes nested in it), and
+    enable the core obs layer, as :func:`enable` does."""
+    global _scoped, _on
+    core.enable()
+    token = _recording.set(True)
+    with _switch_lock:
+        _scoped += 1
+        _on = True
+    try:
+        yield
+    finally:
+        with _switch_lock:
+            _scoped -= 1
+            _on = _enabled or _scoped > 0
+        _recording.reset(token)
 
 
 def reset() -> None:
     """Drop every recorded node and restart the id sequence."""
-    global _nodes, _ids, _seq
-    _nodes = deque(maxlen=_nodes.maxlen or _DEFAULT_BUFFER)
+    global _nodes, _ids
+    _nodes = deque(maxlen=core._NODE_BUFFER)
     _ids = itertools.count(1)
-    _seq = 1
 
 
 # ---------------------------------------------------------------------------
@@ -125,11 +150,9 @@ def record(kind: str, **data: Any) -> int:
     bound — the ambient ``trace`` id, so derivation steps join both the
     span tree and the cross-process request trace.
     """
-    global _seq
-    if not _enabled:
+    if not is_enabled():
         return 0
     node_id = next(_ids)
-    _seq = node_id + 1
     node = {
         "type": "prov",
         "id": node_id,
@@ -142,6 +165,10 @@ def record(kind: str, **data: Any) -> int:
         node["trace"] = trace
     node.update(data)
     _nodes.append(node)
+    scope = core._scope.get()
+    while scope is not None:
+        scope.nodes.append(node)
+        scope = scope.outer
     return node_id
 
 
@@ -160,20 +187,6 @@ def nodes() -> list[dict]:
 
 def node_count() -> int:
     return len(_nodes)
-
-
-def mark() -> int:
-    """A position marker: pass to :func:`nodes_since` to get only the
-    nodes recorded after this call (survives buffer eviction)."""
-    return _seq
-
-
-def nodes_since(marker: int, trace: str | None = None) -> list[dict]:
-    """The nodes recorded since :func:`mark` returned ``marker``; with
-    ``trace``, only those recorded under that trace.  Iterates a copy,
-    since other threads may be appending."""
-    return [n for n in list(_nodes) if n["id"] >= marker
-            and (trace is None or n.get("trace") == trace)]
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Any, Callable, Sequence
 
 from .. import obs
 
@@ -69,11 +69,10 @@ class Job:
     started: float | None = None
     finished: float | None = None
     waiters: int = 1               # clients attached (1 + coalesced)
-    events_marker: int = 0         # obs span sequence at run start
     result: dict | None = None     # the repro.result/2 envelope
     exit_code: int | None = None   # the schema.py status contract
-    events: tuple = ()             # obs span events of the run
-    provenance: tuple = ()         # derivation nodes (explain requests)
+    events: Sequence = ()          # obs span events of the run's scope
+    provenance: Sequence = ()      # its derivation nodes (explain)
     error: str | None = None       # submission-independent failure
     trace: dict | None = None      # TraceContext of the first submitter
     joined_traces: tuple = ()      # trace ids of coalesced joiners
@@ -196,19 +195,17 @@ class JobRegistry:
         with self._lock:
             return self._jobs.get(job_id)
 
-    def mark_running(self, job_id: str, events_marker: int) -> Job | None:
+    def mark_running(self, job_id: str, scope: Any) -> None:
+        """Start a job recording into ``scope``, its obs capture scope."""
         with self._lock:
             job = self._jobs.get(job_id)
-            if job is None:
-                return None
-            job.status = RUNNING
-            job.started = time.time()
-            job.events_marker = events_marker
-            return job
+            if job is not None:
+                job.status = RUNNING
+                job.started = time.time()
+                job.events, job.provenance = scope.events, scope.nodes
 
     def finish(self, job_id: str, *, result: dict | None,
-               exit_code: int | None, events: tuple = (),
-               provenance: tuple = (), error: str | None = None) -> None:
+               exit_code: int | None, error: str | None = None) -> None:
         """Settle a job: record its envelope, free its key, trim."""
         with self._lock:
             job = self._jobs.get(job_id)
@@ -218,8 +215,6 @@ class JobRegistry:
             job.finished = time.time()
             job.result = result
             job.exit_code = exit_code
-            job.events = events
-            job.provenance = provenance
             job.error = error
             if job.started is not None:
                 self._done_count += 1

@@ -20,7 +20,7 @@ keeps the sliding-window per-route latency/error SLOs behind
 ``/v1/statusz`` and /metrics.  The trace, the governor, the store and
 the telemetry scope are all bound per context, so jobs on concurrent
 worker threads never share them, and a job's events and provenance
-nodes are the ones stamped with its own trace id.
+nodes are the ones its own :func:`repro.obs.capture` scope recorded.
 
 Two submission kinds share one pipeline:
 
@@ -64,6 +64,7 @@ import queue
 import threading
 import time
 from collections import OrderedDict, deque
+from contextlib import nullcontext
 from typing import Any
 
 from .. import obs
@@ -78,7 +79,7 @@ from ..logic.digest import digest_many, digest_text
 from ..obs import context as ocontext
 from ..obs import logging as olog
 from ..obs import provenance as prov
-from ..obs.core import percentile
+from ..obs.core import percentiles
 from ..schema import EXIT_DEGRADED, SCHEMA_VERSION, exit_code
 from ..suite import BENCHMARKS, DIAGNOSTICS, benchmark_by_name, load_source
 
@@ -136,9 +137,8 @@ class RouteStats:
                 out[route] = {
                     "count": len(samples),
                     "error_rate": errors / len(samples),
-                    "p50_s": percentile(durs, 0.50),
-                    "p95_s": percentile(durs, 0.95),
-                    "p99_s": percentile(durs, 0.99),
+                    **{f"{key}_s": value
+                       for key, value in percentiles(durs).items()},
                     "max_s": max(durs),
                     "window_s": self._window,
                 }
@@ -491,8 +491,8 @@ class TriageService:
         For a finished job the HTTP status follows the shared contract
         (:func:`repro.schema.http_status`): verdict-bearing results are
         200, degraded results 503.  Running jobs stream the obs events
-        of their own trace accrued since their start marker (``since``
-        resumes an earlier poll by event id).
+        their own scope has recorded so far (``since`` resumes an
+        earlier poll by event id).
         """
         from ..schema import http_status
 
@@ -500,13 +500,8 @@ class TriageService:
         if job is None:
             return 404, {"error": f"no job {job_id!r}"}
         body = job.to_dict()
-        if job.status == "done":
-            events = job.events
-        else:
-            events = obs.events_since(max(job.events_marker, since),
-                                      job.trace_id) \
-                if job.status == "running" else ()
-        body["events"] = [dict(e) for e in events
+        # a copy first: a running job's scope is still growing
+        body["events"] = [dict(e) for e in tuple(job.events)
                           if e.get("id", 0) >= since]
         if job.status != "done":
             return 200, body
@@ -680,7 +675,7 @@ class TriageService:
                 )
 
     def _run_job(self, job_id: str) -> None:
-        job = self.registry.mark_running(job_id, obs.span_sequence())
+        job = self.registry.get(job_id)
         if job is None:
             return
         # the whole run executes under the submitting request's trace:
@@ -689,49 +684,38 @@ class TriageService:
         ctx = ocontext.TraceContext.from_dict(job.trace)
         request = job.request
         limits = _clamped_limits(self.limits, request.get("limits"))
-        explain = request.get("explain", False)
-        prov_was_on = prov.is_enabled()
-        if explain:
-            prov.enable()
-        prov_marker = prov.mark() if explain else None
         code = None
         started = time.time()
         with ocontext.bind(ctx):
             olog.info("serve.job_start", job=job_id, name=job.name,
                       kind=job.kind)
-            marker = obs.span_sequence()
-            try:
+            # the job's own scope holds its events and, for an explain
+            # job, the provenance nodes that it alone records
+            with prov.recording() if request.get("explain") \
+                    else nullcontext(), obs.capture() as scope:
+                self.registry.mark_running(job_id, scope)
                 if request.get("repair") or request["kind"] == "source":
                     envelope, code = self._run_report(request, limits)
-                    events = tuple(obs.events_since(
-                        marker, ocontext.current_trace_id()))
                 else:
-                    outcome = triage_with_retries(
+                    envelope = triage_with_retries(
                         request["name"], self.config, True, limits,
                         cache_dir=self.cache_dir,
                         incremental=self.cache_dir is not None,
-                    )
-                    envelope, events = outcome.to_dict(), outcome.events
-            finally:
-                if explain and not prov_was_on:
-                    prov.disable()
-            nodes = tuple(prov.nodes_since(
-                prov_marker, ocontext.current_trace_id())) \
-                if prov_marker is not None else ()
+                    ).to_dict()
             if code is None:
                 degraded = bool(envelope.get("degraded")) \
                     or envelope.get("error") is not None
                 code = exit_code([envelope["verdict"]], degraded=degraded)
             if ctx is not None and "trace_id" not in envelope:
                 envelope["trace_id"] = ctx.trace_id
-            self.registry.finish(job_id, result=envelope, exit_code=code,
-                                 events=events, provenance=nodes)
+            # the scope has folded into the aggregate: /metrics already
+            # counts the job when it shows as done
+            self.registry.finish(job_id, result=envelope, exit_code=code)
             finished = time.time()
             olog.info("serve.job_done", job=job_id, name=job.name,
                       verdict=envelope.get("verdict"), exit_code=code,
                       dur_ms=round(1000.0 * (finished - started), 3))
         if ctx is not None:
-            done = self.registry.get(job_id)
             self.flights.record({
                 "trace_id": ctx.trace_id,
                 "job_id": job_id,
@@ -742,10 +726,10 @@ class TriageService:
                 "started": started,
                 "finished": finished,
                 "duration_s": round(finished - started, 6),
-                "events": len(events),
-                "provenance_nodes": len(nodes),
-                "joined_traces": list(done.joined_traces) if done else [],
-            }, aliases=tuple(done.joined_traces) if done else ())
+                "events": len(scope.events),
+                "provenance_nodes": len(scope.nodes),
+                "joined_traces": list(job.joined_traces),
+            }, aliases=job.joined_traces)
 
     def _run_report(self, request: dict, limits: Limits | None
                     ) -> tuple[dict, int | None]:

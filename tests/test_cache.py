@@ -379,6 +379,48 @@ class TestWarmRetriage:
             block["invariants_digest"]
 
 
+    def test_cache_block_counts_only_its_own_session(self, tmp_path,
+                                                     monkeypatch):
+        """Another thread reads and writes the same store while a
+        report's engine session waits in its oracle: the report's
+        ``cache`` block still equals its serial run's."""
+        from repro.batch.outcomes import _triage_one
+        from repro.diagnosis import ExhaustiveOracle
+
+        name = "p05_strlcpy"
+        counts = ("invariants_digest", "success_digest",
+                  "hits", "misses", "puts")
+        serial = _triage_one(name, cache_dir=str(tmp_path / "serial"))
+        assert serial.cache["misses"] and serial.cache["puts"]
+
+        shared = str(tmp_path / "shared")
+        mid_session, peer_done = threading.Event(), threading.Event()
+        answer = ExhaustiveOracle.answer
+
+        def gated(oracle, query):
+            if not mid_session.is_set():
+                mid_session.set()
+                assert peer_done.wait(60)
+            return answer(oracle, query)
+
+        def peer():
+            assert mid_session.wait(60)
+            store = open_store(shared)
+            store.get("entail", "absent")
+            store.put("entail", "peer", {"peer": True})
+            store.get("entail", "peer")
+            peer_done.set()
+
+        monkeypatch.setattr(ExhaustiveOracle, "answer", gated)
+        thread = threading.Thread(target=peer)
+        thread.start()
+        outcome = _triage_one(name, cache_dir=shared)
+        thread.join(timeout=60)
+        assert not thread.is_alive() and peer_done.is_set()
+        assert {k: outcome.cache[k] for k in counts} == \
+            {k: serial.cache[k] for k in counts}
+
+
 # ---------------------------------------------------------------------------
 # incremental re-triage
 # ---------------------------------------------------------------------------

@@ -240,6 +240,99 @@ class TestCapture:
         assert obs.snapshot()["counters"]["shared"] == 800_000
 
 
+    def test_unscoped_probes_are_never_lost(self):
+        """2 threads x 20,000 unscoped increments, observations and
+        spans race 2 threads x 2,000 one-probe scopes folding into the
+        aggregate, under a 1 us switch interval: the aggregate counts
+        exactly 44,000 of each."""
+        import sys
+        import threading
+
+        obs.enable()
+
+        def probe():
+            obs.inc("shared")
+            obs.observe("sample", 1.0)
+            with obs.span("tick"):
+                pass
+
+        def unscoped():
+            for _ in range(20_000):
+                probe()
+
+        def scoped():
+            for _ in range(2_000):
+                with obs.capture():
+                    probe()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work)
+                       for work in (unscoped, unscoped, scoped, scoped)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        snap = obs.snapshot()
+        assert snap["counters"]["shared"] == 44_000
+        assert snap["hists"]["sample"]["count"] == 44_000
+        assert snap["spans"]["tick"]["count"] == 44_000
+        assert snap["hists"]["tick"]["count"] == 44_000
+
+    def test_a_scope_holds_the_events_recorded_inside_it(self):
+        obs.enable()
+        with obs.span("before"):
+            pass
+        with obs.capture() as outer:
+            with obs.span("outer"):
+                with obs.capture() as inner:
+                    with obs.span("inner"):
+                        pass
+                assert [e["name"] for e in outer.events] == ["inner"]
+        assert [e["name"] for e in inner.events] == ["inner"]
+        assert [e["name"] for e in outer.events] == ["inner", "outer"]
+        assert [e["name"] for e in obs.events()] == \
+            ["before", "inner", "outer"]
+
+    def test_report_events_do_not_depend_on_the_ring_size(self):
+        """A report's events come from its own scope: with a 4-event
+        process ring it still carries every span event it recorded."""
+        from repro.batch.outcomes import _triage_one
+
+        obs.enable(buffer_size=4)
+        try:
+            outcome = _triage_one("p01_accumulate", telemetry=True)
+        finally:
+            obs.enable(buffer_size=obs.core._DEFAULT_BUFFER)
+        counted: dict[str, int] = {}
+        for event in outcome.events:
+            counted[event["name"]] = counted.get(event["name"], 0) + 1
+        assert counted == {name: s["count"] for name, s
+                           in outcome.telemetry["spans"].items()}
+        assert counted["triage.report"] == 1
+        assert len(outcome.events) > 4
+
+
+class TestPercentiles:
+    def test_one_sort_gives_what_percentile_gives(self):
+        import random
+
+        from repro.obs.core import percentiles
+
+        rng = random.Random(2012)
+        for size in (0, 1, 2, 3, 19, 20, 21, 99, 100, 101, 2047, 2048):
+            for _ in range(5):
+                samples = [rng.choice((rng.random(), rng.randint(0, 9)))
+                           for _ in range(size)]
+                assert percentiles(samples) == {
+                    key: obs.percentile(samples, q) for key, q in
+                    (("p50", 0.50), ("p95", 0.95), ("p99", 0.99))}
+
+
 class TestStubbed:
     def test_stubbed_turns_probes_into_noops(self):
         obs.enable()

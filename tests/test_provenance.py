@@ -64,15 +64,48 @@ class TestRecorder:
         assert node["at"] > 0
         assert node["text"] == "I and phi sat?"
 
-    def test_mark_and_nodes_since(self):
+    def test_a_scope_holds_the_nodes_recorded_inside_it(self):
         prov.enable()
         prov.record("entailment", lemma="1")
-        marker = prov.mark()
-        prov.record("entailment", lemma="2")
-        prov.record("verdict", verdict="real bug")
-        since = prov.nodes_since(marker)
-        assert [n["kind"] for n in since] == ["entailment", "verdict"]
-        assert all(n["id"] >= marker for n in since)
+        with obs.capture() as outer:
+            prov.record("entailment", lemma="2")
+            with obs.capture() as inner:
+                prov.record("verdict", verdict="real bug")
+            assert [n["kind"] for n in outer.nodes] == \
+                ["entailment", "verdict"]
+        assert [n.get("lemma") for n in outer.nodes] == ["2", None]
+        assert [n["kind"] for n in inner.nodes] == ["verdict"]
+        # the process ring keeps receiving every node
+        assert [n["kind"] for n in prov.nodes()] == \
+            ["entailment", "entailment", "verdict"]
+
+    def test_recording_is_confined_to_its_context(self):
+        """Two barrier-interleaved threads, each in its own scope, one
+        inside ``recording()``: only that one keeps nodes, and the
+        switch is off everywhere once the block exits."""
+        obs.enable()
+        barrier = threading.Barrier(2, timeout=10)
+        kept = {}
+
+        def worker(records):
+            with obs.capture() as cap:
+                with prov.recording() if records else obs.capture():
+                    barrier.wait()
+                    prov.record("query", text="q")
+                    barrier.wait()
+            kept[records] = [n["kind"] for n in cap.nodes]
+
+        threads = [threading.Thread(target=worker, args=(flag,))
+                   for flag in (True, False)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=20)
+        assert not any(thread.is_alive() for thread in threads)
+        assert kept == {True: ["query"], False: []}
+        assert len(prov.nodes()) == 1
+        assert not prov.is_enabled()
+        assert prov.record("query") == 0
 
     def test_reset_restarts_ids(self):
         prov.enable()

@@ -491,9 +491,6 @@ class TestConcurrentJobs:
         from repro.batch.outcomes import _triage_one
 
         names = [b.name for b in BENCHMARKS]
-        # room for every job's span events (~1,700 in all): the buffer
-        # keeps whatever size an earlier test gave it
-        obs.enable(buffer_size=10_000)
         service = TriageService(max_inflight=len(names), workers=2)
         handles = [service.submit({"benchmark": name})[1]
                    for name in names]
@@ -561,3 +558,143 @@ class TestConcurrentJobs:
             service.stop()
         assert jobs[-1].result["verdict"] != "unknown resource", \
             jobs[-1].result
+
+    def test_concurrent_explain_jobs_keep_their_own_derivations(
+            self, monkeypatch):
+        """p10 and p02 run as concurrent ``explain`` jobs, gated so
+        that p02 starts while p10 records, asks its oracle, and resumes
+        only once p10's job has finished: each job's query, abduce and
+        verdict nodes equal its solo run's."""
+        from repro.diagnosis import ExhaustiveOracle
+        from repro.limits import faults
+
+        names = ("p10_toggle", "p02_wordcount")
+
+        def derivation(job) -> list:
+            return [{k: v for k, v in n.items()
+                     if k not in ("id", "span", "at", "trace")}
+                    for n in job.provenance
+                    if n["kind"] in ("query", "abduce", "verdict")]
+
+        solo = {}
+        for name in names:
+            service = TriageService()
+            _, handle = service.submit({"benchmark": name,
+                                        "explain": True})
+            service._run_job(handle["job_id"])
+            solo[name] = derivation(service.registry.get(handle["job_id"]))
+            assert {n["kind"] for n in solo[name]} == \
+                {"query", "abduce", "verdict"}, name
+
+        asking = {name: threading.Event() for name in names}
+        p10_done = threading.Event()
+        answer = ExhaustiveOracle.answer
+        run_job = TriageService._run_job
+
+        def gated_answer(oracle, query):
+            name = faults.current_report()
+            if not asking[name].is_set():
+                asking[name].set()
+                other = asking["p02_wordcount"] if name == "p10_toggle" \
+                    else p10_done
+                assert other.wait(60), name
+            return answer(oracle, query)
+
+        def gated_run_job(service, job_id):
+            name = service.registry.get(job_id).name
+            if name == "p02_wordcount":
+                assert asking["p10_toggle"].wait(60)
+            run_job(service, job_id)
+            if name == "p10_toggle":
+                p10_done.set()
+
+        monkeypatch.setattr(ExhaustiveOracle, "answer", gated_answer)
+        monkeypatch.setattr(TriageService, "_run_job", gated_run_job)
+        service = TriageService(max_inflight=2, workers=2)
+        handles = [service.submit({"benchmark": name, "explain": True})[1]
+                   for name in names]
+        service.start()
+        try:
+            jobs = _run_to_completion(service, handles)
+        finally:
+            service.stop()
+        for name, job in zip(names, jobs):
+            assert derivation(job) == solo[name], name
+            status, body = service.explain(job.id)
+            assert status == 200, body
+            assert body["nodes"][-1]["kind"] == "verdict", name
+
+    def test_jobs_sharing_a_trace_id_keep_disjoint_events(
+            self, monkeypatch):
+        """Two jobs on one trace (as a fleet coordinator submits them),
+        gated so that p05 runs start to finish while p01 waits in its
+        oracle: each job's events, read while it is still running and
+        once it is done, hold exactly one ``triage.report`` span, its
+        own, and no event of the other job."""
+        from repro.diagnosis import ExhaustiveOracle
+        from repro.limits import faults
+        from repro.obs import context as ocontext
+        from repro.serve.jobs import JobRegistry
+
+        first, second = "p01_accumulate", "p05_strlcpy"
+        first_asking, second_done = threading.Event(), threading.Event()
+        finishing = {first: threading.Event(), second: threading.Event()}
+        checked = {first: threading.Event(), second: threading.Event()}
+        answer = ExhaustiveOracle.answer
+        run_job = TriageService._run_job
+        finish = JobRegistry.finish
+
+        def gated_answer(oracle, query):
+            if faults.current_report() == first \
+                    and not first_asking.is_set():
+                first_asking.set()
+                assert second_done.wait(60)
+            return answer(oracle, query)
+
+        def gated_run_job(service, job_id):
+            name = service.registry.get(job_id).name
+            if name == second:
+                assert first_asking.wait(60)
+            run_job(service, job_id)
+            if name == second:
+                second_done.set()
+
+        def gated_finish(registry, job_id, **kwargs):
+            name = registry.get(job_id).name
+            finishing[name].set()
+            assert checked[name].wait(60)
+            finish(registry, job_id, **kwargs)
+
+        monkeypatch.setattr(ExhaustiveOracle, "answer", gated_answer)
+        monkeypatch.setattr(TriageService, "_run_job", gated_run_job)
+        monkeypatch.setattr(JobRegistry, "finish", gated_finish)
+        root = ocontext.new_trace("fleet")
+        service = TriageService(max_inflight=2, workers=2)
+        handles = {name: service.submit({"benchmark": name},
+                                        trace=root.child())[1]
+                   for name in (first, second)}
+        assert len({h["trace_id"] for h in handles.values()}) == 1
+        running = {}
+        service.start()
+        try:
+            for name in (second, first):
+                assert finishing[name].wait(120), name
+                status, body = service.job_status(handles[name]["job_id"])
+                assert body["status"] == "running", body
+                running[name] = body["events"]
+                checked[name].set()
+            jobs = dict(zip(handles, _run_to_completion(
+                service, list(handles.values()))))
+        finally:
+            for event in checked.values():
+                event.set()
+            service.stop()
+        done = {name: [dict(e) for e in job.events]
+                for name, job in jobs.items()}
+        for name in (first, second):
+            for events in (running[name], done[name]):
+                reports = [e["attrs"]["report"] for e in events
+                           if e["name"] == "triage.report"]
+                assert reports == [name], (name, reports)
+        assert not {e["id"] for e in done[first]} \
+            & {e["id"] for e in done[second]}
