@@ -556,7 +556,8 @@ def _cmd_repair(args: argparse.Namespace) -> int:
     if result.num_queries is not None:
         print(f"queries: {result.num_queries}")
     for patch in result.patches:
-        status = ("verified" if patch.verified
+        status = ("verified, refuted" if patch.verified and patch.refuted
+                  else "verified" if patch.verified
                   else f"rejected ({patch.rejected})" if patch.rejected
                   else "unverified")
         print()

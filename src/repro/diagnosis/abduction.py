@@ -19,6 +19,9 @@ Both are computed the same way (Lemma 3 / Lemma 5):
    ``I => target``;
 3. simplify the result with ``I`` as the critical constraint so the user
    is not asked about facts the analysis already knows.
+
+All three steps read only the part of ``I`` that the target and the side
+formulas can reach (:func:`relevant_invariants`).
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .. import obs
-from ..logic.formulas import Formula, implies, neg
+from ..logic.formulas import And, Formula, conj, implies, neg
 from ..obs import provenance as prov
 from ..logic.terms import Var
 from ..msa import MsaResult, MsaSolver
@@ -62,6 +65,43 @@ def _relevant_variables(goal: Formula,
                 reached.add(u)
                 frontier.append(u)
     return sorted(reached, key=lambda v: v.name)
+
+
+def relevant_invariants(solver: SmtSolver, invariants: Formula,
+                        *seeds: Formula) -> Formula:
+    """The slice ``I_rel`` of ``invariants`` that checks over ``seeds``
+    can reach (docs/INTERNALS.md, "Slicing ``I``").
+
+    ``I_rel`` keeps the ground conjuncts and every conjunct that shares
+    a variable with the seeds, directly or through kept conjuncts.  The
+    rest, ``I_irr``, shares no variable with ``I_rel`` or the seeds, so
+    when it is satisfiable every check over the seeds' variables
+    decides the same on ``I_rel``: ``SAT(I ∧ ψ)``, ``I |= ψ``, and
+    ``forall X. (I -> t)`` once ``X`` covers ``I_irr``'s variables.
+    ``invariants`` itself comes back when nothing is dropped, and when
+    ``I_irr`` is unsatisfiable, which the consistency check must see.
+
+    The split is by conjunct, not by atom: a disjunctive conjunct
+    couples all of its atoms' variables.
+    """
+    parts = invariants.args if isinstance(invariants, And) \
+        else (invariants,)
+    reached: set[Var] = set()
+    for seed in seeds:
+        reached |= seed.free_vars()
+    keep = [not part.free_vars() for part in parts]
+    grown = True
+    while grown:
+        grown = False
+        for index, part in enumerate(parts):
+            if not keep[index] \
+                    and not reached.isdisjoint(part.free_vars()):
+                keep[index] = grown = True
+                reached |= part.free_vars()
+    dropped = [p for p, k in zip(parts, keep) if not k]
+    if not dropped or not solver.is_sat(conj(*dropped)):
+        return invariants
+    return conj(*(p for p, k in zip(parts, keep) if k))
 
 
 @dataclass(frozen=True)
@@ -110,7 +150,7 @@ class Abducer:
             invariants,
             target=success,
             costs=costs,
-            consistency=[invariants, *witnesses, *extra_consistency],
+            side=(*witnesses, *extra_consistency),
             kind="proof_obligation",
         )
 
@@ -131,7 +171,7 @@ class Abducer:
             invariants,
             target=neg(success),
             costs=costs,
-            consistency=[invariants, *extra_consistency],
+            side=tuple(extra_consistency),
             kind="failure_witness",
         )
 
@@ -141,15 +181,21 @@ class Abducer:
         invariants: Formula,
         target: Formula,
         costs: CostFn,
-        consistency: list[Formula],
+        side: tuple[Formula, ...],
         kind: str,
     ) -> Abduction | None:
+        """Lemma 3/5 against ``I``, keeping the MSA consistent with ``I``
+        and with each ``side`` formula.  The callers' cost map prices
+        the full ``I``; the MSA, the elimination and the simplification
+        see only its slice, since the rest changes none of them."""
         obs.inc(f"abduce.{kind}")
+        invariants = relevant_invariants(self._solver, invariants, target,
+                                         *side)
         goal = implies(invariants, target)
         relevant = _relevant_variables(goal, target.free_vars())
         with obs.span("abduce.msa", kind=kind):
             msa = self._msa.find(
-                goal, costs, consistency=consistency,
+                goal, costs, consistency=[invariants, *side],
                 strategy=self._strategy, restrict=relevant,
             )
         if msa is None:

@@ -45,7 +45,7 @@ from ..logic.serialize import (
     var_to_obj,
 )
 from ..msa import MsaResult
-from .abduction import Abducer, Abduction
+from .abduction import Abducer, Abduction, relevant_invariants
 from .cost import formula_cost, pi_p, pi_w, uniform
 
 __all__ = [
@@ -154,20 +154,24 @@ def entail_stage(solver, invariants: Formula, success: Formula,
                              round_index)
             return outcome
 
+    # The checks read only the part of I that phi and the witnesses can
+    # reach, which decides each of them exactly as all of I does; the
+    # key and the derivation records keep the full judgment.
+    sliced = relevant_invariants(solver, invariants, success, *witnesses)
     # Inconsistent knowledge would make every check below vacuous; bail
     # out before trusting it (only reachable via an oracle that
     # contradicted itself).
-    consistent = solver.is_sat(invariants)
+    consistent = solver.is_sat(sliced)
     discharged = validated = witness_index = None
     if consistent:
         # Figure 6, lines 3-4: try to close the report outright.
-        discharged = solver.is_valid(implies(invariants, success))
+        discharged = solver.is_valid(implies(sliced, success))
         if not discharged:
             # Lemma 2: I |= !phi — every execution fails the check
-            validated = not solver.is_sat(conj(invariants, success))
+            validated = not solver.is_sat(conj(sliced, success))
             if not validated:
                 for index, psi in enumerate(witnesses):
-                    if not solver.is_sat(conj(invariants, psi, success)):
+                    if not solver.is_sat(conj(sliced, psi, success)):
                         witness_index = index
                         break
     outcome = EntailOutcome(

@@ -12,6 +12,13 @@ consistency guard, re-check after patch):
 2. **Consistency guard.** A candidate with ``UNSAT(I ∧ ψ)`` would
    "repair" the program by making its axioms contradictory; it is
    rejected before any splicing (``repair.rejected.inconsistent``).
+   A candidate with ``UNSAT(I ∧ ψ ∧ w)`` for a fact ``w`` the oracle
+   showed some execution satisfies (a refuted invariant clause's
+   negation, or an affirmed witness clause) is *refuted*: its
+   ``@post``/``@assume`` plans would claim a fact that execution
+   violates, so they are rejected unspliced
+   (``repair.rejected.refuted``); its guard plans are verified as usual
+   but rank below every unrefuted verified patch.
 3. **Placement.** :func:`repro.repair.candidates.plan_placements` maps
    CNF clauses onto havoc ``@assume``s, loop ``@post``s (Ilinva), or a
    check-site guard.
@@ -20,11 +27,13 @@ consistency guard, re-check after patch):
    accepted only if the *patched* judgment discharges outright
    (:func:`entail_stage`: consistent and Lemma 1).  No trust in the
    mapping, only in the re-run.
-5. **Ranking.** The paper's cost order: fewest variables, then smallest
-   formula, then the more targeted placement.
+5. **Ranking.** Verified first, unrefuted before refuted, then the
+   paper's cost order: fewest variables, then smallest formula, then
+   the more targeted placement.
 
 Synthesis is content-addressed like every other stage: the patch list
-is keyed by ``(I, φ, candidate digests, source digest, config)`` under
+is keyed by ``(I, φ, candidate digests, refuting facts, source digest,
+config)`` under
 the ``repair`` stage, so warm re-runs and the serve coalescing path get
 patches without re-verifying.
 """
@@ -32,12 +41,12 @@ patches without re-verifying.
 from __future__ import annotations
 
 import difflib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .. import obs
 from ..analysis import AnalysisResult
 from ..cache import current_store, use_store
-from ..diagnosis.abduction import Abducer
+from ..diagnosis.abduction import Abducer, relevant_invariants
 from ..diagnosis.queries import Answer
 from ..diagnosis.stages import (
     STAGE_VERSION,
@@ -67,12 +76,13 @@ __all__ = [
     "RepairPatch",
     "RepairResult",
     "learned_facts",
+    "refuting_facts",
     "synthesize_repairs",
 ]
 
 #: Version of the repair artifact format; folded into the cache key so a
 #: change to patch generation invalidates recorded patch lists wholesale.
-REPAIR_VERSION = "r1"
+REPAIR_VERSION = "r2"
 
 
 # ---------------------------------------------------------------------------
@@ -110,8 +120,9 @@ class RepairPatch:
     diff: str                      # unified diff, canonical renderings
     patched_source: str            # full patched program text
     verified: bool
-    rejected: str | None           # 'inconsistent' | 'not-discharged'
+    rejected: str | None  # 'inconsistent' | 'refuted' | 'not-discharged'
     cost: tuple[int, int]          # (variables, formula size)
+    refuted: bool = False          # ψ contradicts a refuting fact
 
     @property
     def gamma_digest(self) -> str:
@@ -126,6 +137,7 @@ class RepairPatch:
             "cost": {"variables": self.cost[0], "size": self.cost[1]},
             "verified": self.verified,
             **({"rejected": self.rejected} if self.rejected else {}),
+            **({"refuted": True} if self.refuted else {}),
             "edits": [e.to_dict() for e in self.edits],
             "diff": self.diff,
             "patched_source": self.patched_source,
@@ -251,6 +263,21 @@ def learned_facts(session) -> list[Formula]:
     return facts
 
 
+def refuting_facts(session) -> list[Formula]:
+    """Every fact a diagnosis session learned holds in *some* execution:
+    negations of refuted invariant clauses and affirmed witness
+    clauses (the session's learned witnesses)."""
+    facts: list[Formula] = []
+    for interaction in session.interactions:
+        if interaction.query.kind == "invariant" \
+                and interaction.answer is Answer.NO:
+            facts.append(neg(interaction.query.formula))
+        elif interaction.query.kind == "witness" \
+                and interaction.answer is Answer.YES:
+            facts.append(interaction.query.formula)
+    return facts
+
+
 def _candidate_formulas(analysis: AnalysisResult, config, solver,
                         session) -> list[Formula]:
     candidates: list[Formula] = []
@@ -333,6 +360,7 @@ def _patch_to_artifact(patch: RepairPatch) -> dict:
         "verified": patch.verified,
         "rejected": patch.rejected,
         "cost": list(patch.cost),
+        "refuted": patch.refuted,
     }
 
 
@@ -351,6 +379,7 @@ def _patch_from_artifact(rank: int, artifact: dict) -> RepairPatch:
         verified=artifact["verified"],
         rejected=artifact["rejected"],
         cost=(artifact["cost"][0], artifact["cost"][1]),
+        refuted=artifact["refuted"],
     )
 
 
@@ -367,9 +396,15 @@ def _record_prov(patches: list[RepairPatch], candidates: int) -> None:
         )
 
 
+def _consistent(solver, invariants: Formula, *facts: Formula) -> bool:
+    """``SAT(I ∧ facts)``, decided on the slice of ``I`` they reach."""
+    return solver.is_sat(conj(
+        relevant_invariants(solver, invariants, *facts), *facts))
+
+
 def _plan_and_verify(program: Program, analysis: AnalysisResult,
-                     candidates: list[Formula], solver,
-                     original: str) -> list[RepairPatch]:
+                     candidates: list[Formula], refuting: list[Formula],
+                     solver, original: str) -> list[RepairPatch]:
     """Place every candidate and verify each placement (unranked)."""
     raw: list[RepairPatch] = []
     for psi in candidates:
@@ -380,17 +415,27 @@ def _plan_and_verify(program: Program, analysis: AnalysisResult,
         # the ARGIR consistency guard: a condition contradicting the
         # axioms must never be spliced in, however well it "proves"
         # the obligation (UNSAT premises prove anything)
-        consistent = solver.is_sat(conj(analysis.invariants, psi))
+        consistent = _consistent(solver, analysis.invariants, psi)
+        # Figure 6's line-5 condition, applied to patches: ψ must leave
+        # room for every execution the oracle said exists
+        refuted = consistent and any(
+            not _consistent(solver, analysis.invariants, psi, w)
+            for w in refuting)
         cost = (len(psi.free_vars()), psi.size())
         for plan in plans:
             obs.inc("repair.plans")
-            if not consistent:
-                obs.inc("repair.rejected.inconsistent")
+            # an @post or @assume edit claims ψ of every execution
+            claims = any(e.kind in ("post", "assume") for e in plan.edits)
+            rejected = None if consistent else "inconsistent"
+            if refuted and claims:
+                rejected = "refuted"
+            if rejected is not None:
+                obs.inc(f"repair.rejected.{rejected}")
                 raw.append(RepairPatch(
                     rank=0, kind=plan.kind, formula=psi,
                     edits=_edit_records(plan), diff="",
                     patched_source="", verified=False,
-                    rejected="inconsistent", cost=cost,
+                    rejected=rejected, cost=cost, refuted=refuted,
                 ))
                 continue
             patched = apply_edits(program, plan.edits)
@@ -407,7 +452,7 @@ def _plan_and_verify(program: Program, analysis: AnalysisResult,
                 diff=_diff(program.name, original, source),
                 patched_source=source,
                 verified=rejected is None, rejected=rejected,
-                cost=cost,
+                cost=cost, refuted=refuted,
             ))
     return raw
 
@@ -424,8 +469,10 @@ def synthesize_repairs(program: Program, analysis: AnalysisResult, *,
 
     ``program`` must be the (annotated) program ``analysis`` describes;
     ``session`` optionally contributes the facts a diagnosis session
-    learned.  Patches come back ranked — verified ones first, by the
-    paper's cost order — and truncated to ``max_patches``.
+    learned, and the refuting facts that no ``@post``/``@assume`` patch
+    may contradict.  Patches come back ranked — verified ones first,
+    unrefuted before refuted, then by the paper's cost order — and
+    truncated to ``max_patches``.
     """
     from ..diagnosis import EngineConfig
     from ..smt import SmtSolver
@@ -438,6 +485,7 @@ def synthesize_repairs(program: Program, analysis: AnalysisResult, *,
         candidates = _candidate_formulas(analysis, config, solver,
                                          session)
         obs.inc("repair.candidates", len(candidates))
+        refuting = refuting_facts(session) if session is not None else []
 
         original = render_program(program)
         key = None
@@ -446,7 +494,7 @@ def synthesize_repairs(program: Program, analysis: AnalysisResult, *,
                 "repair", STAGE_VERSION, REPAIR_VERSION,
                 config_fingerprint(config), digest_text(original),
                 analysis.invariants, analysis.success,
-                "C", *candidates,
+                "C", *candidates, "R", *refuting,
             )
             artifact = store.get("repair", key)
             if artifact is not None:
@@ -460,22 +508,17 @@ def synthesize_repairs(program: Program, analysis: AnalysisResult, *,
         # a warm run replays the whole ``repair`` artifact, so it would
         # never read what the consistency guard and verification write
         with use_store(None):
-            raw = _plan_and_verify(program, analysis, candidates, solver,
-                                   original)
+            raw = _plan_and_verify(program, analysis, candidates,
+                                   refuting, solver, original)
 
+        # a refuted ψ's guard turns the check off for executions the
+        # oracle said exist: it ranks below every unrefuted patch
         kind_order = {"targeted": 0, "guard": 1}
         raw.sort(key=lambda p: (
-            not p.verified, p.cost[0], p.cost[1],
+            not p.verified, p.refuted, p.cost[0], p.cost[1],
             kind_order.get(p.kind, 2), p.gamma_digest,
         ))
-        patches = [
-            RepairPatch(rank=rank, kind=p.kind, formula=p.formula,
-                        edits=p.edits, diff=p.diff,
-                        patched_source=p.patched_source,
-                        verified=p.verified, rejected=p.rejected,
-                        cost=p.cost)
-            for rank, p in enumerate(raw, 1)
-        ]
+        patches = [replace(p, rank=rank) for rank, p in enumerate(raw, 1)]
         if store is not None and key is not None:
             store.put("repair", key, {
                 "patches": [_patch_to_artifact(p) for p in patches],

@@ -42,6 +42,11 @@ jobs coalesce separately from plain triage (the mode is folded into
 the job key) and their exit code follows the repair contract: a false
 alarm with no surviving patch is a failure, not a success.
 
+``"explain": true`` records the run's derivation for
+``GET /v1/jobs/<id>/explain``.  It is folded into the job key too, and
+an explain job always runs its stages: it is never answered inline from
+a finished job or from a recorded verdict, which carry no derivation.
+
 Coalescing is two-level, both keyed by dg1 content digests: identical
 submissions in flight join one job (`serve.coalesced`), and distinct
 sources whose ``(I, phi)`` judgment digests match share work through
@@ -373,6 +378,7 @@ class TriageService:
         if not coalesced:
             if request["kind"] == "benchmark" \
                     and not request.get("repair") \
+                    and not request.get("explain") \
                     and self._recorded(request["name"]):
                 # the store already holds this judgment's verdict: the
                 # run short-circuits in milliseconds, so answer inline
@@ -407,10 +413,12 @@ class TriageService:
     @staticmethod
     def _reusable(job) -> bool:
         """Only clean verdicts may be served inline from a retained
-        job — degraded/errored envelopes depend on the run."""
+        job — degraded/errored envelopes depend on the run — and never
+        to an ``explain`` submission, whose derivation is its own run's."""
         return (job.result is not None
                 and job.exit_code is not None
-                and job.exit_code != EXIT_DEGRADED)
+                and job.exit_code != EXIT_DEGRADED
+                and not job.request.get("explain"))
 
     def _validate(self, payload: Any) -> dict:
         if not isinstance(payload, dict):
@@ -466,13 +474,17 @@ class TriageService:
         artifact chain — so identical submissions coalesce in flight
         and same-judgment sources share through the store.
 
-        A coordinator retrying a report (``attempt > 0``, see
+        An ``explain`` submission keys apart from a plain one: it must
+        record the derivation that a plain job never records.  A
+        coordinator retrying a report (``attempt > 0``, see
         :mod:`repro.sched.remote`) gets a fresh key: the retry must
         never coalesce onto the original, possibly wedged, job."""
         mode = "repair" if request.get("repair") else "triage"
-        extra = ()
+        extra: tuple[str, ...] = ()
+        if request.get("explain"):
+            extra += ("explain",)
         if request.get("attempt"):
-            extra = (f"attempt={request['attempt']}",)
+            extra += (f"attempt={request['attempt']}",)
         if request["kind"] == "benchmark":
             return digest_many("serve.bench", STAGE_VERSION, mode,
                                request["name"], self._fingerprint,
@@ -697,10 +709,13 @@ class TriageService:
                 if request.get("repair") or request["kind"] == "source":
                     envelope, code = self._run_report(request, limits)
                 else:
+                    # an explain job runs its stages (replays record
+                    # the same nodes); a recorded verdict has none
                     envelope = triage_with_retries(
                         request["name"], self.config, True, limits,
                         cache_dir=self.cache_dir,
-                        incremental=self.cache_dir is not None,
+                        incremental=self.cache_dir is not None
+                        and not request.get("explain"),
                     ).to_dict()
             if code is None:
                 degraded = bool(envelope.get("degraded")) \

@@ -698,3 +698,35 @@ class TestConcurrentJobs:
                 assert reports == [name], (name, reports)
         assert not {e["id"] for e in done[first]} \
             & {e["id"] for e in done[second]}
+
+
+class TestExplainJobs:
+    @pytest.mark.parametrize("stored", [False, True],
+                             ids=["no-store", "recorded-verdict"])
+    def test_explain_submission_runs_a_job_of_its_own(self, tmp_path,
+                                                      stored):
+        """A plain p10 job, then the same benchmark with ``explain:
+        true``: the second is neither answered from the first job nor
+        from the store's recorded verdict, and its ``/explain`` returns
+        the derivation.  A repeated explain submission runs again."""
+        service = TriageService(
+            cache_dir=str(tmp_path / "store") if stored else None)
+        _, plain = service.submit({"benchmark": "p10_toggle"})
+        service._run_job(plain["job_id"])
+        assert service._recorded("p10_toggle") is stored
+
+        ids = [plain["job_id"]]
+        for _ in range(2):
+            status, body = service.submit({"benchmark": "p10_toggle",
+                                           "explain": True})
+            assert status == 202 and "served" not in body, body
+            service._run_job(body["job_id"])
+            ids.append(body["job_id"])
+            status, tree = service.explain(body["job_id"])
+            assert status == 200, tree
+            kinds = {n["kind"] for n in tree["nodes"]}
+            assert {"query", "abduce", "verdict"} <= kinds, kinds
+            job = service.registry.get(body["job_id"])
+            assert job.result["verdict"] == "real bug"
+        assert len(set(ids)) == 3, ids
+        assert service.explain(plain["job_id"])[0] == 404
