@@ -16,8 +16,10 @@ import os
 
 import pytest
 
+from repro import obs
 from repro.batch import triage_many
 from repro.logic import conj, implies, neg
+from repro.qe.cooper import clear_qe_caches
 from repro.smt import SmtSolver
 from repro.suite import BENCHMARKS
 
@@ -60,18 +62,30 @@ def test_parallel_beats_serial_wall_clock():
 
 def test_solver_cache_hit_rate(suite_artifacts):
     """The diagnosis engine's repeated checks must mostly hit the
-    verdict cache once invariants stabilize within a round."""
+    verdict memo once invariants stabilize within a round."""
+    clear_qe_caches()                           # a cold memo
     solver = SmtSolver()
-    for name in SUITE[:4]:
-        _bench, _program, analysis = suite_artifacts[name]
-        inv, phi = analysis.invariants, analysis.success
-        for _ in range(3):                      # engine-style re-checks
-            solver.is_sat(inv)
-            solver.is_sat(conj(inv, phi))
-            solver.is_sat(neg(implies(inv, phi)))
-    stats = solver.cache_stats()
-    total = stats["hits"] + stats["misses"]
-    hit_rate = stats["hits"] / total
-    print(f"\nverdict cache: {stats} (hit rate {hit_rate:.1%})")
+    checked = set()
+    was_enabled = obs.is_enabled()
+    obs.enable()
+    try:
+        with obs.capture() as scope:
+            for name in SUITE[:4]:
+                _bench, _program, analysis = suite_artifacts[name]
+                inv, phi = analysis.invariants, analysis.success
+                for _ in range(3):                  # engine-style re-checks
+                    for formula in (inv, conj(inv, phi),
+                                    neg(implies(inv, phi))):
+                        solver.is_sat(formula)
+                        checked.add(formula)
+    finally:
+        if not was_enabled:
+            obs.disable()
+    counters = scope.snapshot["counters"]
+    hits = counters.get("smt.is_sat.hit", 0)
+    misses = counters.get("smt.is_sat.miss", 0)
+    hit_rate = hits / (hits + misses)
+    print(f"\nverdict memo: {hits} hits, {misses} misses "
+          f"(hit rate {hit_rate:.1%})")
     assert hit_rate >= 0.5
-    assert stats["evictions"] == 0
+    assert misses == len(checked)               # nothing evicted

@@ -40,9 +40,15 @@ program foo(flag, unsigned n) {
 
 def _workload():
     """One full abduction round (obligation + witness) on a fresh
-    abducer, driving QE, MSA, simplification, SAT and SMT."""
+    abducer, driving QE, MSA, simplification, SAT and SMT.  The SMT
+    verdict and Omega memos start cold, so the round's SMT checks run
+    rather than hit the process-wide memos; the QE memos stay warm."""
     from repro.diagnosis import Abducer, pi_p, pi_w
+    from repro.lia import omega
+    from repro.smt import solver
 
+    solver._VERDICTS.clear()
+    omega._MODELS.clear()
     analysis = _workload.analysis
     abducer = Abducer()
     inv, phi = analysis.invariants, analysis.success

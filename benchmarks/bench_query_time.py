@@ -16,10 +16,16 @@ from __future__ import annotations
 import pytest
 
 from repro.diagnosis import Abducer, pi_p, pi_w
+from repro.lia import omega
+from repro.smt import solver
 from repro.suite import BENCHMARKS
 
 
 def one_round(analysis):
+    # cold SMT verdict and Omega memos, so the round's SMT checks run
+    # rather than hit the process-wide memos; the QE memos stay warm
+    solver._VERDICTS.clear()
+    omega._MODELS.clear()
     abducer = Abducer()
     inv, phi = analysis.invariants, analysis.success
     gamma = abducer.proof_obligation(inv, phi, pi_p(inv, phi))

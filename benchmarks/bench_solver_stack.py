@@ -11,7 +11,7 @@ for CI::
 
     PYTHONPATH=src python benchmarks/bench_solver_stack.py
 
-Standalone mode times every workload *cold* (QE caches dropped between
+Standalone mode times every workload *cold* (solver memos dropped between
 repetitions), normalizes by a pure-Python calibration loop so the bound
 is machine-independent, fails (exit 1) when any workload exceeds its
 pinned budget, and appends the timings to the ``BENCH_obs.json`` run
@@ -222,7 +222,7 @@ def _calibration_s() -> float:
 
 
 def measure(repeats: int = REPEATS) -> tuple[float, dict[str, float]]:
-    """Best-of-N *cold* seconds per workload: both the QE caches and
+    """Best-of-N *cold* seconds per workload: both the solver memos and
     the hash-consing tables (with their per-node digest memos) are
     dropped before every repetition, so each run pays the full
     build-normalize-solve cost exactly like a fresh process."""

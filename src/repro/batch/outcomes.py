@@ -438,7 +438,7 @@ def _triage_one(name: str, config: EngineConfig | None = None,
     """Triage a single benchmark report against its ground-truth oracle.
 
     Top-level so it pickles under any multiprocessing start method.  All
-    process-global caches (default solver, intern tables, QE caches)
+    process-global caches (intern tables, the solver memos)
     stay warm between calls within one worker.  The report itself is
     one :func:`run_report` call, with the store under ``cache_dir``
     (workers share the directory; writes are atomic) and, with

@@ -1,17 +1,17 @@
 """Persistent content-addressed caching for the staged triage pipeline.
 
-The in-process speedups — hash-consing, QE memo tables, the SMT
-verdict LRU — are all process-lifetime, so nothing survives a restart
-and nothing is shared between the batch driver's workers beyond
-fork-time state.  This package turns the ones a later run reads back into
-cross-run, cross-worker wins:
+The in-process speedups — hash-consing and the solver stack's memos —
+are all process-lifetime, so nothing survives a restart and nothing is
+shared between the batch driver's workers beyond fork-time state.  This
+package turns the ones a later run reads back into cross-run,
+cross-worker wins:
 
 * :class:`CacheStore` (:mod:`repro.cache.store`) is a small on-disk
   store mapping ``stage/content-digest`` to a JSON artifact, with
   versioned keys, LRU eviction and corruption-tolerant reads;
 * the *active store* (:func:`use_store` / :func:`current_store`) is how
-  the solver stack finds it: the SMT verdict cache consults the active
-  store on a memory miss (the analyzer's guard checks and repair
+  the solver stack finds it: ``SmtSolver.is_sat`` consults the active
+  store on a memo miss (the analyzer's guard checks and repair
   synthesis run under it), and the diagnosis engine hands it to its
   stage functions (:mod:`repro.diagnosis.stages`), which persist whole
   stage artifacts.  The engine runs its session under no active store:

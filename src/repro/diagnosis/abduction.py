@@ -120,7 +120,8 @@ class Abduction:
 
 
 class Abducer:
-    """Shared abduction engine (one SMT solver/cache for all steps)."""
+    """Shared abduction engine (one SMT solver for all steps; its
+    verdicts live in the process-wide ``is_sat`` memo)."""
 
     def __init__(self, *, msa_strategy: str = "branch_bound",
                  use_simplification: bool = True,

@@ -36,13 +36,11 @@ from typing import Iterable, Sequence
 from .. import limits as _limits
 from ..limits import ResourceExhausted
 from ..logic.formulas import Atom, Dvd, Formula, Rel
+from ..logic.intern import MISSING, Memo
 from ..logic.terms import LinTerm, Var, VarSupply
 from .intmath import ceil_div, floor_div, mod_hat
 
 _DEFAULT_BUDGET = 5_000_000
-
-#: Cap on entries in the per-instance ``solve_literals`` verdict memo.
-_MEMO_LIMIT = 1 << 14
 
 #: Resource ticks are counted exactly but reported to the governor in
 #: batches, so the per-tick cost is an integer add instead of a clock
@@ -59,6 +57,14 @@ class Model(dict):
 
     def value(self, v: Var, default: int = 0) -> int:
         return self.get(v, default)
+
+
+#: ``solve_literals`` results of every solver in the process (``None`` is
+#: UNSAT), keyed on the literal tuple.  The SMT layer's deletion-based
+#: unsat_core re-solves the full literal set its caller just proved
+#: unsatisfiable, and overlapping subsets recur across theory rounds —
+#: both hit here.
+_MODELS = Memo("omega.solve_literals", 16_384)
 
 
 # ---------------------------------------------------------------------------
@@ -152,12 +158,6 @@ class OmegaSolver:
         self._budget = _DEFAULT_BUDGET
         self._steps = 0
         self._pending = 0
-        # per-instance verdict memo keyed on the literal tuple.  The SMT
-        # layer's deletion-based unsat_core re-solves the full literal
-        # set its caller just proved unsatisfiable, and overlapping
-        # subsets recur across theory rounds — both hit here.  Bounded;
-        # results are pure functions of the (hash-consed) literals.
-        self._memo: dict[tuple, Model | None] = {}
 
     # ------------------------------------------------------------------
     # public API
@@ -170,16 +170,12 @@ class OmegaSolver:
         """
         literals = list(literals)
         key = tuple(literals)
-        try:
-            cached = self._memo[key]
-        except (KeyError, TypeError):  # TypeError: unhashable literal
-            pass
-        else:
+        cached = _MODELS.get(key)
+        if cached is not MISSING:
             _limits.tick("omega")  # cached answers keep the deadline live
             return cached
         result = self._solve_literals_uncached(literals)
-        if len(self._memo) < _MEMO_LIMIT:
-            self._memo[key] = result
+        _MODELS.put(key, result)
         return result
 
     def _solve_literals_uncached(self, literals: list) -> Model | None:

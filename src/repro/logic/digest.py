@@ -15,12 +15,12 @@ string computed purely from the node's structure, so it is
 * cached on the node (the ``_dg`` slot), so the amortized cost is one
   BLAKE2b call per *new* node — children's digests are already cached.
 
-Digests are the keys of the persistent caches: the on-disk
-content-addressed store (:mod:`repro.cache`), the QE elimination memo
-(:mod:`repro.qe.cooper`) and the SMT verdict cache
-(:mod:`repro.smt.solver`).  :data:`DIGEST_VERSION` is folded into every
-digest so a change to the digest scheme (or to node semantics) can
-invalidate every derived cache at once.
+Digests key only what crosses a process boundary: the entries of the
+on-disk content-addressed store (:mod:`repro.cache`) and the stage keys
+built from them.  The in-process solver memos key on the interned nodes
+themselves (:class:`repro.logic.intern.Memo`).  :data:`DIGEST_VERSION`
+is folded into every digest so a change to the digest scheme (or to
+node semantics) can invalidate every derived cache at once.
 """
 
 from __future__ import annotations

@@ -25,8 +25,6 @@ reasonably small before any contextual simplification.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
 from .. import obs
 from .. import limits as _limits
 from ..limits import ResourceExhausted
@@ -52,85 +50,55 @@ from ..logic.formulas import (
     map_atoms,
     neg,
 )
-from ..logic.digest import digest, digest_many
-from ..logic.intern import register_table
+from ..logic.intern import MISSING, Memo, clear_memos
 from ..logic.normal_forms import dnf_clauses, nnf
 from ..logic.terms import LinTerm, Var, lcm, lcm_all
 
 
-# Bounded, process-lifetime caches keyed by *content digest*.
 # Elimination results and clause-satisfiability verdicts are pure
-# functions of their inputs, so both survive across calls (the abduction
-# loop re-eliminates the same variable from near-identical clause sets
-# round after round).  Digest keys — unlike the identity/salted-hash
-# keys they replaced — also survive ``clear_intern_tables()``.  They are
-# deliberately not written to the on-disk store (:mod:`repro.cache`):
+# functions of their hash-consed inputs, so both are memoized for the
+# life of the process (the abduction loop re-eliminates the same
+# variable from near-identical clause sets round after round).  They
+# are deliberately not written to the on-disk store (:mod:`repro.cache`):
 # a warm run replays whole stage artifacts and never reaches QE, so
 # persisted QE memos cost a file each and are not read back.
-_ELIM_CACHE_SIZE = 8_192
-_elim_cache: OrderedDict[str, Formula] = OrderedDict()
-_CLAUSE_SAT_CACHE_SIZE = 65_536
-_clause_sat_cache: OrderedDict[str, bool] = OrderedDict()
+_ELIMINATIONS = Memo("qe.elim", 8_192)
+_CLAUSE_VERDICTS = Memo("qe.clause_sat", 65_536)
 
-# First-level caches keyed on the hash-consed nodes themselves.  They
-# answer repeat queries within one intern-table generation without
-# computing a content digest (the digest walk is pure overhead once the
-# result is in memory).  Registered as intern tables so the memory valve
-# clears them together with the nodes they key on.
-_elim_fast: dict[tuple[Var, Formula], Formula] = \
-    register_table("qe.elim_fast", {})
-_clause_sat_fast: dict[frozenset, bool] = \
-    register_table("qe.clause_sat_fast", {})
-
-
-def _touch(cache: OrderedDict, key: str, value) -> None:
-    """Mark ``key`` most recently used in a digest LRU.
-
-    The LRUs are shared by every thread of the process (``repro serve``
-    workers), so a peer may evict ``key`` between a lookup and its touch;
-    ``move_to_end`` would then raise ``KeyError``.  Popping and
-    re-inserting cannot raise, and needs no lock: the touch only orders
-    eviction.
-    """
-    cache.pop(key, None)
-    cache[key] = value
+#: Node budget of one elimination call.
+_SIZE_BUDGET = 2_000_000
 
 
 def clear_qe_caches() -> None:
-    """Drop the QE memo caches (a memory valve; purely optional)."""
-    _elim_cache.clear()
-    _clause_sat_cache.clear()
-    _elim_fast.clear()
-    _clause_sat_fast.clear()
+    """Empty every solver-stack memo: QE's eliminations and clause
+    verdicts, the SMT verdicts and the Omega models (a memory valve;
+    purely optional)."""
+    clear_memos()
 
 
-def eliminate_quantifiers(phi: Formula, *, size_budget: int = 2_000_000) -> Formula:
+def eliminate_quantifiers(phi: Formula) -> Formula:
     """Eliminate every quantifier in ``phi`` (innermost first)."""
-    counter = _Budget(size_budget)
+    counter = _Budget()
     with obs.span("qe.eliminate_quantifiers"):
         return _eliminate(phi, counter)
 
 
-def eliminate_exists(variables: list[Var], body: Formula,
-                     *, size_budget: int = 2_000_000) -> Formula:
+def eliminate_exists(variables: list[Var], body: Formula) -> Formula:
     """Quantifier-free equivalent of ``exists variables. body`` (body QF)."""
-    counter = _Budget(size_budget)
+    counter = _Budget()
     with obs.span("qe.eliminate_exists", vars=len(variables)):
         return _eliminate_block(list(variables), nnf(body), counter)
 
 
-def eliminate_forall(variables: list[Var], body: Formula,
-                     *, size_budget: int = 2_000_000) -> Formula:
+def eliminate_forall(variables: list[Var], body: Formula) -> Formula:
     """Quantifier-free equivalent of ``forall variables. body`` (body QF)."""
-    return neg(eliminate_exists(variables, neg(body),
-                                size_budget=size_budget))
+    return neg(eliminate_exists(variables, neg(body)))
 
 
-def project(phi: Formula, keep: set[Var],
-            *, size_budget: int = 2_000_000) -> Formula:
+def project(phi: Formula, keep: set[Var]) -> Formula:
     """Existentially project ``phi`` onto ``keep``."""
     drop = [v for v in phi.free_vars() if v not in keep]
-    return eliminate_exists(drop, phi, size_budget=size_budget)
+    return eliminate_exists(drop, phi)
 
 
 def decide_closed(phi: Formula) -> bool:
@@ -146,17 +114,16 @@ def decide_closed(phi: Formula) -> bool:
 
 
 class _Budget:
-    def __init__(self, limit: int):
-        self.limit = limit
+    def __init__(self) -> None:
         self.used = 0
 
     def charge(self, amount: int) -> None:
         _limits.tick("qe", amount)
         self.used += amount
-        if self.used > self.limit:
+        if self.used > _SIZE_BUDGET:
             raise ResourceExhausted(
-                "qe", self.used, self.limit, kind="nodes",
-                message=f"quantifier elimination exceeded {self.limit} nodes",
+                "qe", self.used, _SIZE_BUDGET, kind="nodes",
+                message=f"quantifier elimination exceeded {_SIZE_BUDGET} nodes",
             )
 
 
@@ -268,8 +235,8 @@ def _clause_satisfied(clause: list[Formula], model: dict) -> bool:
 
 #: Recent witness models found while pruning; a handful suffices because
 #: sibling clauses of one elimination round mostly agree on a satisfying
-#: assignment (often all-zeros).  Trying them first skips both the digest
-#: computation and the Omega call for the common satisfiable clause.
+#: assignment (often all-zeros).  Trying them first skips both the memo
+#: lookup and the Omega call for the common satisfiable clause.
 _RECENT_MODELS_MAX = 4
 _recent_models: list[dict] = [{}]
 
@@ -280,7 +247,6 @@ def _prune_clauses(clauses: list[list[Formula]],
     from ..lia import OmegaSolver  # lia is below qe in the layering
 
     solver = OmegaSolver()
-    cache = _clause_sat_cache
     kept: list[list[Formula]] = []
     seen: set[frozenset[Formula]] = set()
     for clause in clauses:
@@ -293,68 +259,33 @@ def _prune_clauses(clauses: list[list[Formula]],
             obs.inc("qe.clause_sat.model_hit")
             kept.append(clause)
             continue
-        fast = _clause_sat_fast.get(dedup)
-        if fast is not None:
-            obs.inc("qe.clause_sat.hit")
-            if fast:
-                kept.append(clause)
-            continue
-        key = digest_many("clause_sat", *sorted(digest(a) for a in dedup))
-        sat = cache.get(key)
-        if sat is None:
+        sat = _CLAUSE_VERDICTS.get(dedup)
+        if sat is MISSING:
             obs.inc("qe.clause_sat.miss")
             model = solver.solve_literals(clause)
             sat = model is not None
             if sat and dict(model) not in _recent_models:
                 _recent_models.insert(0, dict(model))
                 del _recent_models[_RECENT_MODELS_MAX:]
-            cache[key] = sat
-            if len(cache) > _CLAUSE_SAT_CACHE_SIZE:
-                cache.popitem(last=False)
+            _CLAUSE_VERDICTS.put(dedup, sat)
         else:
             obs.inc("qe.clause_sat.hit")
-            _touch(cache, key, sat)
-        if len(_clause_sat_fast) < _CLAUSE_SAT_CACHE_SIZE:
-            _clause_sat_fast[dedup] = sat
         if sat:
             kept.append(clause)
     return kept
 
 
 def _eliminate_one(x: Var, phi: Formula, budget: _Budget) -> Formula:
-    """Cooper elimination of ``exists x`` from QF NNF ``phi`` (cached).
-
-    The memo key is the content digest of ``(x, phi)``, so structurally
-    equal inputs hit even when the nodes were rebuilt after a
-    ``clear_intern_tables()`` or arrived through a pickle.  A first-level
-    identity cache short-circuits repeats of the same hash-consed node
-    without the digest walk.
-    """
-    fast_key = (x, phi)
-    fast = _elim_fast.get(fast_key)
-    if fast is not None:
+    """Cooper elimination of ``exists x`` from QF NNF ``phi`` (memoized)."""
+    key = (x, phi)
+    result = _ELIMINATIONS.get(key)
+    if result is not MISSING:
         obs.inc("qe.elim.hit")
-        budget.charge(fast.size())
-        return fast
-    result = _eliminate_one_digested(x, phi, budget)
-    if len(_elim_fast) < _ELIM_CACHE_SIZE:
-        _elim_fast[fast_key] = result
-    return result
-
-
-def _eliminate_one_digested(x: Var, phi: Formula, budget: _Budget) -> Formula:
-    key = digest_many("elim", x, phi)
-    cached = _elim_cache.get(key)
-    if cached is not None:
-        obs.inc("qe.elim.hit")
-        _touch(_elim_cache, key, cached)
-        budget.charge(cached.size())
-        return cached
+        budget.charge(result.size())
+        return result
     obs.inc("qe.elim.miss")
     result = _eliminate_one_uncached(x, phi, budget)
-    _elim_cache[key] = result
-    if len(_elim_cache) > _ELIM_CACHE_SIZE:
-        _elim_cache.popitem(last=False)
+    _ELIMINATIONS.put(key, result)
     return result
 
 

@@ -134,8 +134,9 @@ class LocalPoolTransport:
 
     Attempts are submitted eagerly — the pool queues internally, so the
     grace clock starts at submit time exactly as the old driver's did.
-    ``fork`` start keeps each worker's solver/intern/QE caches warm from
-    the parent; platforms without it fall back to the default context.
+    ``fork`` start keeps each worker's intern tables and solver memos
+    warm from the parent; platforms without it fall back to the default
+    context.
     Pool-machinery failures (``OSError``, ``ProcessError``, ``EOFError``
     out of submit/poll) are breakage; the same exceptions raised *by a
     worker* surface through ``result`` and stay per-report errors.

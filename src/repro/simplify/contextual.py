@@ -34,7 +34,8 @@ from ..smt import SmtSolver
 
 
 class Simplifier:
-    """Simplification engine with a shared SMT solver (and its cache)."""
+    """Simplification engine with a shared SMT solver (whose ``is_sat``
+    verdicts, like every solver's, live in the process-wide memo)."""
 
     def __init__(self, solver: SmtSolver | None = None, *, passes: int = 2):
         self._solver = solver or SmtSolver()

@@ -18,12 +18,11 @@ elimination (imported lazily to keep package layering acyclic).
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
 from .. import obs
 from .. import limits as _limits
 from ..lia import Model, OmegaSolver
 from ..logic.digest import digest
+from ..logic.intern import MISSING, Memo
 from ..limits import ResourceExhausted
 from ..logic.formulas import (
     And,
@@ -38,6 +37,12 @@ from ..logic.formulas import (
 )
 from ..logic.normal_forms import nnf
 from ..sat import SatSolver
+
+#: Theory rounds one lazy check may take before it gives up.
+_MAX_THEORY_ROUNDS = 200_000
+
+#: ``is_sat`` verdicts of every solver in the process, keyed by formula.
+_VERDICTS = Memo("smt.is_sat", 50_000)
 
 
 def atom_polarity(literal: Formula) -> tuple[Formula, bool]:
@@ -85,18 +90,8 @@ class SmtSolver:
     """Satisfiability, validity and entailment for QFLIA (and, via Cooper
     quantifier elimination, full Presburger arithmetic)."""
 
-    def __init__(self, *, max_theory_rounds: int = 200_000,
-                 cache_size: int = 50_000):
+    def __init__(self):
         self._theory = OmegaSolver()
-        self._max_rounds = max_theory_rounds
-        # bounded LRU over is_sat verdicts (access order = recency),
-        # keyed by content digest so structurally equal formulas hit
-        # even after an intern-table clear or a pickle round-trip
-        self._cache: OrderedDict[str, bool] = OrderedDict()
-        self._cache_size = cache_size
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
 
     # ------------------------------------------------------------------
     # public API
@@ -126,30 +121,28 @@ class SmtSolver:
         return self._check_lazy(phi)
 
     def is_sat(self, phi: Formula) -> bool:
-        key = digest(phi)
-        cached = self._cache.get(key)
-        if cached is not None:
-            self._hits += 1
-            _limits.tick("smt")  # cache hits skip check(); keep the deadline live
+        """Memo first, then the active store's ``smt-sat`` tier, then
+        :meth:`check`; only a store lookup computes the digest."""
+        verdict = _VERDICTS.get(phi)
+        store = None
+        if verdict is MISSING:
+            store = self._persistent_store()
+            if store is not None:
+                key = digest(phi)
+                artifact = store.get("smt-sat", key)
+                if artifact is not None:
+                    verdict = bool(artifact["sat"])
+                    _VERDICTS.put(phi, verdict)
+        if verdict is not MISSING:
+            _limits.tick("smt")  # hits skip check(); keep the deadline live
             obs.inc("smt.is_sat.hit")
-            self._cache.move_to_end(key)
-            return cached
-        store = self._persistent_store()
-        if store is not None:
-            artifact = store.get("smt-sat", key)
-            if artifact is not None:
-                self._hits += 1
-                _limits.tick("smt")
-                obs.inc("smt.is_sat.hit")
-                self._remember(key, bool(artifact["sat"]))
-                return bool(artifact["sat"])
-        self._misses += 1
+            return verdict
         obs.inc("smt.is_sat.miss")
-        result = self.check(phi).sat
-        self._remember(key, result)
+        verdict = self.check(phi).sat
+        _VERDICTS.put(phi, verdict)
         if store is not None:
-            store.put("smt-sat", key, {"sat": result})
-        return result
+            store.put("smt-sat", key, {"sat": verdict})
+        return verdict
 
     @staticmethod
     def _persistent_store():
@@ -157,22 +150,6 @@ class SmtSolver:
         from ..cache import current_store
 
         return current_store()
-
-    def _remember(self, key: str, result: bool) -> None:
-        self._cache[key] = result
-        if len(self._cache) > self._cache_size:
-            self._cache.popitem(last=False)
-            self._evictions += 1
-            obs.inc("smt.is_sat.evictions")
-
-    def cache_stats(self) -> dict[str, int]:
-        """Hit/miss/eviction counters of the is_sat verdict cache."""
-        return {
-            "hits": self._hits,
-            "misses": self._misses,
-            "evictions": self._evictions,
-            "entries": len(self._cache),
-        }
 
     def get_model(self, phi: Formula) -> Model | None:
         return self.check(phi).model
@@ -265,7 +242,7 @@ class SmtSolver:
                     return
             raise AssertionError("assignment must satisfy some disjunct")
 
-        for _ in range(self._max_rounds):
+        for _ in range(_MAX_THEORY_ROUNDS):
             _limits.tick("smt")
             if not sat.solve():
                 return SmtResult(False, None)
@@ -284,7 +261,7 @@ class SmtSolver:
                 blocking.append(-var if polarity else var)
             sat.add_clause(blocking)
         raise ResourceExhausted(
-            "smt", self._max_rounds, self._max_rounds,
+            "smt", _MAX_THEORY_ROUNDS, _MAX_THEORY_ROUNDS,
             message="SMT solver exceeded theory-round budget",
         )
 
@@ -315,8 +292,8 @@ class SmtSolver:
         return result
 
 
-# A module-level default solver: callers that do not need isolation share
-# its formula cache.
+# A module-level default solver for the convenience functions below (its
+# verdicts share the process-wide memo, like every solver's).
 _DEFAULT = SmtSolver()
 
 

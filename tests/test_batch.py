@@ -1,13 +1,16 @@
 """The batch-triage driver: serial/parallel agreement, ordering,
-timeout degradation, and the bounded LRU verdict cache."""
+timeout degradation, and the bounded LRU verdict memo."""
 
 from __future__ import annotations
 
 import pytest
 
+import repro.smt.solver as solver_mod
+from repro import obs
 from repro.batch import load_many, triage_many
 from repro.limits import Limits
 from repro.logic import le
+from repro.logic.intern import Memo
 from repro.logic.terms import Var
 from repro.smt import SmtSolver
 from repro.suite import DIAGNOSTICS
@@ -80,29 +83,49 @@ class TestLoadMany:
 
 
 class TestVerdictCacheLru:
-    def test_cache_keeps_inserting_past_capacity(self):
+    """The process-wide ``is_sat`` verdict memo is a bounded LRU
+    (:class:`repro.logic.intern.Memo`), here shrunk to a few entries."""
+
+    @pytest.fixture
+    def shrink(self, monkeypatch):
+        def install(limit: int) -> Memo:
+            memo = Memo("test.smt.is_sat", limit)
+            monkeypatch.setattr(solver_mod, "_VERDICTS", memo)
+            return memo
+
+        obs.reset()
+        obs.enable()
+        yield install
+        obs.disable()
+        obs.reset()
+
+    @staticmethod
+    def _count(kind: str) -> int:
+        return obs.snapshot()["counters"].get(f"smt.is_sat.{kind}", 0)
+
+    def test_cache_keeps_inserting_past_capacity(self, shrink):
+        verdicts = shrink(4)
         x = Var("x")
-        solver = SmtSolver(cache_size=4)
+        solver = SmtSolver()
         for i in range(10):
             solver.is_sat(le(x, i))
-        stats = solver.cache_stats()
-        assert stats["entries"] == 4            # bounded
-        assert stats["evictions"] == 6          # still inserting (old bug:
-        assert stats["misses"] == 10            # inserts stopped at cap)
-        # the most recent entries are retained
+        assert len(verdicts) == 4               # bounded
+        assert self._count("miss") == 10        # still inserting (old bug:
+        # inserts stopped at cap); the most recent entries are retained
         assert solver.is_sat(le(x, 9))
-        assert solver.cache_stats()["hits"] == 1
+        assert self._count("hit") == 1
 
-    def test_lru_evicts_least_recently_used(self):
+    def test_lru_evicts_least_recently_used(self, shrink):
+        shrink(2)
         x = Var("x")
-        solver = SmtSolver(cache_size=2)
+        solver = SmtSolver()
         a, b, c = le(x, 1), le(x, 2), le(x, 3)
         solver.is_sat(a)
         solver.is_sat(b)
         solver.is_sat(a)        # refresh a; b is now LRU
         solver.is_sat(c)        # evicts b
-        hits_before = solver.cache_stats()["hits"]
+        hits_before = self._count("hit")
         solver.is_sat(a)
-        assert solver.cache_stats()["hits"] == hits_before + 1
+        assert self._count("hit") == hits_before + 1
         solver.is_sat(b)        # miss: was evicted
-        assert solver.cache_stats()["misses"] == 4
+        assert self._count("miss") == 4

@@ -271,10 +271,10 @@ def _counter(result, name: str) -> int:
     return (result.telemetry or {}).get("counters", {}).get(name, 0)
 
 
-def _unread_entries(cache_dir: str, monkeypatch, run) -> list:
+def _warm_rerun(cache_dir: str, monkeypatch, run) -> tuple[set, set, set]:
     """Run ``run`` into a fresh store, then again with every memo
-    cleared; the ``(stage, key)`` entries the first run wrote and the
-    second never read."""
+    cleared; the ``(stage, key)`` entries the first run wrote, and those
+    the second read back and missed."""
     clear_qe_caches()
     clear_intern_tables()
     run()
@@ -286,18 +286,24 @@ def _unread_entries(cache_dir: str, monkeypatch, run) -> list:
     assert written
 
     read: set[tuple[str, str]] = set()
+    missed: set[tuple[str, str]] = set()
     get = CacheStore.get
 
     def recording_get(self, stage, key):
         artifact = get(self, stage, key)
-        if artifact is not None:
-            read.add((stage, key))
+        (missed if artifact is None else read).add((stage, key))
         return artifact
 
     monkeypatch.setattr(CacheStore, "get", recording_get)
     clear_qe_caches()
     clear_intern_tables()
     run()
+    return written, read, missed
+
+
+def _unread_entries(cache_dir: str, monkeypatch, run) -> list:
+    """The entries a fill wrote that a warm re-run never read."""
+    written, read, _missed = _warm_rerun(cache_dir, monkeypatch, run)
     return sorted(written - read)
 
 
@@ -347,6 +353,28 @@ class TestWarmRetriage:
                 assert pipeline.repair(name).verified_count, name
 
         assert _unread_entries(cache_dir, monkeypatch, repair_all) == []
+
+    @pytest.mark.parametrize("fill", ["triage", "repair"])
+    def test_warm_rerun_misses_no_smt_verdict(self, tmp_path, monkeypatch,
+                                              fill):
+        """The solver memos are shared by the whole process, and the
+        engine checks formulas with no store active: a verdict it
+        memoized must not answer a check made under the store, or the
+        store would never get that entry.  After a Figure-7 triage fill
+        and after a repair fill of the false alarms, a warm re-run with
+        every memo cleared misses no ``smt-sat`` entry."""
+        cache_dir = str(tmp_path / "cache")
+        pipeline = Pipeline(cache_dir=cache_dir)
+
+        def run():
+            if fill == "triage":
+                triage_many(ALL_NAMES, jobs=1, cache_dir=cache_dir)
+            else:
+                for name in FALSE_ALARMS:
+                    pipeline.repair(name)
+
+        _written, _read, missed = _warm_rerun(cache_dir, monkeypatch, run)
+        assert sorted(k for k in missed if k[0] == "smt-sat") == []
 
     def test_store_holds_only_flat_stage_entries(self, tmp_path):
         """QE memos stay in-process: a Figure-7 triage into a fresh

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pickle
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,6 +28,7 @@ from repro.logic import (
 from repro import obs
 from repro.logic.formulas import And, Atom, Dvd, Not, Or, exists, forall
 from repro.logic.intern import clear_intern_tables, intern_stats
+from repro.logic.terms import Var
 from repro.qe.cooper import clear_qe_caches, eliminate_exists
 from repro.smt import SmtSolver
 
@@ -167,12 +169,15 @@ class TestInternTables:
         assert atom(Rel.LE, LinTerm.make([(X, 1)], -3)) is b
 
 
-class TestDigestKeyedCaches:
-    """Regression: the QE elimination cache and the SMT verdict cache
-    are keyed by *content digest*, so structurally equal formulas built
-    after ``clear_intern_tables()`` — or resurrected through a pickle
-    round-trip, as the batch driver's forked workers do — must hit the
-    caches instead of recomputing."""
+class TestSharedMemos:
+    """The solver stack's memos are keyed on the hash-consed nodes and
+    shared by every solver of the process: a structurally equal formula
+    resurrected through a pickle round-trip, as the batch driver's forked
+    workers do, re-interns to the same node and hits instead of
+    recomputing.  Both memory valves empty all four memos."""
+
+    MEMOS = ("smt.is_sat", "omega.solve_literals", "qe.elim",
+             "qe.clause_sat")
 
     def setup_method(self):
         obs.reset()
@@ -193,31 +198,49 @@ class TestDigestKeyedCaches:
                  neg(atom(Rel.LE, LinTerm.make([(z, 1)], 0)))),
         )
 
-    def test_smt_verdicts_hit_across_clear_and_pickle(self):
-        solver = SmtSolver()
-        verdict = solver.is_sat(self._phi())
+    @staticmethod
+    def _counters() -> dict:
+        return dict(obs.snapshot().get("counters", {}))
+
+    def test_smt_verdicts_hit_across_pickle(self):
+        verdict = SmtSolver().is_sat(self._phi())
         blob = pickle.dumps(self._phi())
-        baseline = solver.cache_stats()
+        before = self._counters()
 
-        clear_intern_tables()
-        rebuilt = self._phi()            # fresh nodes, same content
         resurrected = pickle.loads(blob)
-        assert solver.is_sat(rebuilt) is verdict
-        assert solver.is_sat(resurrected) is verdict
-        stats = solver.cache_stats()
-        assert stats["misses"] == baseline["misses"]   # nothing recomputed
-        assert stats["hits"] == baseline["hits"] + 2
+        # a fresh solver: the memo belongs to the process, not the solver
+        assert SmtSolver().is_sat(resurrected) is verdict
+        after = self._counters()
+        assert after["smt.is_sat.miss"] == before["smt.is_sat.miss"]
+        assert after.get("smt.is_sat.hit", 0) == \
+            before.get("smt.is_sat.hit", 0) + 1
 
-    def test_qe_elimination_hits_across_clear_and_pickle(self):
+    def test_qe_elimination_hits_across_pickle(self):
         x = VARS[0]
         first = eliminate_exists([x], self._phi())
         blob = pickle.dumps(self._phi())
-        before = dict(obs.snapshot().get("counters", {}))
+        before = self._counters()
 
-        clear_intern_tables()
-        again = eliminate_exists([x], self._phi())
         resurrected = eliminate_exists([x], pickle.loads(blob))
-        after = obs.snapshot().get("counters", {})
-        assert again == first and resurrected == first
+        after = self._counters()
+        assert resurrected == first
         assert after.get("qe.elim.miss", 0) == before.get("qe.elim.miss", 0)
         assert after.get("qe.elim.hit", 0) > before.get("qe.elim.hit", 0)
+
+    @pytest.mark.parametrize("valve", [clear_intern_tables, clear_qe_caches])
+    def test_clears_empty_all_four_memos(self, valve):
+        x, y, z = VARS
+        SmtSolver().is_sat(self._phi())
+        eliminate_exists([x], self._phi())
+        # x > y > z > x: no witness model answers before the clause memo
+        w = Var("w")
+        eliminate_exists([w], conj(
+            atom(Rel.LE, LinTerm.make([(y, 1), (x, -1)], 1)),
+            atom(Rel.LE, LinTerm.make([(z, 1), (y, -1)], 1)),
+            atom(Rel.LE, LinTerm.make([(x, 1), (z, -1), (w, 1)], 1)),
+            atom(Rel.LE, LinTerm.make([(w, -1)], 0)),
+        ))
+        assert all(intern_stats()[name] for name in self.MEMOS), \
+            intern_stats()
+        valve()
+        assert [intern_stats()[name] for name in self.MEMOS] == [0] * 4
