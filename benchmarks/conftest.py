@@ -1,34 +1,21 @@
 """Shared fixtures for the benchmark harness.
 
-Loading + analyzing all 11 problems is expensive; do it once per session,
-fanned out over worker processes via the batch loader (pass ``--serial``
-to force in-process loading, e.g. when debugging a loader crash).
+Loading + analyzing all 11 problems is expensive; do it once per session.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.batch import load_many
 from repro.diagnosis import ExhaustiveOracle
-from repro.suite import BENCHMARKS
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--serial", action="store_true", default=False,
-        help="load suite artifacts serially instead of in worker processes",
-    )
+from repro.suite import BENCHMARKS, load_analysis
 
 
 @pytest.fixture(scope="session")
-def suite_artifacts(request):
+def suite_artifacts():
     """{name: (benchmark, program, analysis)} for all 11 problems."""
-    jobs = 1 if request.config.getoption("--serial") else None
-    return {
-        bench.name: (bench, program, analysis)
-        for bench, program, analysis in load_many(BENCHMARKS, jobs=jobs)
-    }
+    return {bench.name: (bench, *load_analysis(bench))
+            for bench in BENCHMARKS}
 
 
 @pytest.fixture(scope="session")

@@ -265,12 +265,12 @@ class Pipeline:
             max_patches=max_patches))
 
     def user_study(self, *, seed: int = 2012, num_recruited: int = 56,
-                   benchmarks: tuple[Benchmark, ...] | None = None,
-                   jobs: int | None = 1) -> StudyResult:
+                   benchmarks: tuple[Benchmark, ...] | None = None
+                   ) -> StudyResult:
         """Regenerate the Figure 7 user study (see repro.userstudy)."""
         return run_user_study(seed=seed, num_recruited=num_recruited,
                               benchmarks=benchmarks,
-                              engine_config=self._config, jobs=jobs)
+                              engine_config=self._config)
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +301,8 @@ def dynamic_oracle(name: str, *, samples: int = 400) -> tuple[
 
 def run_user_study(*, seed: int = 2012, num_recruited: int = 56,
                    benchmarks: tuple[Benchmark, ...] | None = None,
-                   engine_config: EngineConfig | None = None,
-                   jobs: int | None = 1) -> StudyResult:
+                   engine_config: EngineConfig | None = None
+                   ) -> StudyResult:
     """Regenerate the Figure 7 user study (see repro.userstudy).
 
     Keyword-only with an explicit signature so a mistyped parameter
@@ -312,7 +312,6 @@ def run_user_study(*, seed: int = 2012, num_recruited: int = 56,
         "seed": seed,
         "num_recruited": num_recruited,
         "engine_config": engine_config,
-        "jobs": jobs,
     }
     if benchmarks is not None:
         kwargs["benchmarks"] = benchmarks

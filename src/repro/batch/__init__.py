@@ -1,10 +1,9 @@
 """Parallel batch triage of error reports (multiprocessing driver)."""
 
-from .driver import BatchResult, TriageOutcome, load_many, triage_many
+from .driver import BatchResult, TriageOutcome, triage_many
 
 __all__ = [
     "BatchResult",
     "TriageOutcome",
-    "load_many",
     "triage_many",
 ]

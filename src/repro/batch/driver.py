@@ -36,14 +36,14 @@ boundary.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
+from collections import Counter
 
 from .. import obs
 from ..obs import context as ocontext
 from ..obs import logging as olog
-from ..cache import open_store
+from ..cache import count_block, open_store
 from ..diagnosis import EngineConfig
 from ..limits import Limits
 from ..suite import BENCHMARKS
@@ -54,7 +54,6 @@ from ..suite import BENCHMARKS
 from .outcomes import (  # noqa: F401  (re-exports)
     BatchResult,
     TriageOutcome,
-    _load_one,
     _merged_telemetry,
 )
 from ..sched import (
@@ -162,7 +161,7 @@ def triage_many(
             mode=mode,
             telemetry=_merged_telemetry(outcomes, telemetry),
             limits=limits_payload,
-            cache=_store_stats(cache_dir),
+            cache=_cache_block(cache_dir, outcomes),
             trace_id=root.trace_id,
             backend="remote" if remote else None,
             workers=(list(getattr(transport, "urls", workers or []))
@@ -175,12 +174,18 @@ def triage_many(
         return result
 
 
-def _store_stats(cache_dir: str | None) -> dict | None:
-    """Driver-side store statistics for the batch envelope (entry count
-    reflects the shared directory; counters are this process's)."""
+def _cache_block(cache_dir: str | None,
+                 outcomes: list[TriageOutcome]) -> dict | None:
+    """The batch's store block: the shared directory's entry count, and
+    every count, per stage too, summed over the batch's outcomes (each
+    report counted its own operations, in whichever process ran it)."""
     if cache_dir is None:
         return None
-    return open_store(cache_dir).stats()
+    stages: dict[str, Counter] = {}
+    for outcome in outcomes:
+        for stage, counts in (outcome.cache or {}).get("stages", {}).items():
+            stages.setdefault(stage, Counter()).update(counts)
+    return {**open_store(cache_dir).stats(), **count_block(stages)}
 
 
 def triage_with_retries(name: str, config: EngineConfig | None,
@@ -199,33 +204,3 @@ def triage_with_retries(name: str, config: EngineConfig | None,
                           spec=spec)
     outcomes, _broke = scheduler.run([name], {name: trace})
     return outcomes[0]
-
-
-def load_many(
-    benches,
-    *,
-    jobs: int | None = None,
-):
-    """Load + analyze benchmarks, in input order, optionally in parallel.
-
-    Returns ``[(benchmark, program, analysis), ...]``.  Used by the
-    benchmark harness and the user-study driver to warm a whole suite.
-    Falls back to serial loading if worker processes are unavailable.
-    """
-    names = [b.name for b in benches]
-    if jobs is None:
-        jobs = _default_jobs()
-    jobs = max(1, min(jobs, len(names))) if names else 1
-
-    if jobs <= 1 or len(names) <= 1:
-        return [_load_one(name) for name in names]
-
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - platform without fork
-        ctx = multiprocessing.get_context()
-    try:
-        with ctx.Pool(processes=jobs) as pool:
-            return pool.map(_load_one, names)
-    except (OSError, multiprocessing.ProcessError, EOFError):
-        return [_load_one(name) for name in names]

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 
 from .. import obs
 from ..obs import context as ocontext
-from ..cache import open_store, use_store
+from ..cache import count_block, counting, open_store, use_store
 from ..diagnosis import (
     DiagnosisResult,
     EngineConfig,
@@ -116,7 +116,7 @@ class BatchResult:
     mode: str                      # 'serial' | 'parallel' | 'remote' | 'degraded'
     telemetry: dict | None = None  # merged per-worker obs snapshots
     limits: dict | None = None     # rendering of the governing Limits
-    cache: dict | None = None      # driver-side store stats, when active
+    cache: dict | None = None      # store counts summed over outcomes
     trace_id: str | None = None    # correlation id of the batch ingress
     backend: str | None = None     # transport backend (fleet runs only)
     workers: list | None = None    # remote worker URLs (fleet runs only)
@@ -255,7 +255,7 @@ class ReportRun:
     patches: list | None = None         # synthesized when repair was asked
     exhausted: ResourceExhausted | None = None  # a limit that ran out
     recorded: dict | None = None        # the stored verdict that replaced it
-    cache: dict | None = None           # report-level store status
+    cache: dict | None = None           # the report's store block
     telemetry: dict | None = None       # the report's obs snapshot
     events: tuple = ()                  # the report's span events
     nodes: tuple = ()                   # the report's provenance nodes
@@ -290,25 +290,30 @@ def run_report(source: str | None = None, *, name: str | None = None,
     span.  The oracle defaults to the benchmark's ground truth, or to
     random testing (:class:`SamplingOracle`) for other sources.
 
-    One scope covers it all: the span, an obs capture (its snapshot,
-    events and nodes land on the run), a governor over ``limits`` and
-    ``store`` as the active store.  Running out of a limit anywhere
-    sets ``exhausted``, and ``diagnosis`` is then a ``RESOURCE_EXHAUSTED``
-    result (with no analysis when the front end ran out); any other
-    exception lands in ``error``.  With
-    ``incremental`` and a store, a benchmark whose source, or failing
-    that whose ``(I, phi)`` judgment, has a recorded verdict skips the
-    loop (``recorded``), and a fresh clean verdict is recorded once the
-    scope has closed.
+    This is the one place a report is accounted.  One scope covers it
+    all: the span, an obs capture (its snapshot, events and nodes land
+    on the run), a governor over ``limits`` (or the caller's, whose
+    spend the result reports either way), ``store`` as the active store
+    and one store tally, whose counts make the report's only ``cache``
+    block.  Running out of a limit anywhere sets ``exhausted``, and
+    ``diagnosis`` is then a ``RESOURCE_EXHAUSTED`` result (with no
+    analysis when the front end ran out); any other exception lands in
+    ``error``.  With ``incremental`` and a store, a benchmark whose
+    source, or failing that whose ``(I, phi)`` judgment, has a recorded
+    verdict skips the loop (``recorded``), and a fresh clean verdict is
+    recorded at the end.
     """
     cfg = config or EngineConfig()
     run = ReportRun()
-    cap = report_key = None
+    if store is not None:
+        run.cache = {"store": str(store.root)}
+    cap = report_key = governor = None
     try:
-        with obs.capture() as cap, \
+        with counting() as ops, obs.capture() as cap, \
                 obs.span("triage.report", report=name, attempt=attempt), \
                 governed(limits) if limits is not None else nullcontext(), \
                 use_store(store) if store is not None else nullcontext():
+            governor = current_governor()
             try:
                 if source is None:
                     run.bench = benchmark_by_name(name)
@@ -319,12 +324,10 @@ def run_report(source: str | None = None, *, name: str | None = None,
                     source_digest = digest_text(source)
                     judgment = store.get(
                         "analyze", _analyze_key(run.bench, source_digest))
-                    run.cache = {
-                        "store": str(store.root), "incremental": True,
-                        "source_digest": source_digest,
-                        "analyze": "miss" if judgment is None else "hit",
-                        "triage": "miss",
-                    }
+                    run.cache.update(
+                        incremental=True, source_digest=source_digest,
+                        analyze="miss" if judgment is None else "hit",
+                        triage="miss")
                     if judgment is not None:
                         report_key = _recall(run, store, cfg, judgment)
                 if run.recorded is None:
@@ -340,6 +343,10 @@ def run_report(source: str | None = None, *, name: str | None = None,
                         # an edited source with an unchanged judgment
                         # still resolves to the recorded verdict
                         report_key = _recall(run, store, cfg, fresh)
+                    elif store is not None:
+                        run.cache.update(
+                            invariants_digest=digest(analysis.invariants),
+                            success_digest=digest(analysis.success))
                 if run.recorded is not None:
                     run.cache["triage"] = "hit"
                     obs.inc("batch.reports_cached")
@@ -366,35 +373,38 @@ def run_report(source: str | None = None, *, name: str | None = None,
                 run.exhausted = exc
                 if run.diagnosis is None:
                     # the front end ran out before the engine could
-                    governor = current_governor()
                     run.diagnosis = DiagnosisResult(
                         verdict=Verdict.RESOURCE_EXHAUSTED,
                         interactions=[], rounds=0, invariants=None,
                         witnesses=[], analysis=None,
-                        resource_spend=governor.spend_snapshot()
-                        if governor is not None else None,
                         exhausted_stage=exc.stage,
                         exhausted_kind=exc.kind,
                     )
+            result = run.diagnosis
+            if report_key is not None and run.recorded is None \
+                    and result.triage_verdict \
+                    is not TriageVerdict.UNKNOWN_RESOURCE:
+                store.put("triage", report_key, {
+                    "classification": result.classification,
+                    "expected": run.bench.classification,
+                    "num_queries": result.num_queries,
+                    "rounds": result.rounds,
+                })
     except Exception as exc:  # noqa: BLE001 - the caller decides
         run.error = exc
+    if store is not None:
+        run.cache.update(count_block(ops))
     if cap is not None:
         run.telemetry = cap.snapshot
         run.events, run.nodes = tuple(cap.events), tuple(cap.nodes)
     result = run.diagnosis
     if result is not None:
         result.telemetry = run.telemetry
+        result.cache = run.cache
         if limits is not None:
             result.limits = limits.to_dict()
-    if report_key is not None and run.recorded is None \
-            and run.error is None and result is not None \
-            and result.triage_verdict is not TriageVerdict.UNKNOWN_RESOURCE:
-        store.put("triage", report_key, {
-            "classification": result.classification,
-            "expected": run.bench.classification,
-            "num_queries": result.num_queries,
-            "rounds": result.rounds,
-        })
+        if governor is not None:
+            result.resource_spend = governor.spend_snapshot()
     return run
 
 
@@ -404,7 +414,8 @@ def _outcome_fields(run: ReportRun) -> dict:
         exc = run.error
         return dict(classification="unknown",
                     error=f"{type(exc).__name__}: {exc}",
-                    exhausted_stage=getattr(exc, "stage", None))
+                    exhausted_stage=getattr(exc, "stage", None),
+                    cache=run.cache)
     if run.recorded is not None:
         return {**{k: run.recorded[k] for k in _RECORDED},
                 "cache": run.cache}
@@ -414,17 +425,14 @@ def _outcome_fields(run: ReportRun) -> dict:
         timed_out=result.exhausted_kind == "deadline",
         exhausted_stage=result.exhausted_stage,
         exhausted_kind=result.exhausted_kind,
+        cache=run.cache,
     )
     if result.analysis is not None:
-        # the report level is authoritative where the engine's store
-        # delta and the analyze/triage status overlap
-        cache = {**(result.cache or {}), **(run.cache or {})}
         fields.update(
             expected=run.bench.classification,
             num_queries=result.num_queries,
             rounds=result.rounds,
             resource_spend=result.resource_spend,
-            cache=cache or None,
         )
     return fields
 
@@ -491,13 +499,6 @@ def _triage_one(name: str, config: EngineConfig | None = None,
         trace_id=trace_id,
         **_outcome_fields(run),
     )
-
-
-def _load_one(name: str):
-    """Load + analyze one benchmark (worker for ``load_many``)."""
-    bench = benchmark_by_name(name)
-    program, analysis = _suite.load_analysis(bench)
-    return bench, program, analysis
 
 
 # ---------------------------------------------------------------------------

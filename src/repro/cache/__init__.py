@@ -33,11 +33,12 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Iterator
 
-from .store import STORE_VERSION, CacheStore, counting
+from .store import STORE_VERSION, CacheStore, count_block, counting
 
 __all__ = [
     "CacheStore",
     "STORE_VERSION",
+    "count_block",
     "counting",
     "current_store",
     "open_store",

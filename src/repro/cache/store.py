@@ -25,13 +25,15 @@ relies on:
   ``<format-version>/.lock`` keeps eviction from unlinking a peer's
   write: renames hold it shared, an eviction holds it exclusive.
 
-Counters (hits/misses/puts/evictions/corrupt drops, per stage and
-overall) stream into :mod:`repro.obs` as ``cache.store.*`` /
-``cache.<stage>.*``, so they travel with the existing telemetry
-snapshots across worker processes.  When structured logging is on at
-``debug`` level, every get/put additionally emits one ``cache.op``
-record carrying the stage, outcome and the caller's trace context —
-the per-operation view the aggregate counters can't give.
+The store keeps no counts of its own: each operation (hit, miss, put,
+eviction, corrupt drop) is counted per stage by the :func:`counting`
+block open in the caller's context, which is how a report accounts
+its own operations whichever process or thread ran it, and streams
+into :mod:`repro.obs` as ``cache.store.*`` / ``cache.<stage>.*``.  When
+structured logging is on at ``debug`` level, every get/put additionally
+emits one ``cache.op`` record carrying the stage, outcome and the
+caller's trace context — the per-operation view the aggregate counters
+can't give.
 """
 
 from __future__ import annotations
@@ -45,31 +47,45 @@ from collections import Counter
 from contextlib import contextmanager
 from contextvars import ContextVar
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Mapping
 
 from .. import obs
 from ..obs import logging as olog
 from ..logic.digest import DIGEST_VERSION
 
-__all__ = ["CacheStore", "STORE_VERSION", "counting"]
+__all__ = ["CacheStore", "STORE_VERSION", "count_block", "counting"]
 
 #: Store layout version; part of every entry path.
 STORE_VERSION = "v2"
 
+#: The operations :func:`counting` counts, per stage.
+_OPERATIONS = ("hits", "misses", "puts", "evictions", "corrupt")
+
 #: The counts of the innermost :func:`counting` block in this context.
-_tally: ContextVar[Counter | None] = ContextVar("repro.tally", default=None)
+_tally: ContextVar[dict[str, Counter] | None] = ContextVar(
+    "repro.tally", default=None)
 
 
 @contextmanager
-def counting() -> Iterator[Counter]:
-    """Count this context's store operations (``hits``, ``misses``,
-    ``puts``, ...) in the block: unlike ``stats()``, no other thread's."""
-    counts: Counter = Counter()
+def counting() -> Iterator[dict[str, Counter]]:
+    """Count this context's store operations in the block, per stage
+    (``{stage: Counter(hits=..., misses=..., ...)}``): no other
+    thread's, and the only count the store keeps."""
+    counts: dict[str, Counter] = {}
     token = _tally.set(counts)
     try:
         yield counts
     finally:
         _tally.reset(token)
+
+
+def count_block(stages: Mapping[str, Mapping[str, int]]) -> dict:
+    """Per-stage counts as plain data: each operation's total, then
+    ``stages`` with every operation listed for every stage."""
+    per = {stage: {op: counts.get(op, 0) for op in _OPERATIONS}
+           for stage, counts in sorted(stages.items())}
+    return {**{op: sum(c[op] for c in per.values()) for op in _OPERATIONS},
+            "stages": per}
 
 
 class CacheStore:
@@ -82,7 +98,6 @@ class CacheStore:
         self._base.mkdir(parents=True, exist_ok=True)
         self._lock_path = self._base / ".lock"
         self.max_entries = max_entries
-        self._counts: dict[str, dict[str, int]] = {}
         # entry count is maintained incrementally and re-synced from a
         # directory scan whenever eviction runs
         self._entries = sum(1 for _ in self._iter_entries())
@@ -108,13 +123,9 @@ class CacheStore:
 
     def _count(self, stage: str, event: str,
                key: str | None = None) -> None:
-        per = self._counts.setdefault(
-            stage, {"hits": 0, "misses": 0, "puts": 0,
-                    "evictions": 0, "corrupt": 0})
-        per[event] += 1
         tally = _tally.get()
         if tally is not None:
-            tally[event] += 1
+            tally.setdefault(stage, Counter())[event] += 1
         short = {"hits": "hit", "misses": "miss", "puts": "put",
                  "evictions": "eviction", "corrupt": "corrupt"}[event]
         obs.inc(f"cache.store.{short}")
@@ -236,18 +247,11 @@ class CacheStore:
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:
-        """Counters per stage plus totals and the store location."""
-        totals = {"hits": 0, "misses": 0, "puts": 0,
-                  "evictions": 0, "corrupt": 0}
-        for per in self._counts.values():
-            for name in totals:
-                totals[name] += per[name]
+        """The store's location, entry count and capacity."""
         return {
             "path": str(self.root),
             "entries": self._entries,
             "max_entries": self.max_entries,
-            "stages": {s: dict(c) for s, c in sorted(self._counts.items())},
-            **totals,
         }
 
     def clear(self) -> None:

@@ -47,7 +47,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator
 
 from . import obs
 from . import schema
@@ -74,14 +76,6 @@ def _limits_from_args(args: argparse.Namespace) -> Limits | None:
     return Limits(**kwargs)
 
 
-def _begin_trace(args: argparse.Namespace) -> bool:
-    trace = getattr(args, "trace", None)
-    if trace is not None:
-        obs.enable()
-        return True
-    return False
-
-
 def _configure_logging(args: argparse.Namespace) -> None:
     """Honour ``--log-file/--log-level/--slow-query-ms`` (no-op when
     none is given — structured logging stays off by default)."""
@@ -98,17 +92,32 @@ def _configure_logging(args: argparse.Namespace) -> None:
         obs.enable()
 
 
-def _end_trace(args: argparse.Namespace) -> None:
-    trace = getattr(args, "trace", None)
-    if trace is None:
+#: The one-report commands, whose ``--trace`` writes the records of one
+#: obs scope around the command (the batch commands write their
+#: outcomes' records instead).
+_SCOPED_TRACE = ("analyze", "diagnose", "repair")
+
+
+@contextmanager
+def _command_trace(args: argparse.Namespace) -> Iterator[None]:
+    """With ``--trace FILE`` on a one-report command: record the command
+    in one obs capture scope and write that scope's ``repro.trace/1``
+    stream, also when a malformed source ended the command."""
+    if args.command not in _SCOPED_TRACE or args.trace is None:
+        yield
         return
-    lines = prov.export_trace(trace)
+    trace = args.trace
+    obs.enable()
+    with obs.capture() as scope:
+        yield
+    lines = prov.export_trace(trace, events=list(scope.events),
+                              prov_nodes=list(scope.nodes),
+                              snapshot=scope.snapshot)
     print(f"telemetry trace written to {trace} ({lines} lines)",
           file=sys.stderr)
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    _begin_trace(args)
     source = Path(args.file).read_text()
     pipeline = Pipeline(auto_annotate=not args.no_annotate)
     outcome = pipeline.analyze(source)
@@ -119,7 +128,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         print(f"invariants I:      {outcome.invariants}")
         print(f"success cond phi:  {outcome.success}")
         print(f"verdict: {outcome.verdict.value}")
-    _end_trace(args)
     return schema.exit_code([outcome.triage_verdict])
 
 
@@ -142,7 +150,6 @@ class _Banner:
 
 
 def _cmd_diagnose(args: argparse.Namespace) -> int:
-    _begin_trace(args)
     source = Path(args.file).read_text()
     pipeline = Pipeline(
         auto_annotate=not args.no_annotate,
@@ -173,7 +180,6 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
             render_report(result, markdown=args.report.endswith(".md"))
         )
         print(f"session report written to {args.report}")
-    _end_trace(args)
     return schema.exit_code([result.classification])
 
 
@@ -315,7 +321,8 @@ def _bench_health_code(result) -> int:
 
 
 def _cmd_triage(args: argparse.Namespace) -> int:
-    _begin_trace(args)
+    if args.trace is not None:
+        obs.enable()
     _configure_logging(args)
     # the CLI invocation is an ingress: everything the batch does —
     # spans, logs, per-report worker telemetry — shares this trace id
@@ -389,8 +396,8 @@ def _format_cache_stats(result) -> str:
     """Intern-table sizes and persistent-store counters for ``stats``.
 
     The intern tables are this process's (workers keep their own); the
-    store entry count reflects the shared directory, and the hit/miss/
-    eviction counters merge every worker's via the telemetry snapshot.
+    store entry count reflects the shared directory, and the counts are
+    the batch block's: every report's, whichever worker ran it.
     """
     from .logic.intern import intern_stats
 
@@ -400,14 +407,9 @@ def _format_cache_stats(result) -> str:
     store = result.cache
     if store is not None:
         lines.append(f"persistent store ({store['path']}):")
-        lines.append(f"  {'entries':42s} {store['entries']:>10d}")
-        counters = (result.telemetry or {}).get("counters", {})
-        for event, total in (("hit", "hits"), ("miss", "misses"),
-                             ("put", "puts"), ("eviction", "evictions"),
-                             ("corrupt", "corrupt")):
-            count = counters.get(f"cache.store.{event}",
-                                 store.get(total, 0))
-            lines.append(f"  {total:42s} {count:>10d}")
+        for name in ("entries", "hits", "misses", "puts", "evictions",
+                     "corrupt"):
+            lines.append(f"  {name:42s} {store[name]:>10d}")
     return "\n".join(lines)
 
 
@@ -535,7 +537,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_repair(args: argparse.Namespace) -> int:
-    _begin_trace(args)
     cache_dir, _ = _cache_from_args(args)
     target = args.name
     path = Path(target)
@@ -546,7 +547,6 @@ def _cmd_repair(args: argparse.Namespace) -> int:
     result = pipeline.repair(target, max_patches=args.max_patches)
     if args.json:
         print(result.to_json(indent=2))
-        _end_trace(args)
         return result.exit_status
     if result.program is not None:
         print(f"program: {result.program}")
@@ -576,7 +576,6 @@ def _cmd_repair(args: argparse.Namespace) -> int:
     elif not result.patches and not result.already_clean \
             and result.verdict.value != "real bug":
         print("no expressible patch candidate survived verification")
-    _end_trace(args)
     return result.exit_status
 
 
@@ -807,13 +806,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.fn(args)
-    except SourceError as exc:
-        # a malformed program is a usage error, not a real-bug verdict
-        print(f"{args.command}: {exc}", file=sys.stderr)
-        _end_trace(args)
-        return schema.EXIT_USAGE
+    with _command_trace(args):
+        try:
+            return args.fn(args)
+        except SourceError as exc:
+            # a malformed program is a usage error, not a real-bug verdict
+            print(f"{args.command}: {exc}", file=sys.stderr)
+            return schema.EXIT_USAGE
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -25,12 +25,10 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 
-from .. import limits as _limits_mod
 from .. import obs
 from ..obs import provenance as prov
 from ..analysis import AnalysisResult
-from ..limits import Limits, ResourceExhausted
-from ..logic.digest import digest
+from ..limits import ResourceExhausted
 from ..logic.formulas import Formula, conj, neg
 from ..schema import TriageVerdict, dump_json, envelope
 from .abduction import Abducer
@@ -147,12 +145,10 @@ class DiagnosisEngine:
     """Drives the Figure 6 interaction loop."""
 
     def __init__(self, analysis: AnalysisResult, oracle: Oracle,
-                 config: EngineConfig | None = None,
-                 limits: Limits | None = None):
+                 config: EngineConfig | None = None):
         self._analysis = analysis
         self._oracle = oracle
         self._config = config or EngineConfig()
-        self._limits = limits
         from ..smt import SmtSolver
 
         self._abducer = Abducer(
@@ -165,35 +161,16 @@ class DiagnosisEngine:
 
     # ------------------------------------------------------------------
     def run(self) -> DiagnosisResult:
-        from ..cache import counting, current_store, use_store
+        """Run the loop in the caller's scope: its capture, store tally
+        and governor (``repro.limits.governed``) account the session."""
+        from ..cache import current_store, use_store
 
         store = current_store()
         # The stages persist whole artifacts to ``store``; the solver
         # checks beneath them see no store, since a warm run replays
         # those stages and would never read their verdicts back.
-        with use_store(None), counting() as ops, obs.capture() as cap, \
-                obs.span("engine.session"):
-            if self._limits is not None:
-                with _limits_mod.governed(self._limits) as governor:
-                    result = self._run(store)
-                result.limits = self._limits.to_dict()
-            else:
-                # an ambient governor (e.g. installed by the batch
-                # driver around the whole report) still attributes spend
-                governor = _limits_mod.current_governor()
-                result = self._run(store)
-            if governor is not None:
-                result.resource_spend = governor.spend_snapshot()
-        if cap.snapshot is not None:
-            result.telemetry = cap.snapshot
-        if store is not None:
-            result.cache = {
-                "store": str(store.root),
-                "invariants_digest": digest(self._analysis.invariants),
-                "success_digest": digest(self._analysis.success),
-                **{key: ops[key] for key in ("hits", "misses", "puts")},
-            }
-        return result
+        with use_store(None), obs.span("engine.session"):
+            return self._run(store)
 
     def _run(self, store) -> DiagnosisResult:
         start = time.perf_counter()
@@ -396,7 +373,6 @@ class DiagnosisEngine:
 
 
 def diagnose_error(analysis: AnalysisResult, oracle: Oracle,
-                   config: EngineConfig | None = None,
-                   limits: Limits | None = None) -> DiagnosisResult:
+                   config: EngineConfig | None = None) -> DiagnosisResult:
     """Run the Figure 6 algorithm on an analysis result."""
-    return DiagnosisEngine(analysis, oracle, config, limits=limits).run()
+    return DiagnosisEngine(analysis, oracle, config).run()

@@ -13,9 +13,10 @@ All probes are no-ops until :func:`enable` is called (or the
 ``REPRO_OBS`` environment variable is set), and the disabled fast path
 costs one global check per probe — see ``benchmarks/bench_overhead.py``
 for the enforced bound.  :func:`snapshot` returns the aggregate
-counters/gauges/span stats/histograms;
-:func:`repro.obs.provenance.export_trace` writes the bounded event
-buffer as the versioned ``repro.trace/1`` stream for offline analysis;
+counters/gauges/span stats/histograms; :func:`capture` scopes a block's
+telemetry and keeps its span events;
+:func:`repro.obs.provenance.export_trace` writes a scope's records as
+the versioned ``repro.trace/1`` stream for offline analysis;
 :func:`export_chrome` and :func:`export_prometheus` render the same
 data for Perfetto and Prometheus scrapers; :func:`merge_snapshots` combines per-worker
 snapshots from the batch driver into one fleet-wide view.
@@ -44,8 +45,6 @@ from .core import (
     current_span_id,
     disable,
     enable,
-    event_count,
-    events,
     export_chrome,
     export_prometheus,
     gauge,
@@ -73,8 +72,6 @@ __all__ = [
     "current_trace_id",
     "disable",
     "enable",
-    "event_count",
-    "events",
     "export_chrome",
     "export_prometheus",
     "from_traceparent",

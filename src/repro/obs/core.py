@@ -1,4 +1,4 @@
-"""The observability engine: spans, counters, gauges, event buffer.
+"""The observability engine: spans, counters, gauges, capture scopes.
 
 The process aggregate lives in one module-level :class:`_State`.  The
 design goal is *near-zero cost when disabled*: every public probe checks
@@ -18,18 +18,20 @@ Enabled-mode data model:
   Each live span gets a process-unique id and remembers its parent, so
   the event stream reconstructs the call tree exactly (and the
   provenance layer can key derivation steps to the enclosing span).
-  Closing a span appends one event to the bounded buffer (and to each
-  open :func:`capture` scope), folds its duration into a per-name
-  aggregate (count / total / max), and feeds a per-name duration
-  histogram, so aggregates and percentiles survive even after the
-  buffer evicts old events.
+  Closing a span appends one event to each open :func:`capture` scope
+  of its context, folds its duration into a per-name aggregate
+  (count / total / max), and feeds a per-name duration histogram, so
+  aggregates and percentiles survive even after a scope's bounded
+  event list drops old events, and cover spans closed outside every
+  scope, whose events nothing keeps.
 * **counters** — monotone named integers (``inc("smt.is_sat.miss")``).
 * **gauges** — last-write-wins named numbers.
 * **histograms** — streaming value distributions (``observe("qe.blowup",
   3.5)``) with bounded reservoirs; snapshots carry p50/p95/p99.
-* **events** — a bounded ``deque`` of plain dicts, exported as JSONL,
-  Chrome trace-event JSON (:func:`export_chrome`, Perfetto-loadable) or
-  Prometheus text format (:func:`export_prometheus`).
+* **events** — plain dicts, kept in a bounded ``deque`` per scope and
+  exported as JSONL, Chrome trace-event JSON (:func:`export_chrome`,
+  Perfetto-loadable) or Prometheus text format
+  (:func:`export_prometheus`).
 
 Snapshots are plain dicts of plain scalars, safe to pickle across the
 batch driver's process boundary; :func:`merge_snapshots` sums counters
@@ -68,8 +70,6 @@ __all__ = [
     "current_span_id",
     "disable",
     "enable",
-    "event_count",
-    "events",
     "export_chrome",
     "export_prometheus",
     "gauge",
@@ -88,9 +88,9 @@ __all__ = [
     "stubbed",
 ]
 
-_DEFAULT_BUFFER = 10_000
+_EVENT_BUFFER = 10_000  # span events a scope keeps
 
-_NODE_BUFFER = 200_000  # provenance nodes a scope (or the ring) keeps
+_NODE_BUFFER = 200_000  # provenance nodes a scope keeps
 
 #: Histogram reservoirs are decimated (every other sample dropped, the
 #: sampling stride doubled) once they reach this many samples, so a
@@ -231,18 +231,17 @@ class _Scope(_Sink):
 
     def __init__(self, outer: "_Scope | None") -> None:
         super().__init__()
-        self.events: deque[dict] = deque(maxlen=_DEFAULT_BUFFER)
+        self.events: deque[dict] = deque(maxlen=_EVENT_BUFFER)
         self.nodes: deque[dict] = deque(maxlen=_NODE_BUFFER)
         self.outer = outer
         self.snapshot: dict | None = None
 
 
 class _State(_Sink):
-    __slots__ = ("events", "ids", "seq", "tls")
+    __slots__ = ("ids", "seq", "tls")
 
-    def __init__(self, buffer_size: int = _DEFAULT_BUFFER):
+    def __init__(self) -> None:
         super().__init__()
-        self.events: deque[dict] = deque(maxlen=buffer_size)
         # span ids come from an itertools.count — allocation is a single
         # atomic-under-the-GIL call, so the serve daemon's worker threads
         # never mint duplicate ids; ``seq`` trails the allocator so
@@ -266,9 +265,10 @@ _scope: ContextVar[_Scope | None] = ContextVar("repro.obs.scope", default=None)
 _state_lock = threading.Lock()
 
 #: Optional observer called with every closed span's event dict (after
-#: it is buffered).  The logging layer installs its slow-query watcher
-#: here; anything else (test probes, future samplers) can too.  One
-#: global slot, None when absent — the disabled cost is one load+test.
+#: the open scopes keep it).  The logging layer installs its slow-query
+#: watcher here; anything else (test probes, future samplers) can too.
+#: One global slot, None when absent — the disabled cost is one
+#: load+test.
 _span_hook: Callable[[dict], None] | None = None
 
 
@@ -282,15 +282,9 @@ def set_span_hook(hook: Callable[[dict], None] | None) -> None:
 # lifecycle
 # ---------------------------------------------------------------------------
 
-def enable(*, buffer_size: int | None = None) -> None:
-    """Turn instrumentation on (idempotent).
-
-    ``buffer_size`` bounds the in-memory event buffer; when omitted the
-    current buffer (and any data already in it) is kept.
-    """
-    global _enabled, _state
-    if buffer_size is not None and buffer_size != _state.events.maxlen:
-        _state = _State(buffer_size)
+def enable() -> None:
+    """Turn instrumentation on (idempotent)."""
+    global _enabled
     _enabled = True
 
 
@@ -305,9 +299,9 @@ def is_enabled() -> bool:
 
 
 def reset() -> None:
-    """Drop all collected data (counters, gauges, spans, events)."""
+    """Drop the process aggregate (counters, gauges, span stats)."""
     global _state
-    _state = _State(_state.events.maxlen or _DEFAULT_BUFFER)
+    _state = _State()
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +394,6 @@ class _Span:
             event["attrs"] = self.attrs
         if exc_type is not None:
             event["error"] = exc_type.__name__
-        state.events.append(event)
         while scope is not None:
             scope.events.append(event)
             scope = scope.outer
@@ -516,18 +509,8 @@ def _render(sink: _Sink, enabled: bool) -> dict:
     }
 
 
-def events() -> list[dict]:
-    """A copy of the bounded event buffer (oldest first)."""
-    return list(_state.events)
-
-
-def event_count() -> int:
-    """Current number of buffered events (cheap; no copy)."""
-    return len(_state.events)
-
-
 def export_chrome(destination: str | os.PathLike | TextIO,
-                  source_events: list[dict] | None = None) -> dict:
+                  source_events: list[dict]) -> dict:
     """Write the span events as Chrome trace-event JSON (Perfetto/about:
     tracing loadable).
 
@@ -538,15 +521,14 @@ def export_chrome(destination: str | os.PathLike | TextIO,
     batch traces) are mapped to one thread lane per report, with
     ``thread_name`` metadata so lanes are labelled in the UI.
 
-    ``source_events`` defaults to the live buffer; pass the merged event
-    list of a batch run to export a fleet-wide trace.  Returns the
-    trace dict that was written.
+    ``source_events`` are a scope's events, or the merged event list of
+    a batch run for a fleet-wide trace.  Returns the trace dict that was
+    written.
     """
-    evs = events() if source_events is None else source_events
     pid = os.getpid()
     lanes: dict[str, int] = {}
     trace_events: list[dict] = []
-    for event in evs:
+    for event in source_events:
         if event.get("type") != "span":
             continue
         lane_key = str(event.get("report", "main"))
@@ -731,10 +713,12 @@ def capture():
 
     Yields the scope: its ``events`` and ``nodes`` grow with the span
     events and provenance nodes recorded inside the block in this
-    context, and on exit its ``snapshot`` holds only the block's
-    activity (a report's gauges are the ones it set), which then folds
-    into the enclosing scope or the process aggregate.  No-op
-    (snapshot None, no events or nodes) while disabled.
+    context (the scopes are the only place they are kept, at most
+    10,000 events and 200,000 nodes each), and on exit its ``snapshot``
+    holds only the block's activity (a report's gauges are the ones it
+    set), which then folds into the enclosing scope or the process
+    aggregate.  No-op (snapshot None, no events or nodes) while
+    disabled.
     """
     if not _enabled:
         yield _Scope(None)

@@ -21,7 +21,9 @@ witness Υ must justify the verdict, Lemmas 1–5 / Fig. 6):
 Every node is a plain dict stamped with the enclosing span's id
 (:func:`repro.obs.core.current_span_id`), so nodes join back onto the
 span tree recorded by the core layer — :func:`render_tree` does exactly
-that join to print the derivation tree the ``explain`` CLI shows.
+that join to print the derivation tree the ``explain`` CLI shows.  Like
+span events, nodes are kept only by the open
+:func:`repro.obs.capture` scopes of the context that records them.
 
 The recorder is a separate switch from the core layer (:func:`enable`
 / ``REPRO_PROV`` for the process, :func:`recording` for one block of
@@ -43,7 +45,6 @@ import itertools
 import json
 import os
 import threading
-from collections import deque
 from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Any, Iterator, TextIO
@@ -57,8 +58,6 @@ __all__ = [
     "export_trace",
     "fmla",
     "is_enabled",
-    "node_count",
-    "nodes",
     "read_trace",
     "record",
     "recording",
@@ -75,7 +74,6 @@ _recording: ContextVar[bool] = ContextVar("repro.prov", default=False)
 _scoped = 0       # open recording() blocks, in all contexts
 _on = False       # _enabled or _scoped: the one check while off
 _switch_lock = threading.Lock()
-_nodes: deque[dict] = deque(maxlen=core._NODE_BUFFER)
 # ids come from an itertools.count, whose next() is one atomic call under
 # the GIL, so concurrent threads never mint the same id
 _ids = itertools.count(1)
@@ -98,7 +96,7 @@ def enable() -> None:
 
 
 def disable() -> None:
-    """Stop process-wide recording; collected nodes stay readable."""
+    """Stop process-wide recording; nodes already kept stay readable."""
     global _enabled, _on
     with _switch_lock:
         _enabled = False
@@ -131,9 +129,8 @@ def recording() -> Iterator[None]:
 
 
 def reset() -> None:
-    """Drop every recorded node and restart the id sequence."""
-    global _nodes, _ids
-    _nodes = deque(maxlen=core._NODE_BUFFER)
+    """Restart the node id sequence."""
+    global _ids
     _ids = itertools.count(1)
 
 
@@ -142,7 +139,9 @@ def reset() -> None:
 # ---------------------------------------------------------------------------
 
 def record(kind: str, **data: Any) -> int:
-    """Append one derivation node; returns its id (0 while disabled).
+    """Append one derivation node to every open :func:`repro.obs.capture`
+    scope of this context, the only place nodes are kept; returns its
+    id (0 while disabled).
 
     The node is stamped with the innermost open span's id (``span``), a
     monotone sequence point (``at``) that orders it against span
@@ -164,7 +163,6 @@ def record(kind: str, **data: Any) -> int:
     if trace is not None:
         node["trace"] = trace
     node.update(data)
-    _nodes.append(node)
     scope = core._scope.get()
     while scope is not None:
         scope.nodes.append(node)
@@ -180,37 +178,27 @@ def fmla(formula: Any, limit: int = _FORMULA_LIMIT) -> str:
     return text
 
 
-def nodes() -> list[dict]:
-    """A copy of the recorded nodes (oldest first)."""
-    return list(_nodes)
-
-
-def node_count() -> int:
-    return len(_nodes)
-
-
 # ---------------------------------------------------------------------------
 # the repro.trace/1 stream
 # ---------------------------------------------------------------------------
 
 def export_trace(destination: str | os.PathLike | TextIO,
                  *,
-                 events: list[dict] | None = None,
-                 prov_nodes: list[dict] | None = None,
-                 snapshot: dict | None = None) -> int:
+                 events: list[dict],
+                 prov_nodes: list[dict],
+                 snapshot: dict) -> int:
     """Write the versioned ``repro.trace/1`` JSONL stream.
 
     Line 1 is the header (``{"type": "header", "schema":
     "repro.trace/1"}``), then every span event, every provenance node,
-    and finally the aggregate snapshot.  All inputs default to the live
-    buffers; pass merged batch data for a fleet-wide trace.  Returns the
-    number of lines written.
+    and finally the aggregate snapshot: one capture scope's records, or
+    merged batch data for a fleet-wide trace.  Returns the number of
+    lines written.
     """
     lines: list[dict] = [{"type": "header", "schema": TRACE_SCHEMA}]
-    lines.extend(core.events() if events is None else events)
-    lines.extend(nodes() if prov_nodes is None else prov_nodes)
-    snap = core.snapshot() if snapshot is None else snapshot
-    lines.append({"type": "snapshot", **snap})
+    lines.extend(events)
+    lines.extend(prov_nodes)
+    lines.append({"type": "snapshot", **snapshot})
     if isinstance(destination, (str, os.PathLike)):
         with open(destination, "w", encoding="utf-8") as handle:
             return _write(handle, lines)
@@ -318,20 +306,16 @@ def _describe(node: dict) -> str:
     return f"[{kind}] {payload}"
 
 
-def render_tree(events: list[dict] | None = None,
-                prov_nodes: list[dict] | None = None,
+def render_tree(events: list[dict], prov_nodes: list[dict],
                 *, report: str | None = None) -> str:
     """Join provenance nodes onto the span tree and render it.
 
-    ``events``/``prov_nodes`` default to the live buffers.  ``report``
-    filters a merged batch trace down to one report's spans (span events
-    tagged by the batch driver).  Spans whose parent was evicted from
-    the bounded buffer surface as roots, so the render degrades
-    gracefully on long runs.
+    ``report`` filters a merged batch trace down to one report's spans
+    (span events tagged by the batch driver).  Spans whose parent was
+    evicted from a scope's bounded event list surface as roots, so the
+    render degrades gracefully on long runs.
     """
-    evs = core.events() if events is None else events
-    nds = nodes() if prov_nodes is None else prov_nodes
-    spans = [e for e in evs if e.get("type") == "span"]
+    spans = [e for e in events if e.get("type") == "span"]
     if report is not None:
         spans = [e for e in spans if e.get("report", report) == report]
     by_id = {e.get("id", 0): e for e in spans}
@@ -347,7 +331,7 @@ def render_tree(events: list[dict] | None = None,
 
     node_children: dict[int, list[dict]] = {}
     orphan_nodes: list[dict] = []
-    for n in nds:
+    for n in prov_nodes:
         span_id = n.get("span", 0)
         if span_id and span_id in by_id:
             node_children.setdefault(span_id, []).append(n)

@@ -217,7 +217,7 @@ class RepairResult:
         result = cls(
             program=run.program.name if run.program is not None else None,
             verdict=session.triage_verdict, telemetry=run.telemetry,
-            cache=session.cache,
+            cache=run.cache,
         )
         if session.decided_by_analysis:
             result.already_clean = \

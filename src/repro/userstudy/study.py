@@ -35,7 +35,7 @@ from ..diagnosis import (
     Query,
     diagnose_error,
 )
-from ..suite import BENCHMARKS, DIAGNOSTICS, Benchmark
+from ..suite import BENCHMARKS, DIAGNOSTICS, Benchmark, load_analysis
 from .participants import (
     SESSION_OVERHEAD,
     Participant,
@@ -192,15 +192,11 @@ class UserStudy:
         seed: int = 2012,
         benchmarks: tuple[Benchmark, ...] = BENCHMARKS,
         engine_config: EngineConfig | None = None,
-        jobs: int | None = 1,
     ):
         self._num_recruited = num_recruited
         self._seed = seed
         self._benchmarks = benchmarks
         self._config = engine_config or EngineConfig()
-        # worker processes for the up-front analysis of all benchmarks;
-        # None = CPU count, 1 = load serially in-process
-        self._jobs = jobs
 
     # ------------------------------------------------------------------
     def run(self) -> StudyResult:
@@ -212,10 +208,8 @@ class UserStudy:
         excluded = len(recruited) - len(valid)
 
         sessions: list[SessionOutcome] = []
-        from ..batch import load_many
-
-        loaded = load_many(self._benchmarks, jobs=self._jobs)
-        for bench, program, analysis in loaded:
+        for bench in self._benchmarks:
+            program, analysis = load_analysis(bench)
             truth = ExhaustiveOracle(
                 program, analysis, radius=bench.oracle_radius
             )
@@ -300,8 +294,8 @@ class UserStudy:
 
 def run_user_study(*, num_recruited: int = 56, seed: int = 2012,
                    benchmarks: tuple[Benchmark, ...] = BENCHMARKS,
-                   engine_config: EngineConfig | None = None,
-                   jobs: int | None = 1) -> StudyResult:
+                   engine_config: EngineConfig | None = None
+                   ) -> StudyResult:
     """Convenience wrapper: run the full simulated study.
 
     The signature is explicit (no ``**kwargs`` passthrough) so a typo
@@ -313,5 +307,4 @@ def run_user_study(*, num_recruited: int = 56, seed: int = 2012,
         seed=seed,
         benchmarks=benchmarks,
         engine_config=engine_config,
-        jobs=jobs,
     ).run()

@@ -7,7 +7,7 @@ import pytest
 
 import repro.smt.solver as solver_mod
 from repro import obs
-from repro.batch import load_many, triage_many
+from repro.batch import triage_many
 from repro.limits import Limits
 from repro.logic import le
 from repro.logic.intern import Memo
@@ -68,18 +68,6 @@ class TestTriageMany:
     def test_jobs_clamped_to_report_count(self):
         result = triage_many([NAMES[0]], jobs=8)
         assert result.mode == "serial"     # single report: no pool
-
-
-class TestLoadMany:
-    def test_parallel_load_matches_serial(self):
-        serial = load_many(DIAGNOSTICS, jobs=1)
-        parallel = load_many(DIAGNOSTICS, jobs=2)
-        assert [b.name for b, _, _ in parallel] == \
-               [b.name for b, _, _ in serial]
-        for (_, _, a1), (_, _, a2) in zip(serial, parallel):
-            # analyses cross the process boundary and re-intern
-            assert a1.invariants == a2.invariants
-            assert a1.success == a2.success
 
 
 class TestVerdictCacheLru:

@@ -24,6 +24,7 @@ from repro.batch import triage_many
 from repro.cache import (
     STORE_VERSION,
     CacheStore,
+    counting,
     current_store,
     open_store,
     use_store,
@@ -44,13 +45,30 @@ FALSE_ALARMS = [b.name for b in BENCHMARKS if b.is_false_alarm]
 class TestCacheStore:
     def test_roundtrip_and_counters(self, tmp_path):
         store = CacheStore(tmp_path / "cache")
-        assert store.get("entail", "aa" * 16) is None           # miss
-        store.put("entail", "aa" * 16, {"consistent": True})
-        assert store.get("entail", "aa" * 16) == {"consistent": True}
-        stats = store.stats()
-        assert stats["hits"] == 1 and stats["misses"] == 1
-        assert stats["puts"] == 1 and stats["entries"] == 1
-        assert stats["stages"]["entail"]["hits"] == 1
+        with counting() as ops:
+            assert store.get("entail", "aa" * 16) is None       # miss
+            store.put("entail", "aa" * 16, {"consistent": True})
+            assert store.get("entail", "aa" * 16) == {"consistent": True}
+        assert ops == {"entail": {"hits": 1, "misses": 1, "puts": 1}}
+        assert store.stats() == {"path": str(tmp_path / "cache"),
+                                 "entries": 1, "max_entries": 8_192}
+
+    def test_counting_sees_only_its_own_context(self, tmp_path):
+        """Nested blocks count into the innermost; outside every block,
+        and on another thread, operations are counted nowhere."""
+        store = CacheStore(tmp_path / "cache")
+        store.get("entail", "aa" * 16)
+        with counting() as outer:
+            store.get("entail", "aa" * 16)
+            with counting() as inner:
+                store.put("abduce", "bb" * 16, {"x": 1})
+            peer = threading.Thread(
+                target=store.get, args=("entail", "cc" * 16))
+            peer.start()
+            peer.join(timeout=10)
+            assert not peer.is_alive()
+        assert outer == {"entail": {"misses": 1}}
+        assert inner == {"abduce": {"puts": 1}}
 
     def test_layout_is_versioned(self, tmp_path):
         store = CacheStore(tmp_path / "cache")
@@ -65,24 +83,28 @@ class TestCacheStore:
         path = tmp_path / "cache" / f"{STORE_VERSION}-{DIGEST_VERSION}" \
             / "entail" / (("cc" * 16) + ".json")
         path.write_bytes(b'{"truncated": ')          # crashed writer
-        assert store.get("entail", "cc" * 16) is None
+        with counting() as ops:
+            assert store.get("entail", "cc" * 16) is None
         assert not path.exists()                      # cannot poison later runs
-        assert store.stats()["corrupt"] == 1
+        assert ops["entail"]["corrupt"] == 1
         # non-object JSON is corruption too
         store.put("entail", "dd" * 16, {"ok": 1})
         bad = path.parent / (("dd" * 16) + ".json")
         bad.write_text("[1, 2, 3]")
-        assert store.get("entail", "dd" * 16) is None
-        assert store.stats()["corrupt"] == 2
+        with counting() as ops:
+            assert store.get("entail", "dd" * 16) is None
+        assert ops["entail"] == {"corrupt": 1, "misses": 1}
+        assert store.stats()["entries"] == 0
 
     def test_put_recreates_a_stage_directory_removed_under_it(
             self, tmp_path):
         store = CacheStore(tmp_path / "cache")
-        store.put("entail", "aa" * 16, {"x": 1})
-        shutil.rmtree(store._path("entail", "aa" * 16).parent)
-        store.put("entail", "bb" * 16, {"x": 2})
+        with counting() as ops:
+            store.put("entail", "aa" * 16, {"x": 1})
+            shutil.rmtree(store._path("entail", "aa" * 16).parent)
+            store.put("entail", "bb" * 16, {"x": 2})
         assert store.get("entail", "bb" * 16) == {"x": 2}
-        assert store.stats()["stages"]["entail"]["puts"] == 2
+        assert ops["entail"]["puts"] == 2
 
     def test_reopening_sees_previous_entries(self, tmp_path):
         CacheStore(tmp_path / "cache").put("smt-sat", "ee" * 16,
@@ -103,10 +125,10 @@ class TestCacheStore:
         store.get("entail", keys[0])
         os.utime(store._path("entail", keys[0]), (2000.0, 2000.0))
         # ...then overflow: eviction drops to 90% by recency
-        store.put("entail", "ff" * 16, {"i": 99})
-        stats = store.stats()
-        assert stats["entries"] <= 10
-        assert stats["evictions"] >= 1
+        with counting() as ops:
+            store.put("entail", "ff" * 16, {"i": 99})
+        assert store.stats()["entries"] <= 10
+        assert ops["entail"]["evictions"] >= 1
         assert store.get("entail", keys[0]) is not None   # refreshed: kept
         assert store.get("entail", keys[1]) is None       # oldest: evicted
 
@@ -135,16 +157,19 @@ class TestCacheStore:
         flood_puts = [0]  # completed flood puts, across every flooder
         flood_lock = threading.Lock()
         errors: list[BaseException] = []
+        counts: dict[int, dict] = {}  # each thread's tally, per store
 
         def flood(n, store):
             try:
-                # unique keys: every put is fresh, so the store crosses
-                # the watermark over and over and keeps evicting
-                for i in range(200):
-                    store.put("entail", f"{n:02x}{i:06x}" + "ab" * 12,
-                              {"i": i})
-                    with flood_lock:
-                        flood_puts[0] += 1
+                with counting() as counts[id(store)]:
+                    # unique keys: every put is fresh, so the store
+                    # crosses the watermark over and over and keeps
+                    # evicting
+                    for i in range(200):
+                        store.put("entail", f"{n:02x}{i:06x}" + "ab" * 12,
+                                  {"i": i})
+                        with flood_lock:
+                            flood_puts[0] += 1
             except BaseException as exc:  # noqa: BLE001
                 errors.append(exc)
 
@@ -152,16 +177,17 @@ class TestCacheStore:
             hot = [f"{n * per_writer + i:02d}" * 16
                    for i in range(per_writer)]
             try:
-                for i in range(200):
-                    key = hot[i % len(hot)]
-                    before = flood_puts[0]
-                    store.put("entail", key, {"i": i})
-                    if store.get("entail", key) is None:
-                        flooded = flood_puts[0] - before
-                        if flooded < outrun_after:
-                            raise AssertionError(
-                                f"peer eviction dropped fresh write "
-                                f"{key[:8]} after {flooded} flood puts")
+                with counting() as counts[id(store)]:
+                    for i in range(200):
+                        key = hot[i % len(hot)]
+                        before = flood_puts[0]
+                        store.put("entail", key, {"i": i})
+                        if store.get("entail", key) is None:
+                            flooded = flood_puts[0] - before
+                            if flooded < outrun_after:
+                                raise AssertionError(
+                                    f"peer eviction dropped fresh write "
+                                    f"{key[:8]} after {flooded} flood puts")
             except BaseException as exc:  # noqa: BLE001
                 errors.append(exc)
 
@@ -180,10 +206,10 @@ class TestCacheStore:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert not errors, errors
-        for store in flooders:
-            assert store.stats()["evictions"] >= 1  # the flood evicted
+        for store in flooders:                     # the flood evicted
+            assert counts[id(store)]["entail"]["evictions"] >= 1
         for store in stores:
-            assert store.stats()["corrupt"] == 0
+            assert counts[id(store)]["entail"]["corrupt"] == 0
 
     def test_clear_removes_entries_not_layout(self, tmp_path):
         store = CacheStore(tmp_path / "cache")
@@ -411,13 +437,16 @@ class TestWarmRetriage:
                                                      monkeypatch):
         """Another thread reads and writes the same store while a
         report's engine session waits in its oracle: the report's
-        ``cache`` block still equals its serial run's."""
+        ``cache`` block still equals its serial run's.  Both runs start
+        from cleared memos, since the block counts the front end's
+        ``smt-sat`` lookups too, which a memo hit skips."""
         from repro.batch.outcomes import _triage_one
         from repro.diagnosis import ExhaustiveOracle
 
         name = "p05_strlcpy"
         counts = ("invariants_digest", "success_digest",
-                  "hits", "misses", "puts")
+                  "hits", "misses", "puts", "stages")
+        clear_qe_caches()
         serial = _triage_one(name, cache_dir=str(tmp_path / "serial"))
         assert serial.cache["misses"] and serial.cache["puts"]
 
@@ -442,11 +471,70 @@ class TestWarmRetriage:
         monkeypatch.setattr(ExhaustiveOracle, "answer", gated)
         thread = threading.Thread(target=peer)
         thread.start()
+        clear_qe_caches()
         outcome = _triage_one(name, cache_dir=shared)
         thread.join(timeout=60)
         assert not thread.is_alive() and peer_done.is_set()
         assert {k: outcome.cache[k] for k in counts} == \
             {k: serial.cache[k] for k in counts}
+
+
+def _assert_block_sums_outcomes(result) -> None:
+    """Each count of a batch's ``cache`` block, the totals and per
+    stage, is the sum over its outcomes' blocks."""
+    ops = ("hits", "misses", "puts")
+    assert {op: result.cache[op] for op in ops} == \
+        {op: sum(o.cache[op] for o in result.outcomes) for op in ops}
+    stages: dict = {}
+    for outcome in result.outcomes:
+        for stage, counts in outcome.cache.get("stages", {}).items():
+            into = stages.setdefault(stage, {})
+            for op, n in counts.items():
+                into[op] = into.get(op, 0) + n
+    assert result.cache["stages"] == stages
+
+
+class TestBatchCacheBlock:
+    """The batch ``cache`` block counts its own batch: each count is the
+    sum over the batch's outcomes, whichever process ran them."""
+
+    NAMES = ["p10_toggle", "p06_chroot"]
+
+    def test_serial_batches_on_one_store_count_only_themselves(
+            self, tmp_path):
+        cache_dir = str(tmp_path / "cache")
+        first = triage_many(self.NAMES, jobs=1, cache_dir=cache_dir)
+        second = triage_many(self.NAMES, jobs=1, cache_dir=cache_dir)
+        for result in (first, second):
+            _assert_block_sums_outcomes(result)
+        assert first.cache["puts"] > 0
+        # the memos are warm and the store is full: only hits remain
+        assert second.cache["hits"] > 0
+        assert second.cache["misses"] == second.cache["puts"] == 0
+        assert second.cache["entries"] == first.cache["entries"]
+
+    def test_pool_batch_counts_its_workers_operations(self, tmp_path):
+        result = triage_many(self.NAMES, jobs=2,
+                             cache_dir=str(tmp_path / "cache"))
+        assert result.mode == "parallel"
+        _assert_block_sums_outcomes(result)
+        assert result.cache["puts"] > 0
+
+    def test_cold_fill_puts_match_the_entries_written(self, tmp_path):
+        """Each report's block counts the whole report, front end
+        included: a Figure-7 fill's puts are the entries it wrote, and a
+        warm re-run from cleared memos misses none of them."""
+        cache_dir = tmp_path / "cache"
+        clear_qe_caches()
+        cold = triage_many(ALL_NAMES, jobs=1, cache_dir=str(cache_dir))
+        written = list((cache_dir / f"{STORE_VERSION}-{DIGEST_VERSION}")
+                       .glob("*/*.json"))
+        assert sum(o.cache["puts"] for o in cold.outcomes) \
+            == len(written) == cold.cache["entries"]
+        clear_qe_caches()
+        warm = triage_many(ALL_NAMES, jobs=1, cache_dir=str(cache_dir))
+        assert warm.cache["misses"] == warm.cache["puts"] == 0
+        assert warm.cache["hits"] >= len(written)
 
 
 # ---------------------------------------------------------------------------

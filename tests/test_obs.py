@@ -29,15 +29,16 @@ class TestDisabledFastPath:
         assert obs.snapshot()["spans"] == {}
 
     def test_probes_record_nothing(self):
-        obs.inc("c")
-        obs.gauge("g", 3.5)
-        with obs.span("s"):
-            pass
+        with obs.capture() as cap:
+            obs.inc("c")
+            obs.gauge("g", 3.5)
+            with obs.span("s"):
+                pass
         snap = obs.snapshot()
         assert snap["counters"] == {}
         assert snap["gauges"] == {}
         assert snap["spans"] == {}
-        assert obs.events() == []
+        assert list(cap.events) == []
 
     def test_capture_yields_none_snapshot(self):
         with obs.capture() as cap:
@@ -61,10 +62,11 @@ class TestEnabled:
 
     def test_spans_nest_and_record_depth(self):
         obs.enable()
-        with obs.span("outer"):
-            with obs.span("inner", kind="x"):
-                pass
-        ev = obs.events()
+        with obs.capture() as cap:
+            with obs.span("outer"):
+                with obs.span("inner", kind="x"):
+                    pass
+        ev = list(cap.events)
         # inner closes first, at depth 1 (inside outer)
         assert [e["name"] for e in ev] == ["inner", "outer"]
         assert ev[0]["depth"] == 1 and ev[1]["depth"] == 0
@@ -76,10 +78,10 @@ class TestEnabled:
 
     def test_span_records_error_type(self):
         obs.enable()
-        with pytest.raises(ValueError):
+        with obs.capture() as cap, pytest.raises(ValueError):
             with obs.span("boom"):
                 raise ValueError("nope")
-        assert obs.events()[-1]["error"] == "ValueError"
+        assert cap.events[-1]["error"] == "ValueError"
 
     def test_span_aggregates_survive_many_uses(self):
         obs.enable()
@@ -92,16 +94,21 @@ class TestEnabled:
 
     def test_set_attaches_attributes_mid_span(self):
         obs.enable()
-        with obs.span("s") as sp:
+        with obs.capture() as cap, obs.span("s") as sp:
             sp.set(found=3)
-        assert obs.events()[-1]["attrs"] == {"found": 3}
+        assert cap.events[-1]["attrs"] == {"found": 3}
 
-    def test_buffer_is_bounded_but_stats_are_not(self):
-        obs.enable(buffer_size=4)
-        for i in range(10):
-            with obs.span("tick"):
-                pass
-        assert obs.event_count() == 4
+    def test_buffer_is_bounded_but_stats_are_not(self, monkeypatch):
+        """A scope keeps its newest events only; its span stats, and
+        the process aggregate it folds into, count every span."""
+        monkeypatch.setattr(obs.core, "_EVENT_BUFFER", 4)
+        obs.enable()
+        with obs.capture() as cap:
+            for i in range(10):
+                with obs.span("tick", i=i):
+                    pass
+        assert [e["attrs"]["i"] for e in cap.events] == [6, 7, 8, 9]
+        assert cap.snapshot["spans"]["tick"]["count"] == 10
         assert obs.snapshot()["spans"]["tick"]["count"] == 10
 
     def test_disable_keeps_data_readable(self):
@@ -295,26 +302,9 @@ class TestCapture:
                 assert [e["name"] for e in outer.events] == ["inner"]
         assert [e["name"] for e in inner.events] == ["inner"]
         assert [e["name"] for e in outer.events] == ["inner", "outer"]
-        assert [e["name"] for e in obs.events()] == \
-            ["before", "inner", "outer"]
-
-    def test_report_events_do_not_depend_on_the_ring_size(self):
-        """A report's events come from its own scope: with a 4-event
-        process ring it still carries every span event it recorded."""
-        from repro.batch.outcomes import _triage_one
-
-        obs.enable(buffer_size=4)
-        try:
-            outcome = _triage_one("p01_accumulate", telemetry=True)
-        finally:
-            obs.enable(buffer_size=obs.core._DEFAULT_BUFFER)
-        counted: dict[str, int] = {}
-        for event in outcome.events:
-            counted[event["name"]] = counted.get(event["name"], 0) + 1
-        assert counted == {name: s["count"] for name, s
-                           in outcome.telemetry["spans"].items()}
-        assert counted["triage.report"] == 1
-        assert len(outcome.events) > 4
+        # a span closed outside every scope is kept by none, but the
+        # process aggregate still counts it
+        assert obs.snapshot()["spans"]["before"]["count"] == 1
 
 
 class TestPercentiles:
@@ -439,16 +429,17 @@ class TestSpanCleanup:
         the next root span sees parent 0 / depth 0 (regression — a
         leaked stack entry used to re-parent later spans)."""
         obs.enable()
-        with pytest.raises(ValueError):
-            with obs.span("outer"):
-                with obs.span("inner"):
-                    raise ValueError("boom")
-        with obs.span("fresh"):
-            pass
-        fresh = [e for e in obs.events() if e["name"] == "fresh"][0]
+        with obs.capture() as cap:
+            with pytest.raises(ValueError):
+                with obs.span("outer"):
+                    with obs.span("inner"):
+                        raise ValueError("boom")
+            with obs.span("fresh"):
+                pass
+        fresh = [e for e in cap.events if e["name"] == "fresh"][0]
         assert fresh["parent"] == 0
         assert fresh["depth"] == 0
-        by_name = {e["name"]: e for e in obs.events()}
+        by_name = {e["name"]: e for e in cap.events}
         assert by_name["outer"]["error"] == "ValueError"
         assert by_name["inner"]["error"] == "ValueError"
 
@@ -457,13 +448,14 @@ class TestSpanCleanup:
         spans, exception trampolines) removes it from mid-stack instead
         of popping the wrong id."""
         obs.enable()
-        outer = obs.span("outer").__enter__()
-        inner = obs.span("inner").__enter__()
-        outer.__exit__(None, None, None)
-        inner.__exit__(None, None, None)
-        with obs.span("fresh"):
-            pass
-        fresh = [e for e in obs.events() if e["name"] == "fresh"][0]
+        with obs.capture() as cap:
+            outer = obs.span("outer").__enter__()
+            inner = obs.span("inner").__enter__()
+            outer.__exit__(None, None, None)
+            inner.__exit__(None, None, None)
+            with obs.span("fresh"):
+                pass
+        fresh = [e for e in cap.events if e["name"] == "fresh"][0]
         assert fresh["parent"] == 0
         assert fresh["depth"] == 0
 

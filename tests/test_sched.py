@@ -255,6 +255,10 @@ class TestRemoteFleet:
             set(baseline.values())
         for outcome in result.outcomes:
             assert outcome.worker in urls
+        # the workers touch the store: the batch block sums their counts
+        counts = ("hits", "misses", "puts")
+        assert {k: result.cache[k] for k in counts} == \
+            {k: sum(o.cache[k] for o in result.outcomes) for k in counts}
         env = result.to_dict()
         assert env["backend"] == "remote"
         assert set(env["workers"]) == set(urls)

@@ -283,6 +283,45 @@ class TestCliJsonModes:
         doc = json.loads(chrome.read_text())
         assert "api.analyze" in {e.get("name") for e in doc["traceEvents"]}
 
+    @pytest.mark.parametrize("command", ["diagnose", "repair"])
+    def test_one_report_trace_holds_its_spans_and_nodes(self, command,
+                                                        tmp_path, capsys):
+        """``diagnose --trace`` and ``repair --trace`` write the span
+        events and provenance nodes of the scope around the command."""
+        from repro.obs import provenance as prov
+
+        source = tmp_path / "foo.err"
+        source.write_text(FOO)
+        trace = tmp_path / "t.jsonl"
+        argv = ["diagnose", str(source), "--oracle", "sampling"] \
+            if command == "diagnose" else ["repair", "p06_chroot"]
+        prov.enable()
+        try:
+            assert main(argv + ["--trace", str(trace)]) == 0
+        finally:
+            prov.disable()
+            prov.reset()
+        data = prov.read_trace(trace)
+        names = [e["name"] for e in data["events"]]
+        assert names.count("triage.report") == 1
+        assert "engine.session" in names
+        assert "verdict" in {n["kind"] for n in data["nodes"]}
+        assert data["snapshot"]["spans"]["triage.report"]["count"] == 1
+
+    def test_malformed_source_trace_holds_what_ran(self, tmp_path, capsys):
+        """A source that does not parse still gets its trace, after the
+        usage error: the span that raised, with the error's type."""
+        from repro.obs import provenance as prov
+
+        source = tmp_path / "bad.err"
+        source.write_text("program bad(x) { assert(x > ; }")
+        trace = tmp_path / "t.jsonl"
+        assert main(["analyze", str(source), "--trace", str(trace)]) == 2
+        assert capsys.readouterr().err.startswith("analyze: expected")
+        events = prov.read_trace(trace)["events"]
+        assert [(e["name"], e["error"]) for e in events] == \
+            [("api.analyze", "ParseError")]
+
     def test_trace_export_rejects_a_headerless_stream(self, tmp_path,
                                                       capsys):
         bare = tmp_path / "bare.jsonl"

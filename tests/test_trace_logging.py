@@ -250,9 +250,9 @@ class TestBatchTraceEndToEnd:
         prov.enable()
         try:
             ctx = ocontext.new_trace("test")
-            with ocontext.bind(ctx):
+            with obs.capture() as cap, ocontext.bind(ctx):
                 prov.record("abduction.round", round=1)
-            nodes = [n for n in prov.nodes()
+            nodes = [n for n in cap.nodes
                      if n.get("trace") == ctx.trace_id]
             assert len(nodes) == 1
             assert nodes[0]["kind"] == "abduction.round"
