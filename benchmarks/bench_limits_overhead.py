@@ -96,8 +96,7 @@ def measure(repeats: int = REPEATS, iterations: int = ITERATIONS
     _workload()  # warm every lazy cache outside the timed region
     # generous bounds: orders of magnitude above what one round spends,
     # so the governed run takes every accounting branch but never raises
-    roomy = limits.Limits(deadline=3600.0, max_steps=10**12,
-                          max_nodes=10**12)
+    roomy = limits.Limits(deadline=3600.0, max_steps=10**12)
     stubbed = inactive = governed = float("inf")
     for _ in range(repeats):
         with _stubbed_ticks():

@@ -55,7 +55,6 @@ _EXPORTS = {
     "read_envelope": ("repro.schema", "read_envelope"),
     "Limits": ("repro.limits", "Limits"),
     "ResourceExhausted": ("repro.limits", "ResourceExhausted"),
-    "CancellationToken": ("repro.limits", "CancellationToken"),
     "BatchResult": ("repro.batch", "BatchResult"),
     "TriageOutcome": ("repro.batch", "TriageOutcome"),
     "RepairResult": ("repro.repair", "RepairResult"),

@@ -119,9 +119,9 @@ class Pipeline:
     workloads as methods.  ``diagnose``, ``repair`` and ``triage`` each
     run every report through :func:`repro.batch.outcomes.run_report`,
     so ``limits`` governs a whole report: front end, diagnosis loop and
-    repair synthesis.  Passing ``telemetry=True`` switches the
-    process-wide obs instrumentation on, so every result produced by
-    this pipeline embeds its telemetry snapshot.
+    repair synthesis.  While the process-wide obs instrumentation is on
+    (:func:`repro.obs.enable`), every result embeds its telemetry
+    snapshot.
 
     ``cache_dir`` opens the persistent content-addressed store there
     (:mod:`repro.cache`) and activates it for every workload this
@@ -134,7 +134,6 @@ class Pipeline:
 
     def __init__(self, *, auto_annotate: bool = True,
                  config: EngineConfig | None = None,
-                 telemetry: bool = False,
                  limits: Limits | None = None,
                  cache_dir: str | None = None,
                  incremental: bool = False):
@@ -145,8 +144,6 @@ class Pipeline:
         self._limits = limits
         self._cache_dir = cache_dir
         self._incremental = incremental
-        if telemetry:
-            obs.enable()
 
     def _run(self, source: str | None, **kwargs) -> ReportRun:
         """One report through the runner, under this pipeline's
@@ -204,8 +201,7 @@ class Pipeline:
                limits: Limits | None = None,
                cache_dir: str | None = None,
                incremental: bool | None = None,
-               workers: list[str] | None = None,
-               transport=None) -> BatchResult:
+               workers: list[str] | None = None) -> BatchResult:
         """Batch-triage benchmark reports (all of Figure 7 by default).
 
         Fans out over ``jobs`` worker processes (CPU count by default)
@@ -217,22 +213,19 @@ class Pipeline:
         settings.
 
         ``workers`` fans the batch out over running ``repro serve``
-        instances instead of local processes; ``transport`` accepts any
-        pre-built :mod:`repro.sched` transport outright (the scheduler
-        core — retry, quarantine, grace windows, rebuild — is identical
-        across all backends).
+        instances instead of local processes (the scheduler core —
+        retry, quarantine, grace windows, rebuild — is identical across
+        all backends).
         """
         return triage_many(names, jobs=jobs,
                            config=self._config,
-                           telemetry=obs.is_enabled(),
                            limits=limits if limits is not None
                            else self._limits,
                            cache_dir=cache_dir if cache_dir is not None
                            else self._cache_dir,
                            incremental=self._incremental
                            if incremental is None else incremental,
-                           workers=workers,
-                           transport=transport)
+                           workers=workers)
 
     def repair(self, name_or_source: str, *,
                max_patches: int | None = None,

@@ -74,24 +74,22 @@ def triage_many(
     *,
     jobs: int | None = None,
     config: EngineConfig | None = None,
-    telemetry: bool = False,
     limits: Limits | None = None,
     cache_dir: str | None = None,
     incremental: bool = False,
     workers: list[str] | None = None,
-    transport=None,
 ) -> BatchResult:
     """Triage many reports, in parallel when more than one core helps.
 
     ``names`` defaults to the full Figure 7 suite.  ``jobs`` defaults to
     the CPU count; ``jobs <= 1`` (or a single report) selects the serial
     path outright.  ``limits`` governs each report individually
-    (deadline, per-stage budgets, retry policy — see
-    :mod:`repro.limits`); reports that run out come back as
-    ``"unknown resource"`` and, once retries are exhausted, are
-    quarantined into ``BatchResult.degraded``.  ``telemetry`` collects
-    per-report obs snapshots in every worker and merges them into
-    ``BatchResult.telemetry``.
+    (deadline, step budget, retry policy — see :mod:`repro.limits`);
+    reports that run out come back as ``"unknown resource"`` and, once
+    retries are exhausted, are quarantined into
+    ``BatchResult.degraded``.  While obs instrumentation is on
+    (:func:`repro.obs.enable`), every worker collects per-report obs
+    snapshots and the batch merges them into ``BatchResult.telemetry``.
 
     ``cache_dir`` activates the persistent content-addressed store for
     every report (stage artifacts, SMT verdicts), shared across
@@ -103,27 +101,21 @@ def triage_many(
     ``workers`` fans the batch out over running ``repro serve``
     instances instead of local processes (``repro triage --workers``);
     give the fleet a shared ``cache_dir`` so warm digests are never
-    recomputed anywhere.  ``transport`` accepts any pre-built
-    :mod:`repro.sched` transport outright (it wins over ``workers``);
-    its ``spec`` is rebuilt from this call's settings.
+    recomputed anywhere.
     """
     if incremental and cache_dir is None:
         raise ValueError("incremental re-triage needs cache_dir")
     if names is None:
         names = [b.name for b in BENCHMARKS]
 
-    # also honour a caller that enabled obs globally before batching
-    telemetry = telemetry or obs.is_enabled()
+    telemetry = obs.is_enabled()
     limits_payload = limits.to_dict() if limits is not None else None
     spec = TriageSpec(config=config, telemetry=telemetry,
                       cache_dir=cache_dir, incremental=incremental)
 
-    remote = transport is not None or workers is not None
+    remote = workers is not None
     if remote:
-        if transport is None:
-            transport = RemoteTransport(list(workers), spec=spec)
-        else:
-            transport.spec = spec
+        transport = RemoteTransport(list(workers), spec=spec)
         jobs = transport.parallelism
     else:
         if jobs is None:
@@ -164,9 +156,8 @@ def triage_many(
             cache=_cache_block(cache_dir, outcomes),
             trace_id=root.trace_id,
             backend="remote" if remote else None,
-            workers=(list(getattr(transport, "urls", workers or []))
-                     if remote else None),
-            steals=getattr(transport, "steals", None) if remote else None,
+            workers=list(transport.urls) if remote else None,
+            steals=transport.steals if remote else None,
         )
         olog.info("batch.done", reports=len(names), mode=result.mode,
                   wall_s=round(result.wall_seconds, 4),
@@ -189,7 +180,6 @@ def _cache_block(cache_dir: str | None,
 
 
 def triage_with_retries(name: str, config: EngineConfig | None,
-                        telemetry: bool,
                         limits: Limits | None,
                         cache_dir: str | None = None,
                         incremental: bool = False,
@@ -198,7 +188,7 @@ def triage_with_retries(name: str, config: EngineConfig | None,
     in-process — the serve daemon's per-job entry point.  Safe on
     concurrent threads: each attempt binds its governor, store, trace
     and telemetry scope in its own context."""
-    spec = TriageSpec(config=config, telemetry=telemetry,
+    spec = TriageSpec(config=config, telemetry=obs.is_enabled(),
                       cache_dir=cache_dir, incremental=incremental)
     scheduler = Scheduler(InlineTransport(spec=spec), limits=limits,
                           spec=spec)

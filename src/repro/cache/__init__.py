@@ -45,21 +45,29 @@ __all__ = [
     "use_store",
 ]
 
-_opened: dict[str, CacheStore] = {}
+#: Open stores, keyed by absolute path (normalized, and as given).
+_opened: dict[str | os.PathLike, CacheStore] = {}
 
 #: The store of the innermost :func:`use_store` block in this context.
 _store: ContextVar[CacheStore | None] = ContextVar(
     "repro.cache.store", default=None)
 
 
-def open_store(root: str | os.PathLike,
-               *, max_entries: int = 8_192) -> CacheStore:
-    """Open (and memoize per path) the store rooted at ``root``."""
-    key = os.path.abspath(os.fspath(root))
-    store = _opened.get(key)
-    if store is None or store.max_entries != max_entries:
-        store = CacheStore(key, max_entries=max_entries)
-        _opened[key] = store
+def open_store(root: str | os.PathLike) -> CacheStore:
+    """Open (and memoize per directory) the store rooted at ``root``.
+
+    An absolute ``root`` is also remembered as given, so reopening it is
+    one dictionary lookup; a relative one is resolved on every call,
+    because it names another directory once the working directory
+    changes."""
+    store = _opened.get(root)
+    if store is None:
+        key = os.path.abspath(os.fspath(root))
+        store = _opened.get(key)
+        if store is None:
+            store = _opened[key] = CacheStore(key)
+        if os.path.isabs(root):
+            _opened[root] = store
     return store
 
 

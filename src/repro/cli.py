@@ -421,9 +421,7 @@ def _handle_history(args: argparse.Namespace, result) -> int:
     path = args.history_file
     history = obs_history.load(path)
     had_baseline = obs_history.baseline_run(history) is not None
-    regressions = obs_history.check_regressions(
-        history, snap, threshold=args.regress_threshold
-    )
+    regressions = obs_history.check_regressions(history, snap)
     obs_history.append_run(
         path, snap, label="stats",
         meta={
@@ -440,8 +438,8 @@ def _handle_history(args: argparse.Namespace, result) -> int:
         print("no stored baseline yet; this run becomes the baseline")
         return 0
     if not regressions:
-        print(f"no stage p95 regressions vs baseline "
-              f"(threshold {100.0 * args.regress_threshold:.0f}%)")
+        print(f"no stage p95 regressions vs baseline (threshold "
+              f"{100.0 * obs_history.DEFAULT_THRESHOLD:.0f}%)")
         return 0
     for r in regressions:
         print(f"REGRESSION {r['stage']}: p95 "
@@ -721,10 +719,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats.add_argument("--history-file", default="BENCH_obs.json",
                          metavar="FILE",
                          help="run-history store (default: BENCH_obs.json)")
-    p_stats.add_argument("--regress-threshold", type=float, default=0.2,
-                         metavar="FRACTION",
-                         help="p95 regression threshold (default: 0.2 "
-                              "= 20%%)")
     p_stats.add_argument("--fail-on-regression", action="store_true",
                          help="exit 1 when a stage regresses beyond the "
                               "threshold")

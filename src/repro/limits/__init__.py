@@ -1,4 +1,4 @@
-"""Cooperative resource governance: deadlines, step budgets, cancellation.
+"""Cooperative resource governance: deadlines and step budgets.
 
 Cooper QE, the MSA search, CDCL and the Omega test are all worst-case
 exponential; the paper's sub-0.1s query times hold on the Figure 7
@@ -9,13 +9,12 @@ explicit *unknown* verdict" — this module is that mechanism.
 One :class:`Limits` value describes every bound a run may impose:
 
 * ``deadline`` — wall-clock seconds for the whole operation;
-* per-stage step budgets (``qe_steps``, ``msa_steps``, ``sat_steps``,
-  ``smt_steps``, ``omega_steps``) with ``max_steps`` as the default for
-  any stage without its own bound;
-* ``max_nodes`` — a memory-ish ceiling on formula nodes charged by QE
-  (the ``qe`` stage counts nodes, not iterations);
-* ``token`` — a cooperative :class:`CancellationToken`;
-* ``retries`` / ``backoff`` — the batch driver's recovery policy.
+* ``max_steps`` — the budget each stage's spend is checked against
+  (the ``qe`` stage counts formula nodes, every other stage counts
+  loop iterations);
+* ``retries`` — the recovery policy of the batch scheduler
+  (:mod:`repro.sched`): extra attempts per report, each after a
+  :data:`BACKOFF`-based delay.
 
 Enforcement is *cooperative*: every solver calls :func:`tick` at its
 loop heads.  While no governor is active a tick is one context-variable
@@ -48,14 +47,14 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterator
 
 from .. import obs
 from . import faults
 
 __all__ = [
-    "CancellationToken",
+    "BACKOFF",
     "Governor",
     "Limits",
     "ResourceExhausted",
@@ -69,13 +68,17 @@ __all__ = [
 #: formula nodes; every other stage counts loop iterations.
 STAGES = ("qe", "msa", "sat", "smt", "omega")
 
+#: Base delay before the first retry, in seconds; each later retry
+#: doubles it, up to 2 s.
+BACKOFF = 0.05
+
 
 class ResourceExhausted(RuntimeError):
     """A solver ran out of a governed resource.
 
     ``stage`` is the solver stage whose checkpoint fired (one of
     :data:`STAGES`); ``kind`` says which resource ran out — ``"steps"``,
-    ``"nodes"``, ``"deadline"``, ``"cancelled"`` or ``"injected"``.
+    ``"nodes"``, ``"deadline"`` or ``"injected"``.
     ``spent``/``limit`` quantify the overrun in the units of ``kind``.
     """
 
@@ -92,72 +95,18 @@ class ResourceExhausted(RuntimeError):
         super().__init__(message)
 
 
-class CancellationToken:
-    """A cooperative, in-process cancellation flag.
-
-    ``cancel()`` makes every subsequent governed checkpoint raise
-    :class:`ResourceExhausted` with ``kind="cancelled"``.  The token is
-    plain data (picklable), but a copy shipped to a worker process is
-    exactly that — a copy: cancellation does not propagate across the
-    process boundary, which is why the batch driver governs workers
-    with deadlines instead.
-    """
-
-    __slots__ = ("_cancelled",)
-
-    def __init__(self) -> None:
-        self._cancelled = False
-
-    def cancel(self) -> None:
-        self._cancelled = True
-
-    @property
-    def cancelled(self) -> bool:
-        return self._cancelled
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"CancellationToken(cancelled={self._cancelled})"
-
-
 @dataclass(frozen=True)
 class Limits:
     """Every resource bound a run may impose, in one value.
 
-    The default instance is unlimited (every field ``None``): solvers
+    The default instance is unlimited (both bounds ``None``): solvers
     then fall back to their own standalone safety valves.  ``retries``
-    and ``backoff`` only matter to the batch driver's recovery loop.
+    only matters to the batch scheduler's retry loop.
     """
 
     deadline: float | None = None       # wall-clock seconds
-    max_steps: int | None = None        # default per-stage budget
-    qe_steps: int | None = None         # QE budget, in formula nodes
-    msa_steps: int | None = None        # MSA search nodes
-    sat_steps: int | None = None        # CDCL solve-loop iterations
-    smt_steps: int | None = None        # lazy-SMT theory rounds
-    omega_steps: int | None = None      # Omega elimination steps
-    max_nodes: int | None = None        # alias ceiling for the qe stage
+    max_steps: int | None = None        # per-stage budget (qe: nodes)
     retries: int = 1                    # extra batch attempts per report
-    backoff: float = 0.05               # base retry backoff, seconds
-    token: CancellationToken | None = field(default=None, compare=False)
-
-    def step_limit(self, stage: str) -> int | None:
-        """The effective step budget for ``stage`` (stage-specific
-        first, then ``max_nodes`` for qe, then ``max_steps``)."""
-        specific = getattr(self, f"{stage}_steps", None)
-        if specific is not None:
-            return specific
-        if stage == "qe" and self.max_nodes is not None:
-            return self.max_nodes
-        return self.max_steps
-
-    @property
-    def unlimited(self) -> bool:
-        """True when no bound is set (the governor would be a no-op
-        apart from fault injection)."""
-        return (self.deadline is None and self.max_steps is None
-                and self.max_nodes is None and self.token is None
-                and all(getattr(self, f"{s}_steps") is None
-                        for s in STAGES))
 
     def tightened(self, attempt: int) -> "Limits":
         """The limits for retry number ``attempt`` (0 = first try):
@@ -171,26 +120,23 @@ class Limits:
 
     def backoff_for(self, attempt: int) -> float:
         """Deterministic exponential backoff before retry ``attempt``."""
-        return min(self.backoff * (2 ** max(attempt - 1, 0)), 2.0)
+        return min(BACKOFF * (2 ** max(attempt - 1, 0)), 2.0)
 
     def to_dict(self) -> dict:
-        """Plain-data rendering for the JSON envelope (Nones omitted,
-        the token rendered as a flag)."""
+        """Plain-data rendering for the JSON envelope (Nones omitted)."""
         payload: dict = {}
-        for name in ("deadline", "max_steps", "max_nodes",
-                     *(f"{s}_steps" for s in STAGES)):
+        for name in ("deadline", "max_steps"):
             value = getattr(self, name)
             if value is not None:
                 payload[name] = value
         payload["retries"] = self.retries
-        if self.token is not None:
-            payload["cancellable"] = True
         return payload
 
     @classmethod
     def from_dict(cls, payload: dict) -> "Limits":
-        known = {f.name for f in cls.__dataclass_fields__.values()} \
-            - {"token"}  # type: ignore[attr-defined]
+        """The inverse of :meth:`to_dict`; unknown keys (such as the
+        per-stage bounds older envelopes carried) are dropped."""
+        known = cls.__dataclass_fields__  # type: ignore[attr-defined]
         return cls(**{k: v for k, v in payload.items() if k in known})
 
 
@@ -205,27 +151,23 @@ _CLOCK_STRIDE = 64
 class Governor:
     """The active accounting for one governed run.
 
-    Holds the absolute deadline, the per-stage spend map and the
-    pre-resolved per-stage limits, so :meth:`tick` is a dict update
-    plus two comparisons on the hot path.
+    Holds the absolute deadline, the per-stage spend map and the step
+    limit, so :meth:`tick` is a dict update plus two comparisons on the
+    hot path.
     """
 
-    __slots__ = ("limits", "spend", "_stage_limits", "_deadline_at",
-                 "_token", "_fault", "_fault_fired", "_started",
-                 "_clock_countdown")
+    __slots__ = ("limits", "spend", "_max_steps", "_deadline_at",
+                 "_fault", "_fault_fired", "_started", "_clock_countdown")
 
     def __init__(self, limits: Limits):
         self.limits = limits
         self.spend: dict[str, int] = {}
-        self._stage_limits = {
-            stage: limits.step_limit(stage) for stage in STAGES
-        }
+        self._max_steps = limits.max_steps
         self._started = time.monotonic()
         self._deadline_at = (
             self._started + limits.deadline
             if limits.deadline is not None else None
         )
-        self._token = limits.token
         self._fault = faults.active()
         self._fault_fired = False
         self._clock_countdown = 0  # check the deadline on the first tick
@@ -233,13 +175,13 @@ class Governor:
     # ------------------------------------------------------------------
     def tick(self, stage: str, amount: int = 1) -> None:
         """One checkpoint: charge ``amount`` to ``stage`` and enforce
-        every bound.  Raises :class:`ResourceExhausted` past a limit."""
+        both bounds.  Raises :class:`ResourceExhausted` past a limit."""
         if self._fault is not None:
             self._maybe_fault(stage)
         spend = self.spend
         n = spend.get(stage, 0) + amount
         spend[stage] = n
-        limit = self._stage_limits.get(stage)
+        limit = self._max_steps
         if limit is not None and n > limit:
             obs.inc(f"limits.exhausted.{stage}")
             raise ResourceExhausted(
@@ -257,9 +199,6 @@ class Governor:
                         stage, now - self._started, self.limits.deadline,
                         kind="deadline",
                     )
-        if self._token is not None and self._token.cancelled:
-            obs.inc("limits.exhausted.cancelled")
-            raise ResourceExhausted(stage, kind="cancelled")
 
     def elapsed(self) -> float:
         return time.monotonic() - self._started

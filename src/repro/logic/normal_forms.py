@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
+from .digest import digest
 from .intern import register_table
 from .formulas import (
     FALSE,
@@ -112,14 +113,16 @@ def dnf_clauses(phi: Formula, *, limit: int = 200_000) -> list[list[Formula]]:
 
     ``phi`` must be quantifier-free; it is first converted to NNF.  Trivial
     clauses are dropped, and clauses containing complementary literals are
-    removed.  ``limit`` guards against exponential blowup.
+    removed.  ``limit`` guards against exponential blowup.  Each clause
+    lists its literals in digest order: a clause is a set, and the
+    iteration order of a set follows the interpreter's hash seed.
     """
     key = (phi, limit)
     cached = _dnf_cache.get(key)
     if cached is None:
         budget = [limit]
         cached = tuple(
-            tuple(clause)
+            tuple(sorted(clause, key=digest))
             for clause, _negs in _dnf(nnf(phi), budget, {})
         )
         if len(_dnf_cache) < _DNF_CACHE_LIMIT:

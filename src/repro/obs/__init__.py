@@ -9,10 +9,9 @@ Usage, from anywhere in the package::
     with obs.span("msa.find", strategy="branch_bound"):
         ...
 
-All probes are no-ops until :func:`enable` is called (or the
-``REPRO_OBS`` environment variable is set), and the disabled fast path
-costs one global check per probe — see ``benchmarks/bench_overhead.py``
-for the enforced bound.  :func:`snapshot` returns the aggregate
+All probes are no-ops until :func:`enable` is called, and the disabled
+fast path costs one global check per probe — see
+``benchmarks/bench_overhead.py`` for the enforced bound.  :func:`snapshot` returns the aggregate
 counters/gauges/span stats/histograms; :func:`capture` scopes a block's
 telemetry and keeps its span events;
 :func:`repro.obs.provenance.export_trace` writes a scope's records as

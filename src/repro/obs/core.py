@@ -772,10 +772,3 @@ def stubbed():
         for t, inc_, gauge_, observe_, span_ in saved:
             t.inc, t.gauge, t.observe, t.span = \
                 inc_, gauge_, observe_, span_
-
-
-# honour an environment opt-in so any entry point can be traced without
-# code changes (workers forked from an enabled parent inherit the flag
-# directly; this covers spawn-style and standalone processes)
-if os.environ.get("REPRO_OBS", "").strip() not in ("", "0", "false"):
-    enable()

@@ -19,10 +19,10 @@ Each run entry carries:
 
 Regression checking compares the *current* snapshot's per-stage p95
 against the latest stored run: a stage regresses when its p95 exceeds
-the baseline's by more than ``threshold`` (default 20%).  Stages below
-``min_seconds`` total time are ignored — microsecond-level stages are
-all scheduler noise — as are stages with fewer than ``min_count``
-samples on either side.
+the baseline's by more than :data:`DEFAULT_THRESHOLD` (20%).  Stages
+below :data:`MIN_TOTAL_SECONDS` total time are ignored —
+microsecond-level stages are all scheduler noise — as are stages with
+fewer than :data:`MIN_COUNT` samples on either side.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from typing import Any
 HISTORY_SCHEMA = "repro.history/1"
 DEFAULT_PATH = "BENCH_obs.json"
 
-#: Default regression gate: p95 more than 20% above the baseline.
+#: The regression gate: p95 more than 20% above the baseline.
 DEFAULT_THRESHOLD = 0.20
 
 #: Stages cheaper than this (total seconds in the run) are never
@@ -128,10 +128,7 @@ def baseline_run(history: dict) -> dict | None:
 
 
 def check_regressions(history_or_path: dict | str | os.PathLike,
-                      snapshot: dict | None, *,
-                      threshold: float = DEFAULT_THRESHOLD,
-                      min_total_s: float = MIN_TOTAL_SECONDS,
-                      min_count: int = MIN_COUNT) -> list[dict]:
+                      snapshot: dict | None) -> list[dict]:
     """Stage-level p95 latency regressions of ``snapshot`` vs baseline.
 
     Returns one dict per regressed stage: ``{"stage", "baseline_p95_s",
@@ -154,12 +151,12 @@ def check_regressions(history_or_path: dict | str | os.PathLike,
         cur_p95 = entry.get("p95_s")
         if not base_p95 or not cur_p95:
             continue
-        if (entry["total_s"] < min_total_s
-                or prior["total_s"] < min_total_s):
+        if (entry["total_s"] < MIN_TOTAL_SECONDS
+                or prior["total_s"] < MIN_TOTAL_SECONDS):
             continue
-        if entry["count"] < min_count or prior["count"] < min_count:
+        if entry["count"] < MIN_COUNT or prior["count"] < MIN_COUNT:
             continue
-        if cur_p95 > base_p95 * (1.0 + threshold):
+        if cur_p95 > base_p95 * (1.0 + DEFAULT_THRESHOLD):
             regressions.append({
                 "stage": stage,
                 "baseline_p95_s": base_p95,

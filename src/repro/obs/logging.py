@@ -83,13 +83,15 @@ _LEVEL_NAMES = {v: k for k, v in LEVELS.items()}
 SLOW_QUERY_PREFIXES = ("smt.", "qe.", "msa.", "sat.", "omega.")
 
 _RING_SIZE = 2_048
-_DEFAULT_RATE_LIMIT = 200   # records per event name per second
+
+#: Records kept per event name per wall second; the rest are dropped
+#: and counted.
+RATE_LIMIT = 200
 
 # module state: one int gate (0 = disabled) keeps the unconfigured
 # fast path to a single global load, like obs.core's _enabled flag
 _threshold = 0              # 0 = logging off; else minimum level value
 _slow_query_s: float | None = None
-_rate_limit = _DEFAULT_RATE_LIMIT
 _ring: deque[dict] = deque(maxlen=_RING_SIZE)
 _file_fd: int | None = None
 _file_path: str | None = None
@@ -110,27 +112,20 @@ def slow_query_ms() -> float | None:
 
 def configure(*, file: str | os.PathLike | None = None,
               level: str = "info",
-              slow_query_ms: float | None = None,
-              rate_limit: int = _DEFAULT_RATE_LIMIT,
-              ring_size: int = _RING_SIZE) -> None:
+              slow_query_ms: float | None = None) -> None:
     """Turn structured logging on.
 
     ``file`` appends ``repro.log/1`` lines there (header written once
     per fresh/empty file; append mode, fork-safe); without it records
     live only in the in-memory ring.  ``level`` is the minimum kept
     level.  ``slow_query_ms`` arms the slow-query span hook.
-    ``rate_limit`` caps records per event name per second.
     """
-    global _threshold, _slow_query_s, _rate_limit, _ring
-    global _file_fd, _file_path
+    global _threshold, _slow_query_s, _file_fd, _file_path
     if level not in LEVELS:
         raise ValueError(f"unknown log level {level!r} "
                          f"(expected one of {sorted(LEVELS)})")
     reset()
     _threshold = LEVELS[level]
-    _rate_limit = max(1, int(rate_limit))
-    if ring_size != _ring.maxlen:
-        _ring = deque(maxlen=ring_size)
     if file is not None:
         path = os.fspath(file)
         fresh = not os.path.exists(path) or os.path.getsize(path) == 0
@@ -235,7 +230,7 @@ def _throttle(event: str) -> int | None:
         bucket[1] = 1
         dropped, bucket[2] = bucket[2], 0
         return dropped
-    if bucket[1] >= _rate_limit:
+    if bucket[1] >= RATE_LIMIT:
         bucket[2] += 1
         return None
     bucket[1] += 1
@@ -341,19 +336,3 @@ def read_log(source: str | os.PathLike | TextIO) -> dict:
         "schema": schema,
         "records": [r for r in parsed[1:] if r.get("type") == "log"],
     }
-
-
-# honour an environment opt-in so any entry point (including workers
-# spawned rather than forked) picks up the operator's log config
-_env_level = os.environ.get("REPRO_LOG_LEVEL", "").strip().lower()
-_env_file = os.environ.get("REPRO_LOG_FILE", "").strip()
-_env_slow = os.environ.get("REPRO_SLOW_QUERY_MS", "").strip()
-if _env_level or _env_file or _env_slow:
-    try:
-        configure(
-            file=_env_file or None,
-            level=_env_level if _env_level in LEVELS else "info",
-            slow_query_ms=float(_env_slow) if _env_slow else None,
-        )
-    except (OSError, ValueError):
-        pass  # a bad env var must not break import

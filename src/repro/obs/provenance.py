@@ -400,6 +400,7 @@ def render_tree(events: list[dict], prov_nodes: list[dict],
     return "\n".join(lines)
 
 
-# honour an environment opt-in (mirrors REPRO_OBS for the core layer)
+# honour an environment opt-in, so a run can record derivations without
+# code changes
 if os.environ.get("REPRO_PROV", "").strip() not in ("", "0", "false"):
     enable()

@@ -36,8 +36,8 @@ field keeps a retry from coalescing onto the original, possibly
 wedged, job on the same worker.
 
 Workers run their triage with telemetry on (serve always does); the
-coordinator strips the snapshot when the batch did not ask for
-telemetry, keeping envelopes identical to the local backends'.
+coordinator strips the snapshot when its own obs instrumentation is
+off, keeping envelopes identical to the local backends'.
 """
 
 from __future__ import annotations
@@ -61,6 +61,9 @@ HTTP_TIMEOUT = 10.0
 
 #: Minimum interval between status polls of one remote job, seconds.
 POLL_INTERVAL = 0.05
+
+#: Submissions each worker keeps in flight at once.
+SLOTS = 2
 
 
 def outcome_from_envelope(env: dict, *, worker: str | None = None,
@@ -95,11 +98,10 @@ def outcome_from_envelope(env: dict, *, worker: str | None = None,
 def _limits_payload(task: TriageTask) -> dict | None:
     """The per-attempt limits shipped to the worker: the coordinator's
     tightened bounds with the retry policy zeroed (retries nest in the
-    coordinator only) and the non-serializable token flag dropped."""
+    coordinator only)."""
     if task.limits is None:
         return None
     payload = task.limits.to_dict()
-    payload.pop("cancellable", None)
     payload["retries"] = 0
     return payload
 
@@ -109,7 +111,6 @@ class RemoteWorker:
     """One ``repro serve`` endpoint and its live bookkeeping."""
 
     url: str
-    slots: int = 2                 # submissions kept in flight at once
 
     inflight: int = 0
     alive: bool = True
@@ -151,7 +152,7 @@ class RemoteWorker:
     # ------------------------------------------------------------------
     def available(self, now: float) -> bool:
         return self.alive and now >= self.unavailable_until \
-            and self.inflight < self.slots
+            and self.inflight < SLOTS
 
     def health(self) -> bool:
         """Probe ``/healthz``; updates and returns :attr:`alive`."""
@@ -183,7 +184,6 @@ class RemoteTransport:
 
     urls: list[str]
     spec: TriageSpec = field(default_factory=TriageSpec)
-    slots: int = 2
 
     broken_exceptions: tuple = ()
     idle_delay: float = 0.02
@@ -191,8 +191,7 @@ class RemoteTransport:
     def __post_init__(self) -> None:
         if not self.urls:
             raise ValueError("RemoteTransport needs at least one worker URL")
-        self.workers = [RemoteWorker(url, slots=self.slots)
-                        for url in self.urls]
+        self.workers = [RemoteWorker(url) for url in self.urls]
         self.steals = 0
         self._store = (open_store(self.spec.cache_dir)
                        if self.spec.cache_dir is not None else None)
@@ -204,7 +203,7 @@ class RemoteTransport:
     @property
     def parallelism(self) -> int:
         healthy = sum(1 for w in self.workers if w.alive)
-        return max(1, healthy * self.slots)
+        return max(1, healthy * SLOTS)
 
     def open(self) -> None:
         for worker in self.workers:

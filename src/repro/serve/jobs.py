@@ -37,6 +37,9 @@ __all__ = ["AdmissionError", "Job", "JobRegistry"]
 #: Job lifecycle states, in order.
 QUEUED, RUNNING, DONE = "queued", "running", "done"
 
+#: Finished jobs kept for status polls and inline answers.
+RETAIN = 1024
+
 
 class AdmissionError(RuntimeError):
     """The daemon is at ``max_inflight`` distinct jobs.
@@ -113,9 +116,8 @@ class Job:
 class JobRegistry:
     """Thread-safe job table with coalescing and bounded retention."""
 
-    def __init__(self, *, max_inflight: int = 8, retain: int = 1024):
+    def __init__(self, *, max_inflight: int = 8):
         self.max_inflight = max_inflight
-        self.retain = retain
         self._lock = threading.Lock()
         self._jobs: "OrderedDict[str, Job]" = OrderedDict()
         self._inflight: dict[str, str] = {}   # key -> job id
@@ -226,7 +228,7 @@ class JobRegistry:
 
     def _trim_locked(self) -> None:
         """Drop the oldest finished jobs past the retention bound."""
-        excess = len(self._jobs) - self.retain
+        excess = len(self._jobs) - RETAIN
         if excess <= 0:
             return
         for job_id in [jid for jid, j in self._jobs.items()

@@ -56,8 +56,9 @@ recomputing (see :mod:`repro.batch`).
 
 Admission control derives per-request :class:`~repro.limits.Limits`
 from the server-wide defaults: a request may *tighten* the governing
-deadline/budgets but never exceed the server's, and distinct jobs
-beyond ``max_inflight`` are refused with a Retry-After hint.
+deadline, step budget and retries but never exceed the server's, and
+distinct jobs beyond ``max_inflight`` are refused with a Retry-After
+hint.
 """
 
 from __future__ import annotations
@@ -96,11 +97,14 @@ MAX_SOURCE_BYTES = 1 << 20
 #: Schema of a flight-recorder JSONL dump (SIGUSR1 / ``dump_traces``).
 FLIGHT_SCHEMA = "repro.flight/1"
 
-#: How many completed traces the flight recorder retains by default.
+#: How many completed traces the flight recorder retains.
 FLIGHT_CAPACITY = 256
 
 #: Sliding window for the per-route SLO rollups, in seconds.
 SLO_WINDOW_S = 300.0
+
+#: Samples kept per route within the SLO window.
+SLO_MAX_SAMPLES = 4_096
 
 
 class RouteStats:
@@ -112,24 +116,22 @@ class RouteStats:
     guarded: the handler threads record, the scraper thread reads.
     """
 
-    def __init__(self, *, window_s: float = SLO_WINDOW_S,
-                 max_samples: int = 4_096):
-        self._window = window_s
+    def __init__(self):
         self._lock = threading.Lock()
         self._routes: dict[str, deque] = {}
-        self._max = max_samples
 
     def observe(self, route: str, status: int, dur_s: float) -> None:
         with self._lock:
             samples = self._routes.get(route)
             if samples is None:
-                samples = self._routes[route] = deque(maxlen=self._max)
+                samples = self._routes[route] = deque(
+                    maxlen=SLO_MAX_SAMPLES)
             samples.append((time.monotonic(), dur_s, status))
 
     def summary(self) -> dict[str, dict]:
         """``{route: {count, error_rate, p50_s, p95_s, p99_s, ...}}``
         over the window (empty routes are omitted)."""
-        cutoff = time.monotonic() - self._window
+        cutoff = time.monotonic() - SLO_WINDOW_S
         out: dict[str, dict] = {}
         with self._lock:
             for route, samples in self._routes.items():
@@ -145,7 +147,7 @@ class RouteStats:
                     **{f"{key}_s": value
                        for key, value in percentiles(durs).items()},
                     "max_s": max(durs),
-                    "window_s": self._window,
+                    "window_s": SLO_WINDOW_S,
                 }
         return out
 
@@ -159,8 +161,7 @@ class FlightRecorder:
     the SIGUSR1 post-mortem artifact.
     """
 
-    def __init__(self, capacity: int = FLIGHT_CAPACITY):
-        self.capacity = max(1, capacity)
+    def __init__(self):
         self._lock = threading.Lock()
         self._entries: "OrderedDict[str, dict]" = OrderedDict()
         self._aliases: dict[str, str] = {}
@@ -175,7 +176,7 @@ class FlightRecorder:
             for alias in aliases:
                 if alias and alias != trace_id:
                     self._aliases[alias] = trace_id
-            while len(self._entries) > self.capacity:
+            while len(self._entries) > FLIGHT_CAPACITY:
                 evicted, _ = self._entries.popitem(last=False)
                 self._aliases = {a: t for a, t in self._aliases.items()
                                  if t != evicted}
@@ -222,17 +223,16 @@ def _clamped_limits(base: Limits | None, requested: dict | None) -> Limits | Non
         return base
     if not isinstance(requested, dict):
         raise BadRequest("'limits' must be an object")
-    known = {f for f in Limits.__dataclass_fields__ if f != "token"}
-    unknown = sorted(set(requested) - known)
+    unknown = sorted(set(requested) - set(Limits.__dataclass_fields__))
     if unknown:
         # Limits.from_dict drops unknown keys, but a typo'd bound in an
         # admission request must not silently grant unlimited budget
         raise BadRequest(
             f"bad limits: unknown bound(s) {', '.join(unknown)}")
     for name, value in requested.items():
-        if value is None and name not in ("retries", "backoff"):
+        if value is None and name != "retries":
             continue  # an unset bound, as in Limits()
-        seconds = name in ("deadline", "backoff")
+        seconds = name == "deadline"
         if isinstance(value, bool) or not isinstance(
                 value, (int, float) if seconds else int) \
                 or not 0 <= value < math.inf:
@@ -243,9 +243,7 @@ def _clamped_limits(base: Limits | None, requested: dict | None) -> Limits | Non
     if base is None:
         return asked
     merged = {}
-    for name in ("deadline", "max_steps", "max_nodes",
-                 "qe_steps", "msa_steps", "sat_steps",
-                 "smt_steps", "omega_steps"):
+    for name in ("deadline", "max_steps"):
         ours, theirs = getattr(base, name), getattr(asked, name)
         if ours is None:
             merged[name] = theirs
@@ -264,18 +262,15 @@ class TriageService:
                  config: EngineConfig | None = None,
                  limits: Limits | None = None,
                  max_inflight: int = 8,
-                 workers: int = 1,
-                 retain: int = 1024,
-                 flight_capacity: int = FLIGHT_CAPACITY):
+                 workers: int = 1):
         from .jobs import JobRegistry
 
         self.cache_dir = cache_dir
         self.config = config or EngineConfig()
         self.limits = limits
-        self.registry = JobRegistry(max_inflight=max_inflight,
-                                    retain=retain)
+        self.registry = JobRegistry(max_inflight=max_inflight)
         self.slo = RouteStats()
-        self.flights = FlightRecorder(capacity=flight_capacity)
+        self.flights = FlightRecorder()
         self._queue: "queue.Queue[str | None]" = queue.Queue()
         self._workers = max(1, workers)
         self._threads: list[threading.Thread] = []
@@ -590,7 +585,7 @@ class TriageService:
             "inline_hits": counters.get("serve.inline_hits", 0),
             "rejected": counters.get("serve.rejected", 0),
             "flight_recorder": {
-                "capacity": self.flights.capacity,
+                "capacity": FLIGHT_CAPACITY,
                 "recorded": len(self.flights),
             },
             "log": {
@@ -712,7 +707,7 @@ class TriageService:
                     # an explain job runs its stages (replays record
                     # the same nodes); a recorded verdict has none
                     envelope = triage_with_retries(
-                        request["name"], self.config, True, limits,
+                        request["name"], self.config, limits,
                         cache_dir=self.cache_dir,
                         incremental=self.cache_dir is not None
                         and not request.get("explain"),

@@ -32,14 +32,16 @@ from ..logic.formulas import (
 )
 from ..smt import SmtSolver
 
+#: Rewrite passes per call; a pass that changes nothing ends it early.
+PASSES = 2
+
 
 class Simplifier:
     """Simplification engine with a shared SMT solver (whose ``is_sat``
     verdicts, like every solver's, live in the process-wide memo)."""
 
-    def __init__(self, solver: SmtSolver | None = None, *, passes: int = 2):
+    def __init__(self, solver: SmtSolver | None = None):
         self._solver = solver or SmtSolver()
-        self._passes = passes
 
     def simplify(self, phi: Formula, critical: Formula = TRUE) -> Formula:
         """Simplify ``phi`` assuming ``critical`` holds."""
@@ -47,7 +49,7 @@ class Simplifier:
             # under an absurd context everything is equivalent to TRUE
             return TRUE
         result = phi
-        for _ in range(self._passes):
+        for _ in range(PASSES):
             simplified = self._simplify(result, critical)
             if simplified == result:
                 break

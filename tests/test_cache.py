@@ -13,11 +13,13 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import subprocess
 import sys
 import threading
 
 import pytest
 
+import repro
 from repro import obs
 from repro.api import Pipeline
 from repro.batch import triage_many
@@ -244,10 +246,18 @@ class TestActiveStore:
             assert current_store() is store
         assert current_store() is None
 
-    def test_open_store_memoizes_per_path(self, tmp_path):
+    def test_open_store_memoizes_per_path(self, tmp_path, monkeypatch):
         first = open_store(tmp_path / "cache")
         assert open_store(tmp_path / "cache") is first
         assert open_store(tmp_path / "other") is not first
+        # every spelling of one directory is one store, and a relative
+        # path names the directory under the current one
+        assert open_store(str(tmp_path / "cache")) is first
+        assert open_store(f"{tmp_path}/x/../cache/") is first
+        monkeypatch.chdir(tmp_path)
+        assert open_store("cache") is first
+        monkeypatch.chdir(tmp_path / "cache")
+        assert open_store("cache") is not first
 
     def test_thread_scoped_binding_never_poisons_the_global(self, tmp_path):
         """Concurrent ``use_store`` scopes (the serve worker-thread
@@ -334,20 +344,19 @@ def _unread_entries(cache_dir: str, monkeypatch, run) -> list:
 
 
 class TestWarmRetriage:
-    def test_warm_run_skips_all_msa_and_qe_work(self, tmp_path):
+    def test_warm_run_skips_all_msa_and_qe_work(self, tmp_path,
+                                                live_counters):
         cache_dir = str(tmp_path / "cache")
         # the cold run must not inherit QE memos from earlier tests
         clear_qe_caches()
-        cold = triage_many(ALL_NAMES, jobs=1, telemetry=True,
-                           cache_dir=cache_dir)
+        cold = triage_many(ALL_NAMES, jobs=1, cache_dir=cache_dir)
         assert cold.accuracy == 1.0
         assert _counter(cold, "msa.candidates") > 0       # real work happened
         assert _counter(cold, "qe.elim.miss") > 0
 
         # drop every in-process memo so only the disk store can answer
         clear_qe_caches()
-        warm = triage_many(ALL_NAMES, jobs=1, telemetry=True,
-                           cache_dir=cache_dir)
+        warm = triage_many(ALL_NAMES, jobs=1, cache_dir=cache_dir)
         assert _verdict_bytes(warm) == _verdict_bytes(cold)
         assert _counter(warm, "msa.candidates") == 0      # zero MSA recompute
         assert _counter(warm, "qe.elim.miss") == 0        # zero QE recompute
@@ -546,13 +555,14 @@ class TestIncremental:
         with pytest.raises(ValueError, match="cache_dir"):
             triage_many(ALL_NAMES[:1], jobs=1, incremental=True)
 
-    def test_second_run_serves_every_report_from_records(self, tmp_path):
+    def test_second_run_serves_every_report_from_records(self, tmp_path,
+                                                         live_counters):
         cache_dir = str(tmp_path / "cache")
         names = ALL_NAMES[:4]
-        first = triage_many(names, jobs=1, telemetry=True,
-                            cache_dir=cache_dir, incremental=True)
-        second = triage_many(names, jobs=1, telemetry=True,
-                             cache_dir=cache_dir, incremental=True)
+        first = triage_many(names, jobs=1, cache_dir=cache_dir,
+                            incremental=True)
+        second = triage_many(names, jobs=1, cache_dir=cache_dir,
+                             incremental=True)
         assert _verdict_bytes(second) == _verdict_bytes(first)
         assert _counter(second, "batch.reports_cached") == len(names)
         assert _counter(second, "smt.fresh_checks") == 0
@@ -561,7 +571,8 @@ class TestIncremental:
             assert outcome.cache["triage"] == "hit"
 
     def test_edited_benchmark_recomputes_only_itself(self, tmp_path,
-                                                     monkeypatch):
+                                                     monkeypatch,
+                                                     live_counters):
         import repro.suite as suite_mod
 
         cache_dir = str(tmp_path / "cache")
@@ -584,8 +595,8 @@ class TestIncremental:
             return text
 
         monkeypatch.setattr(suite_mod, "load_source", edited_source)
-        result = triage_many(names, jobs=1, telemetry=True,
-                             cache_dir=cache_dir, incremental=True)
+        result = triage_many(names, jobs=1, cache_dir=cache_dir,
+                             incremental=True)
         assert _counter(result, "batch.reports_cached") == len(names) - 1
         by_name = {o.name: o for o in result.outcomes}
         assert by_name[edited].cache["triage"] == "miss"
@@ -595,7 +606,8 @@ class TestIncremental:
                 assert by_name[name].cache["triage"] == "hit"
 
     def test_whitespace_edit_still_hits_via_judgment_digest(self, tmp_path,
-                                                            monkeypatch):
+                                                            monkeypatch,
+                                                            live_counters):
         """An edit that does not change the judgment (I, phi) — e.g.
         reformatting — misses the ``analyze`` artifact but still resolves
         to the recorded verdict once the digests come back unchanged."""
@@ -608,9 +620,53 @@ class TestIncremental:
         original = suite_mod.load_source
         monkeypatch.setattr(suite_mod, "load_source",
                             lambda bench: original(bench) + "\n\n")
-        result = triage_many([name], jobs=1, telemetry=True,
-                             cache_dir=cache_dir, incremental=True)
+        result = triage_many([name], jobs=1, cache_dir=cache_dir,
+                             incremental=True)
         block = result.outcomes[0].cache
         assert block["analyze"] == "miss"      # source digest changed...
         assert block["triage"] == "hit"        # ...but (I, phi) did not
         assert _counter(result, "batch.reports_cached") == 1
+
+
+# ---------------------------------------------------------------------------
+# independence from the interpreter's hash seed
+# ---------------------------------------------------------------------------
+
+_SEED_PROBE = """
+import json, os, sys
+from repro.api import Pipeline
+from repro.batch import triage_many
+from repro.diagnosis import ExhaustiveOracle, diagnose_error
+from repro.suite import benchmark_by_name, load_analysis
+
+root = sys.argv[1]
+triage_many(["p05_strlcpy"], jobs=1, cache_dir=root)
+bench = benchmark_by_name("p05_strlcpy")
+program, analysis = load_analysis(bench)
+result = diagnose_error(
+    analysis, ExhaustiveOracle(program, analysis, radius=bench.oracle_radius))
+print(json.dumps({
+    "entries": sorted(os.path.relpath(os.path.join(d, f), root)
+                      for d, _, files in os.walk(root) for f in files
+                      if f.endswith(".json")),
+    "queries": [str(i.query.formula) for i in result.interactions],
+    "patch": Pipeline().repair("p05_strlcpy").best.to_dict(),
+}))
+"""
+
+
+def test_hash_seed_changes_no_query_patch_or_entry_name(tmp_path):
+    """Two fleet workers are two processes with two hash seeds: each must
+    ask the same queries, rank the same patch first and write the same
+    store entries for one report."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    seen = []
+    for seed in ("1", "2"):
+        done = subprocess.run(
+            [sys.executable, "-c", _SEED_PROBE, str(tmp_path / seed)],
+            env={"PYTHONPATH": src, "PYTHONHASHSEED": seed},
+            capture_output=True, text=True, timeout=300, check=True)
+        seen.append(json.loads(done.stdout))
+    assert len(seen[0]["queries"]) == 3
+    assert seen[0]["entries"]
+    assert seen[0] == seen[1]

@@ -105,14 +105,6 @@ class TestRegressionGate:
         assert history.check_regressions(path,
                                          make_snapshot(p95=0.011)) == []
 
-    def test_threshold_is_configurable(self, tmp_path):
-        path = tmp_path / "h.json"
-        history.append_run(path, make_snapshot(p95=0.010))
-        current = make_snapshot(p95=0.013)
-        assert history.check_regressions(path, current, threshold=0.5) == []
-        assert len(history.check_regressions(path, current,
-                                             threshold=0.1)) == 1
-
     def test_noise_stages_are_ignored(self, tmp_path):
         """The 'tiny' stage regresses hugely but stays under the total-
         seconds floor, so it must never flag."""

@@ -10,10 +10,13 @@ import time
 import pytest
 
 from repro import limits as limits_mod
+from repro.api import Pipeline
+from repro.batch import triage_many
+from repro.cache import open_store
 from repro.diagnosis import EngineConfig
 from repro.limits import (
+    BACKOFF,
     STAGES,
-    CancellationToken,
     Governor,
     Limits,
     ResourceExhausted,
@@ -27,7 +30,12 @@ from repro.limits.faults import (
     install,
     parse_fault,
 )
+from repro.obs import history
+from repro.obs import logging as olog
 from repro.sat import SatSolver
+from repro.sched import RemoteTransport
+from repro.serve.service import RouteStats, TriageService
+from repro.simplify.contextual import Simplifier
 from repro.smt import SmtSolver
 
 
@@ -42,27 +50,17 @@ def _no_installed_fault():
 
 
 class TestLimits:
+    def test_fields_are_the_three_bounds(self):
+        assert list(Limits.__dataclass_fields__) == [
+            "deadline", "max_steps", "retries"]
+
     def test_default_is_unlimited(self):
         limits = Limits()
-        assert limits.unlimited
-        assert all(limits.step_limit(s) is None for s in STAGES)
-
-    def test_any_bound_clears_unlimited(self):
-        assert not Limits(deadline=1.0).unlimited
-        assert not Limits(max_steps=10).unlimited
-        assert not Limits(msa_steps=10).unlimited
-        assert not Limits(max_nodes=10).unlimited
-        assert not Limits(token=CancellationToken()).unlimited
-        # retries/backoff are recovery policy, not resource bounds
-        assert Limits(retries=5, backoff=0.5).unlimited
-
-    def test_step_limit_precedence(self):
-        limits = Limits(max_steps=100, smt_steps=7, max_nodes=50)
-        assert limits.step_limit("smt") == 7          # specific wins
-        assert limits.step_limit("qe") == 50          # nodes ceiling
-        assert limits.step_limit("sat") == 100        # the default
-        qe_specific = Limits(max_nodes=50, qe_steps=9)
-        assert qe_specific.step_limit("qe") == 9      # specific beats nodes
+        assert (limits.deadline, limits.max_steps) == (None, None)
+        with governed(limits) as governor:
+            for stage in STAGES:
+                tick(stage, amount=10**9)     # nothing to exhaust
+        assert governor.spend_snapshot() == dict.fromkeys(STAGES, 10**9)
 
     def test_tightened_halves_deadline(self):
         limits = Limits(deadline=8.0)
@@ -75,25 +73,27 @@ class TestLimits:
         assert Limits().tightened(3) == Limits()      # nothing to tighten
 
     def test_backoff_is_exponential_and_capped(self):
-        limits = Limits(backoff=0.1)
-        assert limits.backoff_for(1) == pytest.approx(0.1)
-        assert limits.backoff_for(2) == pytest.approx(0.2)
-        assert limits.backoff_for(3) == pytest.approx(0.4)
+        limits = Limits()
+        assert BACKOFF == pytest.approx(0.05)
+        assert limits.backoff_for(1) == pytest.approx(BACKOFF)
+        assert limits.backoff_for(2) == pytest.approx(2 * BACKOFF)
+        assert limits.backoff_for(3) == pytest.approx(4 * BACKOFF)
         assert limits.backoff_for(20) == pytest.approx(2.0)
 
     def test_to_dict_roundtrip(self):
-        limits = Limits(deadline=2.5, max_steps=100, smt_steps=7,
-                        retries=3)
+        limits = Limits(deadline=2.5, max_steps=100, retries=3)
         payload = limits.to_dict()
-        assert payload == {"deadline": 2.5, "max_steps": 100,
-                           "smt_steps": 7, "retries": 3}
+        assert payload == {"deadline": 2.5, "max_steps": 100, "retries": 3}
+        assert list(payload) == ["deadline", "max_steps", "retries"]
         assert Limits.from_dict(payload) == limits
+        assert Limits().to_dict() == {"retries": 1}
 
-    def test_to_dict_renders_token_as_flag(self):
-        payload = Limits(token=CancellationToken()).to_dict()
-        assert payload["cancellable"] is True
-        # the flag does not round-trip into a token (tokens are local)
-        assert Limits.from_dict(payload).token is None
+    def test_from_dict_drops_removed_bounds(self):
+        """An envelope written with the per-stage bounds or the token
+        flag still loads: unknown keys are dropped."""
+        assert Limits.from_dict({"deadline": 1.0, "smt_steps": 3,
+                                 "cancellable": True}) == \
+            Limits(deadline=1.0)
 
 
 class TestResourceExhausted:
@@ -115,10 +115,10 @@ class TestGovernor:
             tick("smt")                   # must not raise or accumulate
 
     def test_step_budget_raises_with_stage(self):
-        with governed(Limits(smt_steps=3)) as governor:
+        with governed(Limits(max_steps=3)) as governor:
             for _ in range(3):
                 tick("smt")
-            tick("sat")                   # other stages are unbounded
+            tick("sat")                   # each stage has its own spend
             with pytest.raises(ResourceExhausted) as err:
                 tick("smt")
         assert err.value.stage == "smt"
@@ -127,10 +127,13 @@ class TestGovernor:
         assert governor.spend_snapshot() == {"smt": 4, "sat": 1}
 
     def test_qe_counts_nodes(self):
-        with governed(Limits(max_nodes=10)):
+        with governed(Limits(max_steps=10)):
+            tick("qe", amount=10)
             with pytest.raises(ResourceExhausted) as err:
-                tick("qe", amount=11)
+                tick("qe")
+        assert err.value.stage == "qe"
         assert err.value.kind == "nodes"
+        assert (err.value.spent, err.value.limit) == (11, 10)
 
     def test_deadline_raises_at_next_checkpoint(self):
         with governed(Limits(deadline=0.005)):
@@ -140,19 +143,9 @@ class TestGovernor:
         assert err.value.stage == "omega"     # attribution: who noticed
         assert err.value.kind == "deadline"
 
-    def test_cancellation_token(self):
-        token = CancellationToken()
-        with governed(Limits(token=token)):
-            tick("msa")
-            token.cancel()
-            with pytest.raises(ResourceExhausted) as err:
-                tick("msa")
-        assert err.value.kind == "cancelled"
-        assert token.cancelled
-
     def test_governed_nesting_restores_outer(self):
-        with governed(Limits(smt_steps=100)) as outer:
-            with governed(Limits(smt_steps=1)) as inner:
+        with governed(Limits(max_steps=100)) as outer:
+            with governed(Limits(max_steps=1)) as inner:
                 assert current_governor() is inner
                 tick("smt")
             assert current_governor() is outer
@@ -162,7 +155,7 @@ class TestGovernor:
 
     def test_governor_restored_after_exhaustion(self):
         with pytest.raises(ResourceExhausted):
-            with governed(Limits(sat_steps=0)):
+            with governed(Limits(max_steps=0)):
                 tick("sat")
         assert current_governor() is None
 
@@ -374,8 +367,50 @@ class TestDeprecatedKnobs:
         with pytest.raises(TypeError, match="thread_scoped"):
             TriageSpec(thread_scoped=True)
         with pytest.raises(TypeError, match="thread_scoped"):
-            triage_with_retries("d01_plus_one", None, False, None,
+            triage_with_retries("d01_plus_one", None, None,
                                 thread_scoped=True)
+
+    @pytest.mark.parametrize("make, knob", [
+        pytest.param(lambda: Pipeline(telemetry=True),
+                     "telemetry", id="Pipeline.telemetry"),
+        pytest.param(lambda: triage_many([], telemetry=True),
+                     "telemetry", id="triage_many.telemetry"),
+        pytest.param(lambda: triage_many([], transport=None),
+                     "transport", id="triage_many.transport"),
+        pytest.param(lambda: TriageService(retain=1),
+                     "retain", id="TriageService.retain"),
+        pytest.param(lambda: TriageService(flight_capacity=1),
+                     "flight_capacity", id="TriageService.flight_capacity"),
+        pytest.param(lambda: RouteStats(window_s=1.0),
+                     "window_s", id="RouteStats.window_s"),
+        pytest.param(lambda: RemoteTransport(["http://x"], slots=1),
+                     "slots", id="RemoteTransport.slots"),
+        pytest.param(lambda: olog.configure(rate_limit=5),
+                     "rate_limit", id="olog.configure.rate_limit"),
+        pytest.param(lambda: Simplifier(passes=1),
+                     "passes", id="Simplifier.passes"),
+        pytest.param(lambda: open_store("x", max_entries=1),
+                     "max_entries", id="open_store.max_entries"),
+        pytest.param(lambda: history.check_regressions(
+            {}, None, threshold=0.5), "threshold",
+            id="check_regressions.threshold"),
+    ])
+    def test_single_valued_settings_removed(self, make, knob):
+        with pytest.raises(TypeError, match=knob):
+            make()
+
+    def test_cancellation_token_removed(self):
+        import repro
+        assert not hasattr(limits_mod, "CancellationToken")
+        assert "CancellationToken" not in repro.__all__
+
+    def test_regress_threshold_flag_removed(self, capsys):
+        from repro.cli import build_parser
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(
+                ["stats", "--regress-threshold", "0.2"])
+        assert exc.value.code == 2
+        assert "--regress-threshold" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["diagnose", "prog.err"], ["triage"], ["serve"],
@@ -440,7 +475,7 @@ class TestEngineIntegration:
         from repro.diagnosis import ScriptedOracle, Verdict
         from repro.schema import TriageVerdict
         from tests.test_api_cli import FOO
-        pipe = Pipeline(limits=Limits(smt_steps=1))
+        pipe = Pipeline(limits=Limits(max_steps=1))
         result = pipe.diagnose(FOO, ScriptedOracle(["yes"]))
         assert result.verdict is Verdict.RESOURCE_EXHAUSTED
         assert result.triage_verdict is TriageVerdict.UNKNOWN_RESOURCE
@@ -449,7 +484,7 @@ class TestEngineIntegration:
         assert result.resource_spend["smt"] >= 1
         payload = result.to_dict()
         assert payload["verdict"] == "unknown resource"
-        assert payload["limits"] == {"smt_steps": 1, "retries": 1}
+        assert payload["limits"] == {"max_steps": 1, "retries": 1}
 
     def test_ungoverned_diagnosis_reports_no_spend(self):
         from repro.api import Pipeline

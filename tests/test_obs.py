@@ -358,8 +358,8 @@ class TestInstrumentedPipeline:
         assert "api.analyze" in outcome.telemetry["spans"]
 
     def test_batch_telemetry_merged_across_outcomes(self):
-        result = triage_many(["d01_plus_one", "d02_negate"], jobs=1,
-                             telemetry=True)
+        obs.enable()
+        result = triage_many(["d01_plus_one", "d02_negate"], jobs=1)
         assert result.telemetry is not None
         for outcome in result.outcomes:
             assert outcome.telemetry is not None
@@ -383,10 +383,11 @@ class TestDegradedTelemetryMerge:
         from repro.limits import Limits
         from repro.limits.faults import install
 
+        obs.enable()
         install("exhaust@smt@p10_toggle")
         try:
             result = triage_many(
-                ["d01_plus_one", "p10_toggle"], jobs=1, telemetry=True,
+                ["d01_plus_one", "p10_toggle"], jobs=1,
                 limits=Limits(deadline=5.0, retries=1),
             )
         finally:

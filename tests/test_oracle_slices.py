@@ -110,11 +110,10 @@ def test_figure7_queries_project_as_the_full_box():
     assert asked == 20  # 19 Figure-7 queries and d02's one
 
 
-def test_figure7_oracle_executions_are_pinned():
+def test_figure7_oracle_executions_are_pinned(live_counters):
     """The ``oracle.executions`` counter of each report: a slice that
     silently fell back to the full box would show here."""
-    result = triage_many([b.name for b in BENCHMARKS], jobs=1,
-                         telemetry=True)
+    result = triage_many([b.name for b in BENCHMARKS], jobs=1)
     counts = {o.name: o.telemetry["counters"]["oracle.executions"]
               for o in result.outcomes}
     assert counts == FIGURE7_EXECUTIONS

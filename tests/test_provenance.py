@@ -152,9 +152,9 @@ class TestDerivationDagShape:
         obs.reset()
         # forked workers inherit this process's QE memos; start them cold
         clear_qe_caches()
-        prov.enable()
+        prov.enable()  # switches obs on too
         try:
-            result = triage_many(FIGURE7, jobs=2, telemetry=True)
+            result = triage_many(FIGURE7, jobs=2)
         finally:
             prov.disable()
             obs.disable()

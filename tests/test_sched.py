@@ -21,6 +21,7 @@ import socket
 
 import pytest
 
+from repro import limits as limits_mod
 from repro import obs
 from repro.batch import triage_many
 from repro.batch.outcomes import TriageOutcome
@@ -66,14 +67,9 @@ def counter(name: str) -> int:
 
 
 @pytest.fixture
-def live_counters():
-    """Counter increments are no-ops while obs is disabled; turn it on
-    for tests that assert on them, restoring the prior state."""
-    was = obs.is_enabled()
-    obs.enable()
-    yield
-    if not was:
-        obs.disable()
+def no_backoff(monkeypatch):
+    """Retry at once: the scheduler's backoff sleep only slows tests."""
+    monkeypatch.setattr(limits_mod, "BACKOFF", 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -138,11 +134,12 @@ class BrokenSubmitTransport(ScriptedTransport):
 
 
 class TestRetryCore:
-    def test_flaky_report_is_retried_then_succeeds(self, live_counters):
+    def test_flaky_report_is_retried_then_succeeds(self, live_counters,
+                                                   no_backoff):
         transport = ScriptedTransport({"a": 1})
         before = counter("batch.retries")
         outcomes, broke = Scheduler(
-            transport, limits=Limits(retries=2, backoff=0.0),
+            transport, limits=Limits(retries=2),
         ).run(["a", "b"])
         assert not broke
         by_name = {o.name: o for o in outcomes}
@@ -153,11 +150,11 @@ class TestRetryCore:
         assert transport.submits == [("a", 0), ("b", 0), ("a", 1)]
         assert counter("batch.retries") == before + 1
 
-    def test_exhausted_retries_quarantine(self, live_counters):
+    def test_exhausted_retries_quarantine(self, live_counters, no_backoff):
         transport = ScriptedTransport({"a": 99})
         before = counter("batch.quarantined")
         outcomes, broke = Scheduler(
-            transport, limits=Limits(retries=1, backoff=0.0),
+            transport, limits=Limits(retries=1),
         ).run(["a"])
         assert not broke
         (outcome,) = outcomes
@@ -190,10 +187,10 @@ class TestRetryCore:
         assert broke
         assert projection(outcomes[0]) == baseline[name]
 
-    def test_outcomes_keep_input_order(self):
+    def test_outcomes_keep_input_order(self, no_backoff):
         transport = ScriptedTransport({"b": 1})
         outcomes, _ = Scheduler(
-            transport, limits=Limits(retries=1, backoff=0.0),
+            transport, limits=Limits(retries=1),
         ).run(["a", "b", "c"])
         assert [o.name for o in outcomes] == ["a", "b", "c"]
 
@@ -276,7 +273,7 @@ class TestRemoteFleet:
             {projection(o) for o in cold.outcomes}
 
     def test_worker_fault_is_retried_and_quarantined(
-            self, tmp_path, baseline):
+            self, tmp_path, baseline, no_backoff):
         # A fresh fleet and cache root: the fault must actually run, not
         # be served from a prior clean run's store entry.  One server
         # with one worker thread, because report-scoped fault state is
@@ -290,7 +287,7 @@ class TestRemoteFleet:
             result = triage_many(
                 SUBSET, workers=urls,
                 cache_dir=str(tmp_path / "fault-store"),
-                limits=Limits(deadline=DEADLINE, retries=1, backoff=0.0))
+                limits=Limits(deadline=DEADLINE, retries=1))
             install(None)
         finally:
             _shutdown_fleet(servers)

@@ -24,9 +24,11 @@ from repro.suite import BENCHMARKS, benchmark_by_name, load_source
 
 SAFE = "program safe(x) { var y = x + 1; assert(y > x); }"
 DOOMED = "program doomed(x) { var y = x; assert(y > x); }"
-# request limits of the wrong type or range (each must be a 400)
+# request limits of the wrong type or range, or naming a bound Limits
+# does not have (each must be a 400)
 BAD_LIMITS = ({"deadline": "abc"}, {"deadline": True}, {"deadline": -1},
-              {"max_steps": 2.5}, {"retries": None})
+              {"max_steps": 2.5}, {"retries": None},
+              {"qe_steps": 5}, {"max_nodes": 10}, {"backoff": 0.1})
 
 
 def _request(url: str, payload: dict | None = None):

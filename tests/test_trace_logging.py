@@ -134,8 +134,9 @@ class TestStructuredLogging:
         # the same record is findable by its trace id
         assert olog.records(trace=ctx.trace_id) == [rec]
 
-    def test_rate_limit_drops_visibly(self):
-        olog.configure(level="debug", rate_limit=5)
+    def test_rate_limit_drops_visibly(self, monkeypatch):
+        monkeypatch.setattr(olog, "RATE_LIMIT", 5)
+        olog.configure(level="debug")
         for _ in range(25):
             olog.info("hot")
         kept = olog.records(event="hot")
@@ -220,11 +221,10 @@ class TestBatchTraceEndToEnd:
         log_path = tmp_path / "batch.log"
         olog.configure(file=log_path, level="info")
         root = ocontext.new_trace("test")
+        obs.enable()
         with ocontext.bind(root):
             result = triage_many(
-                ["p01_accumulate", "p02_wordcount"],
-                jobs=2, telemetry=True,
-            )
+                ["p01_accumulate", "p02_wordcount"], jobs=2)
         envelope = result.to_dict()
         assert envelope["trace_id"] == root.trace_id
         assert len(result.outcomes) == 2
