@@ -101,27 +101,22 @@ class AnalysisResult:
 class SymbolicAnalyzer:
     """Implements the transformers of Figure 5.
 
-    ``prune_infeasible`` drops value-set entries whose guard is
-    unsatisfiable (checked with the SMT stack).  This is semantics
-    preserving — an entry with an unsatisfiable guard describes no
-    execution — and prevents the exponential accumulation of dead
-    path combinations on branch-heavy (e.g. loop-unrolled) code.
+    Value-set entries whose guard is unsatisfiable (checked with the SMT
+    stack) are dropped.  This is semantics preserving — an entry with an
+    unsatisfiable guard describes no execution — and prevents the
+    exponential accumulation of dead path combinations on branch-heavy
+    (e.g. loop-unrolled) code.
     """
 
-    def __init__(self, *, prune_infeasible: bool = True) -> None:
+    def __init__(self) -> None:
+        from ..smt import SmtSolver  # analysis sits above smt
+
         self._facts: list[Formula] = []
         self._info: dict[Var, AbstractionInfo] = {}
         self._supply: VarSupply | None = None
-        self._prune = prune_infeasible
-        self._solver = None
-        if prune_infeasible:
-            from ..smt import SmtSolver  # analysis sits above smt
-
-            self._solver = SmtSolver()
+        self._solver = SmtSolver()
 
     def _prune_store(self, store: Store) -> Store:
-        if self._solver is None:
-            return store
         pruned = Store()
         for name, value_set in store.items():
             entries = tuple(

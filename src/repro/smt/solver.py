@@ -12,6 +12,11 @@ Architecture (classic lazy / DPLL(T) with offline theory checks):
    the Omega test (:mod:`repro.lia`) checks; theory conflicts come back as
    minimal unsat cores and are blocked with new clauses.
 
+A literal, or a conjunction of literals, needs no propositional search:
+its one propositional model makes every literal true, so its literals go
+straight to the Omega test.  Every result is memoized process-wide, keyed
+by the formula, so each formula is decided once.
+
 Quantified formulas are handled by first running Cooper quantifier
 elimination (imported lazily to keep package layering acyclic).
 """
@@ -31,7 +36,6 @@ from ..logic.formulas import (
     Formula,
     Or,
     Rel,
-    atom as make_atom,
     is_quantifier_free,
     neg,
 )
@@ -41,7 +45,9 @@ from ..sat import SatSolver
 #: Theory rounds one lazy check may take before it gives up.
 _MAX_THEORY_ROUNDS = 200_000
 
-#: ``is_sat`` verdicts of every solver in the process, keyed by formula.
+#: The :class:`SmtResult` of every check in the process, keyed by the
+#: formula as given to ``check``/``is_sat``.  A verdict read from the
+#: store enters with no model; a later ``check`` recomputes and replaces it.
 _VERDICTS = Memo("smt.is_sat", 50_000)
 
 
@@ -50,22 +56,18 @@ def atom_polarity(literal: Formula) -> tuple[Formula, bool]:
 
     The base atom is chosen so that a literal and its negation map to the
     same base with opposite polarities, letting the SAT solver see them as
-    one variable.
+    one variable.  ``t = 0``, ``d | t`` and ``t <= 0`` with a positive
+    first coefficient are bases; any other literal is the negation of its
+    base, which the atom memoizes.
     """
     if isinstance(literal, Atom):
-        if literal.rel is Rel.NE:
-            return make_atom(Rel.EQ, literal.term), False
-        if literal.rel is Rel.EQ:
+        rel = literal.rel
+        if rel is Rel.EQ or (rel is Rel.LE and literal.term.coeffs[0][1] > 0):
             return literal, True
-        # LE: the negation of (t <= 0) is (-t + 1 <= 0); pick the side
-        # whose first coefficient is positive as the base.
-        first_coeff = literal.term.coeffs[0][1]
-        if first_coeff > 0:
-            return literal, True
-        return make_atom(Rel.LE, -literal.term + 1), False
+        return literal.negated(), False
     if isinstance(literal, Dvd):
         if literal.negated_flag:
-            return Dvd(literal.divisor, literal.term, False), False
+            return literal.negated(), False
         return literal, True
     raise TypeError(f"not a literal: {literal!r}")
 
@@ -97,17 +99,27 @@ class SmtSolver:
     # public API
     # ------------------------------------------------------------------
     def check(self, phi: Formula) -> SmtResult:
-        """Check satisfiability; returns a result carrying a model if SAT."""
-        # checkpoint at entry as well as at the lazy round loop: trivial
-        # and single-literal formulas short-circuit below, and a governed
-        # deadline must still be noticed on those fast paths
+        """Check satisfiability; returns a result carrying a model if SAT.
+
+        Each formula is decided once per process: a memoized UNSAT
+        result, or a SAT one with its model, is returned as it is."""
+        # checkpoint at entry as well as at the lazy round loop: memo
+        # hits, trivial formulas and literal conjunctions short-circuit
+        # below, and a governed deadline must still be noticed there
         _limits.tick("smt")
+        result = _VERDICTS.get(phi)
+        if result is not MISSING and (not result.sat
+                                      or result.model is not None):
+            return result
         if not obs.is_enabled():
-            return self._check(phi)
-        # span durations feed the per-stage latency histograms
-        with obs.span("smt.check"):
-            obs.observe("smt.formula_size", phi.size())
-            return self._check(phi)
+            result = self._check(phi)
+        else:
+            # span durations feed the per-stage latency histograms
+            with obs.span("smt.check"):
+                obs.observe("smt.formula_size", phi.size())
+                result = self._check(phi)
+        _VERDICTS.put(phi, result)
+        return result
 
     def _check(self, phi: Formula) -> SmtResult:
         phi = self._prepare(phi)
@@ -115,34 +127,36 @@ class SmtSolver:
             return SmtResult(True, Model())
         if phi.is_false:
             return SmtResult(False, None)
-        if isinstance(phi, (Atom, Dvd)):
-            model = self._theory.solve_literals([phi])
-            return SmtResult(model is not None, model)
-        return self._check_lazy(phi)
+        literals = phi.args if isinstance(phi, And) else (phi,)
+        if not all(isinstance(lit, (Atom, Dvd)) for lit in literals):
+            return self._check_lazy(phi)
+        # a literal conjunction's one propositional model makes every
+        # literal true: the lazy loop would hand Omega these, in order
+        model = self._theory.solve_literals(literals)
+        return SmtResult(model is not None, model)
 
     def is_sat(self, phi: Formula) -> bool:
         """Memo first, then the active store's ``smt-sat`` tier, then
         :meth:`check`; only a store lookup computes the digest."""
-        verdict = _VERDICTS.get(phi)
+        result = _VERDICTS.get(phi)
         store = None
-        if verdict is MISSING:
+        if result is MISSING:
             store = self._persistent_store()
             if store is not None:
                 key = digest(phi)
                 artifact = store.get("smt-sat", key)
                 if artifact is not None:
-                    verdict = bool(artifact["sat"])
-                    _VERDICTS.put(phi, verdict)
-        if verdict is not MISSING:
+                    result = SmtResult(bool(artifact["sat"]), None)
+                    _VERDICTS.put(phi, result)
+        if result is not MISSING:
             _limits.tick("smt")  # hits skip check(); keep the deadline live
             obs.inc("smt.is_sat.hit")
-            return verdict
+            return result.sat
         obs.inc("smt.is_sat.miss")
-        verdict = self.check(phi).sat
-        _VERDICTS.put(phi, verdict)
+        sat = self.check(phi).sat
         if store is not None:
-            store.put("smt-sat", key, {"sat": verdict})
-        return verdict
+            store.put("smt-sat", key, {"sat": sat})
+        return sat
 
     @staticmethod
     def _persistent_store():

@@ -411,6 +411,28 @@ class TestWarmRetriage:
         _written, _read, missed = _warm_rerun(cache_dir, monkeypatch, run)
         assert sorted(k for k in missed if k[0] == "smt-sat") == []
 
+    def test_fills_do_not_depend_on_what_the_process_checked_before(
+            self, tmp_path):
+        """The memos keep each check's result, so what a report writes
+        must not depend on the reports the process ran before it: a
+        Figure-7 fill in order, one in reverse order (memos kept from
+        report to report) and one with the memos cleared before each
+        report write the same bytes."""
+        def fill(name, batches):
+            """Triage each batch into a fresh store, clearing the memos
+            before each batch; the bytes of every file written."""
+            cache_dir = tmp_path / name
+            for batch in batches:
+                clear_qe_caches()
+                triage_many(batch, jobs=1, cache_dir=str(cache_dir))
+            return {str(path.relative_to(cache_dir)): path.read_bytes()
+                    for path in cache_dir.rglob("*") if path.is_file()}
+
+        forward = fill("forward", [ALL_NAMES])
+        assert any("smt-sat" in path for path in forward)
+        assert fill("reversed", [ALL_NAMES[::-1]]) == forward
+        assert fill("cold", [[name] for name in ALL_NAMES]) == forward
+
     def test_store_holds_only_flat_stage_entries(self, tmp_path):
         """QE memos stay in-process: a Figure-7 triage into a fresh
         store writes no QE stage, and every entry is a file directly in

@@ -23,6 +23,7 @@ import pytest
 from repro.batch import triage_many
 from repro.limits import STAGES, Limits
 from repro.limits.faults import install
+from repro.qe.cooper import clear_qe_caches
 from repro.schema import TriageVerdict
 
 # All five reports are fast (< 100ms each); the target is the cheapest
@@ -67,6 +68,9 @@ def baseline():
 @pytest.mark.parametrize("stage", STAGES)
 @pytest.mark.parametrize("action", FLAVOURS)
 def test_fault_matrix(stage, action, baseline):
+    # start from cold memos, as a cold report does: the baseline's checks
+    # would otherwise answer the target's, and no checkpoint would run
+    clear_qe_caches()
     install(spec_for(action, stage))
     start = time.monotonic()
     result = triage_many(SUBSET, jobs=1, limits=LIMITS)

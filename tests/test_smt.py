@@ -1,14 +1,24 @@
 """Tests for the lazy SMT solver, cross-checked against brute force."""
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 
+from repro import obs
+from repro.batch import triage_many
+from repro.cache import open_store, use_store
 from repro.logic import (
     FALSE,
     TRUE,
+    Atom,
+    Dvd,
     LinTerm,
+    Rel,
     Var,
+    atom,
     conj,
+    digest,
     disj,
+    dvd,
     eq,
     exists,
     forall,
@@ -20,9 +30,18 @@ from repro.logic import (
     neg,
     parse_formula,
 )
-from repro.smt import SmtSolver, entails, equivalent, is_sat, is_valid
+from repro.qe.cooper import clear_qe_caches
+from repro.smt import (
+    SmtSolver,
+    atom_polarity,
+    entails,
+    equivalent,
+    is_sat,
+    is_valid,
+)
+from repro.suite import BENCHMARKS
 from .helpers import assert_model, brute_force_sat
-from .strategies import VARS, formulas
+from .strategies import VARS, atoms, formulas, literal_lists
 
 x, y, z = Var("x"), Var("y"), Var("z")
 
@@ -149,3 +168,155 @@ def test_smt_agrees_with_brute_force(phi):
 def test_validity_matches_negation_unsat(phi):
     solver = SmtSolver()
     assert solver.is_valid(phi) == (not solver.is_sat(neg(phi)))
+
+
+# ---------------------------------------------------------------------------
+# one decision per formula, literal conjunctions, atom polarity
+# ---------------------------------------------------------------------------
+
+def _polarity_by_arithmetic(literal):
+    """(base atom, polarity) computed from the terms: the reference the
+    atoms' memoized negations must reproduce."""
+    if isinstance(literal, Atom):
+        if literal.rel is Rel.NE:
+            return atom(Rel.EQ, literal.term), False
+        if literal.rel is Rel.EQ:
+            return literal, True
+        if literal.term.coeffs[0][1] > 0:
+            return literal, True
+        return atom(Rel.LE, -literal.term + 1), False
+    if literal.negated_flag:
+        return Dvd(literal.divisor, literal.term, False), False
+    return literal, True
+
+
+X = LinTerm.var(x)
+
+_LITERALS = {
+    "le-positive": le(x, 3),
+    "le-negative": ge(x, 3),
+    "eq": eq(x, y),
+    "ne": ne(x, y),
+    "dvd": dvd(3, X + 1),
+    "dvd-negated": dvd(3, X + 1, True),
+}
+
+# literal conjunctions, each listed with its verdict
+_CONJUNCTIONS = {
+    "sat": (conj(le(x, y), ne(x, 0), ge(y, 2)), True),
+    "unsat-cycle": (conj(lt(x, y), lt(y, z), lt(z, x)), False),
+    "dvd-sat": (conj(dvd(2, X), dvd(3, X), ge(x, 1), le(x, 12)), True),
+    "dvd-unsat": (conj(dvd(2, X), eq(x, 3)), False),
+    "dvd-negated-unsat": (conj(dvd(2, X, True), ge(x, 4), le(x, 4)), False),
+    "single-dvd": (dvd(5, X + 2), True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LITERALS))
+def test_atom_polarity_matches_term_arithmetic(name):
+    literal = _LITERALS[name]
+    base, polarity = atom_polarity(literal)
+    assert (base, polarity) == _polarity_by_arithmetic(literal)
+    assert atom_polarity(neg(literal)) == (base, not polarity)
+
+
+@settings(max_examples=300, deadline=None)
+@given(atoms())
+def test_atom_polarity_matches_term_arithmetic_on_random_literals(literal):
+    assume(isinstance(literal, (Atom, Dvd)))
+    for lit in (literal, neg(literal)):
+        assert atom_polarity(lit) == _polarity_by_arithmetic(lit)
+
+
+def test_atom_polarity_on_every_figure7_literal(monkeypatch):
+    """Every literal of every formula a cold Figure-7 pass checks."""
+    seen = set()
+    prepare = SmtSolver._prepare
+
+    def recording_prepare(phi):
+        prepared = prepare(phi)
+        seen.update(prepared.atoms())
+        return prepared
+
+    monkeypatch.setattr(SmtSolver, "_prepare", staticmethod(recording_prepare))
+    clear_qe_caches()
+    triage_many([b.name for b in BENCHMARKS], jobs=1)
+    assert len(seen) > 100
+    for literal in seen:
+        assert atom_polarity(literal) == _polarity_by_arithmetic(literal)
+
+
+def _lazy_and_direct(phi):
+    """``phi``'s result from the lazy DPLL(T) loop and from ``check``,
+    each computed from cleared memos."""
+    solver = SmtSolver()
+    clear_qe_caches()
+    lazy = solver._check_lazy(phi)
+    clear_qe_caches()
+    return lazy, solver.check(phi)
+
+
+@pytest.mark.parametrize("name", sorted(_CONJUNCTIONS))
+def test_literal_conjunction_skips_the_sat_search(name, live_counters):
+    phi, verdict = _CONJUNCTIONS[name]
+    lazy, direct = _lazy_and_direct(phi)
+    assert direct.sat == lazy.sat == verdict
+    assert direct.model == lazy.model
+    if verdict:
+        assert_model(phi, direct.model)
+    clear_qe_caches()
+    with obs.capture() as scope:
+        SmtSolver().check(phi)
+    counters = scope.snapshot["counters"]
+    assert "smt.fresh_checks" not in counters
+    assert "sat.solves" not in counters
+
+
+@settings(max_examples=200, deadline=None)
+@given(literal_lists())
+def test_literal_conjunctions_answer_as_the_lazy_loop(literals):
+    phi = conj(*literals)
+    assume(not (phi.is_true or phi.is_false))
+    lazy, direct = _lazy_and_direct(phi)
+    assert direct.sat == lazy.sat
+    assert direct.model == lazy.model
+
+
+_NEEDS_SEARCH = {
+    "sat": conj(disj(le(x, 0), ge(x, 10)), ge(x, 5), le(x, 20)),
+    "unsat": conj(disj(lt(x, y), lt(y, x)), eq(x, y)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NEEDS_SEARCH))
+def test_second_check_starts_no_fresh_check(name, live_counters):
+    phi = _NEEDS_SEARCH[name]
+    clear_qe_caches()
+    with obs.capture() as cold_scope:
+        cold = SmtSolver().check(phi)
+    with obs.capture() as warm_scope:
+        warm = SmtSolver().check(phi)
+    assert warm.sat == cold.sat == (name == "sat")
+    assert warm.model == cold.model
+    assert cold_scope.snapshot["counters"]["smt.fresh_checks"] == 1
+    assert cold_scope.snapshot["counters"]["sat.solves"] >= 1
+    assert "smt.fresh_checks" not in warm_scope.snapshot["counters"]
+    assert "sat.solves" not in warm_scope.snapshot["counters"]
+
+
+def test_stored_verdict_answers_is_sat_and_check_still_models(
+        tmp_path, live_counters):
+    phi = _NEEDS_SEARCH["sat"]
+    store = open_store(tmp_path / "store")
+    store.put("smt-sat", digest(phi), {"sat": True})
+    clear_qe_caches()
+    solver = SmtSolver()
+    with use_store(store), obs.capture() as scope:
+        assert solver.is_sat(phi)
+    counters = scope.snapshot["counters"]
+    assert counters["smt.is_sat.hit"] == 1
+    assert "smt.fresh_checks" not in counters
+    assert "sat.solves" not in counters
+    result = solver.check(phi)
+    assert result.sat
+    assert_model(phi, result.model)
