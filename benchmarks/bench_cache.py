@@ -1,7 +1,7 @@
 """Experiment E8: warm-cache speedup of the persistent artifact store.
 
-The staged pipeline persists entailment, abduction, decomposition
-and SMT artifacts in a content-addressed on-disk store
+The staged pipeline persists entailment and abduction artifacts and
+the analyzer's SMT verdicts in a content-addressed on-disk store
 (:mod:`repro.cache`), so a second triage of the same suite
 re-derives nothing heavy.  The contract pinned here: with every
 in-process memo dropped between runs, a **warm** second full-suite

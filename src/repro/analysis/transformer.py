@@ -105,16 +105,17 @@ class SymbolicAnalyzer:
     stack) are dropped.  This is semantics preserving — an entry with an
     unsatisfiable guard describes no execution — and prevents the
     exponential accumulation of dead path combinations on branch-heavy
-    (e.g. loop-unrolled) code.
+    (e.g. loop-unrolled) code.  With a :class:`repro.cache.CacheStore`,
+    the guard verdicts persist there (``smt-sat``).
     """
 
-    def __init__(self) -> None:
+    def __init__(self, store=None) -> None:
         from ..smt import SmtSolver  # analysis sits above smt
 
         self._facts: list[Formula] = []
         self._info: dict[Var, AbstractionInfo] = {}
         self._supply: VarSupply | None = None
-        self._solver = SmtSolver()
+        self._solver = SmtSolver(store)
 
     def _prune_store(self, store: Store) -> Store:
         pruned = Store()
@@ -342,6 +343,7 @@ class SymbolicAnalyzer:
         return alpha
 
 
-def analyze_program(program: Program) -> AnalysisResult:
-    """Run the Section 3 analysis on an (annotated) program."""
-    return SymbolicAnalyzer().analyze(program)
+def analyze_program(program: Program, *, store=None) -> AnalysisResult:
+    """Run the Section 3 analysis on an (annotated) program; ``store``
+    persists its guard verdicts."""
+    return SymbolicAnalyzer(store).analyze(program)

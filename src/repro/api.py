@@ -124,8 +124,9 @@ class Pipeline:
     snapshot.
 
     ``cache_dir`` opens the persistent content-addressed store there
-    (:mod:`repro.cache`) and activates it for every workload this
-    pipeline runs: diagnosis stage artifacts and SMT verdicts are
+    (:mod:`repro.cache`), and every report this pipeline runs passes it
+    to the front end, the engine and repair synthesis: the analyzer's
+    guard verdicts, the diagnosis stage artifacts and patch lists are
     reused across runs and processes, and results carry a ``cache``
     provenance block.  ``incremental=True`` (triage only) additionally
     serves whole reports whose ``(I, phi)`` judgment digest is

@@ -91,9 +91,11 @@ def triage_many(
     (:func:`repro.obs.enable`), every worker collects per-report obs
     snapshots and the batch merges them into ``BatchResult.telemetry``.
 
-    ``cache_dir`` activates the persistent content-addressed store for
-    every report (stage artifacts, SMT verdicts), shared across
-    workers and across runs.  ``incremental`` additionally serves whole
+    ``cache_dir`` opens the persistent content-addressed store that
+    every report's runner writes (the analyzer's ``smt-sat`` verdicts,
+    the engine's stage artifacts), shared across workers and across
+    runs; what a report writes does not depend on what the process
+    checked before it.  ``incremental`` additionally serves whole
     reports from recorded verdicts when their ``(I, phi)`` judgment
     digest is unchanged — re-triaging an edited suite recomputes only
     the reports the edit actually touched.
@@ -186,8 +188,9 @@ def triage_with_retries(name: str, config: EngineConfig | None,
                         trace: dict | None = None) -> TriageOutcome:
     """One report through the full scheduler retry/quarantine policy,
     in-process — the serve daemon's per-job entry point.  Safe on
-    concurrent threads: each attempt binds its governor, store, trace
-    and telemetry scope in its own context."""
+    concurrent threads: each attempt binds its governor, trace and
+    telemetry scope in its own context, and passes its store as an
+    argument."""
     spec = TriageSpec(config=config, telemetry=obs.is_enabled(),
                       cache_dir=cache_dir, incremental=incremental)
     scheduler = Scheduler(InlineTransport(spec=spec), limits=limits,

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 
 from .. import obs
 from ..obs import context as ocontext
-from ..cache import count_block, counting, open_store, use_store
+from ..cache import count_block, counting, open_store
 from ..diagnosis import (
     DiagnosisResult,
     EngineConfig,
@@ -293,15 +293,17 @@ def run_report(source: str | None = None, *, name: str | None = None,
     This is the one place a report is accounted.  One scope covers it
     all: the span, an obs capture (its snapshot, events and nodes land
     on the run), a governor over ``limits`` (or the caller's, whose
-    spend the result reports either way), ``store`` as the active store
-    and one store tally, whose counts make the report's only ``cache``
-    block.  Running out of a limit anywhere sets ``exhausted``, and
-    ``diagnosis`` is then a ``RESOURCE_EXHAUSTED`` result (with no
-    analysis when the front end ran out); any other exception lands in
-    ``error``.  With ``incremental`` and a store, a benchmark whose
-    source, or failing that whose ``(I, phi)`` judgment, has a recorded
-    verdict skips the loop (``recorded``), and a fresh clean verdict is
-    recorded at the end.
+    spend the result reports either way) and one store tally, whose
+    counts make the report's only ``cache`` block.  ``store`` goes, as
+    an argument, to the front end (the analyzer's guard verdicts), the
+    engine (its stage artifacts) and repair synthesis.  Running out of
+    a limit anywhere sets ``exhausted``, and ``diagnosis`` is then a
+    ``RESOURCE_EXHAUSTED`` result (with no analysis when the front end
+    ran out); any other exception lands in ``error``.  With
+    ``incremental`` and a store, a benchmark whose source, or failing
+    that whose ``(I, phi)`` judgment, has a recorded verdict skips the
+    loop (``recorded``), and a fresh clean verdict is recorded at the
+    end.
     """
     cfg = config or EngineConfig()
     run = ReportRun()
@@ -311,8 +313,7 @@ def run_report(source: str | None = None, *, name: str | None = None,
     try:
         with counting() as ops, obs.capture() as cap, \
                 obs.span("triage.report", report=name, attempt=attempt), \
-                governed(limits) if limits is not None else nullcontext(), \
-                use_store(store) if store is not None else nullcontext():
+                governed(limits) if limits is not None else nullcontext():
             governor = current_governor()
             try:
                 if source is None:
@@ -332,7 +333,7 @@ def run_report(source: str | None = None, *, name: str | None = None,
                         report_key = _recall(run, store, cfg, judgment)
                 if run.recorded is None:
                     program, analysis = _suite.front_end(
-                        source, auto_annotate=auto_annotate)
+                        source, auto_annotate=auto_annotate, store=store)
                     run.program = program
                     if chain:
                         fresh = {"invariants": digest(analysis.invariants),
@@ -359,7 +360,7 @@ def run_report(source: str | None = None, *, name: str | None = None,
                             else SamplingOracle(program, analysis)
                     # the engine inherits the governor installed above
                     result = run.diagnosis = diagnose_error(
-                        analysis, oracle, config)
+                        analysis, oracle, config, store=store)
                     if repair and not result.decided_by_analysis \
                             and result.triage_verdict in (
                                 TriageVerdict.FALSE_ALARM,
@@ -368,7 +369,8 @@ def run_report(source: str | None = None, *, name: str | None = None,
 
                         run.patches = synthesize_repairs(
                             program, analysis, config=config,
-                            session=result, max_patches=max_patches)
+                            session=result, max_patches=max_patches,
+                            store=store)
             except ResourceExhausted as exc:
                 run.exhausted = exc
                 if run.diagnosis is None:

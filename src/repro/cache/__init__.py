@@ -9,17 +9,16 @@ cross-worker wins:
 * :class:`CacheStore` (:mod:`repro.cache.store`) is a small on-disk
   store mapping ``stage/content-digest`` to a JSON artifact, with
   versioned keys, LRU eviction and corruption-tolerant reads;
-* the *active store* (:func:`use_store` / :func:`current_store`) is how
-  the solver stack finds it: ``SmtSolver.is_sat`` consults the active
-  store on a memo miss (the analyzer's guard checks and repair
-  synthesis run under it), and the diagnosis engine hands it to its
-  stage functions (:mod:`repro.diagnosis.stages`), which persist whole
-  stage artifacts.  The engine runs its session under no active store:
-  a warm run replays those stages whole, so the verdicts of the solver
-  checks beneath them would never be read back.  The binding is per
-  context, so concurrent ``repro serve`` worker threads each see only
-  their own store.  QE memos stay in-process for the same reason: a
-  warm run never reaches QE, so persisting them only cost writes.
+* the report runner (:func:`repro.batch.outcomes.run_report`) passes
+  its store, as an argument, to the three places that use it: the
+  front end, whose analyzer's ``SmtSolver(store)`` persists its guard
+  verdicts (``smt-sat``); the diagnosis engine, which hands it to its
+  stage functions (:mod:`repro.diagnosis.stages`); and repair
+  synthesis.  No store is bound in ambient state, so each report uses
+  exactly the store its caller passed, on whichever thread it runs.
+  The engine's and repair's own solver checks, and the QE memos, stay
+  in-process: a warm run replays their stages whole and never reads
+  them back.
 
 Opening a store is idempotent per path (:func:`open_store` memoizes), so
 the batch driver and its forked workers can all "open" the same
@@ -29,9 +28,6 @@ directory cheaply.
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
-from contextvars import ContextVar
-from typing import Iterator
 
 from .store import STORE_VERSION, CacheStore, count_block, counting
 
@@ -40,17 +36,11 @@ __all__ = [
     "STORE_VERSION",
     "count_block",
     "counting",
-    "current_store",
     "open_store",
-    "use_store",
 ]
 
 #: Open stores, keyed by absolute path (normalized, and as given).
 _opened: dict[str | os.PathLike, CacheStore] = {}
-
-#: The store of the innermost :func:`use_store` block in this context.
-_store: ContextVar[CacheStore | None] = ContextVar(
-    "repro.cache.store", default=None)
 
 
 def open_store(root: str | os.PathLike) -> CacheStore:
@@ -69,22 +59,3 @@ def open_store(root: str | os.PathLike) -> CacheStore:
         if os.path.isabs(root):
             _opened[root] = store
     return store
-
-
-def current_store() -> CacheStore | None:
-    """The active store (None when caching is off)."""
-    return _store.get()
-
-
-@contextmanager
-def use_store(store: CacheStore | None) -> Iterator[CacheStore | None]:
-    """Scope the active store to a ``with`` block in this context.
-
-    Other threads keep their own binding (a new thread starts with
-    none); binding ``None`` turns caching off for the block.
-    """
-    token = _store.set(store)
-    try:
-        yield store
-    finally:
-        _store.reset(token)

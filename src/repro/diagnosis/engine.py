@@ -68,7 +68,7 @@ class DiagnosisResult:
     resource_spend: dict | None = None   # per-stage spend (governed runs)
     exhausted_stage: str | None = None   # stage whose checkpoint fired
     exhausted_kind: str | None = None    # steps | nodes | deadline | ...
-    cache: dict | None = None            # store provenance, when active
+    cache: dict | None = None            # store provenance, with a store
 
     @property
     def classification(self) -> str:
@@ -142,13 +142,19 @@ class EngineConfig:
 
 
 class DiagnosisEngine:
-    """Drives the Figure 6 interaction loop."""
+    """Drives the Figure 6 interaction loop.
+
+    ``store`` (a :class:`repro.cache.CacheStore`) is where the entail
+    and abduce stages persist their artifacts; the solver checks
+    beneath them persist nothing, since a warm run replays those
+    stages whole and would never read their verdicts back."""
 
     def __init__(self, analysis: AnalysisResult, oracle: Oracle,
-                 config: EngineConfig | None = None):
+                 config: EngineConfig | None = None, *, store=None):
         self._analysis = analysis
         self._oracle = oracle
         self._config = config or EngineConfig()
+        self._store = store
         from ..smt import SmtSolver
 
         self._abducer = Abducer(
@@ -163,16 +169,10 @@ class DiagnosisEngine:
     def run(self) -> DiagnosisResult:
         """Run the loop in the caller's scope: its capture, store tally
         and governor (``repro.limits.governed``) account the session."""
-        from ..cache import current_store, use_store
+        with obs.span("engine.session"):
+            return self._run()
 
-        store = current_store()
-        # The stages persist whole artifacts to ``store``; the solver
-        # checks beneath them see no store, since a warm run replays
-        # those stages and would never read their verdicts back.
-        with use_store(None), obs.span("engine.session"):
-            return self._run(store)
-
-    def _run(self, store) -> DiagnosisResult:
+    def _run(self) -> DiagnosisResult:
         start = time.perf_counter()
         invariants = self._analysis.invariants
         success = self._analysis.success
@@ -210,7 +210,7 @@ class DiagnosisEngine:
                 # persistent store (see repro.diagnosis.stages).
                 entail = entail_stage(
                     solver, invariants, success, tuple(witnesses),
-                    round_index=round_index, store=store,
+                    round_index=round_index, store=self._store,
                 )
                 if not entail.consistent:
                     return finish(Verdict.UNRESOLVED, round_index,
@@ -237,7 +237,7 @@ class DiagnosisEngine:
                         tuple(witnesses),
                         tuple(potential_invariants),
                         tuple(potential_witnesses),
-                        store=store,
+                        store=self._store,
                     )
                 if gamma is not None:
                     obs.gauge("engine.obligation_cost", gamma.cost)
@@ -257,7 +257,6 @@ class DiagnosisEngine:
                     yes_clauses = self._ask_invariant(
                         gamma.formula, interactions, witnesses,
                         potential_invariants, potential_witnesses,
-                        store=store,
                     )
                     # every affirmed clause is a learned invariant, even
                     # when the query as a whole was not (Section 4.4)
@@ -267,7 +266,6 @@ class DiagnosisEngine:
                     validated, refuted = self._ask_witness(
                         upsilon.formula, interactions, witnesses,
                         potential_invariants, potential_witnesses,
-                        store=store,
                     )
                     if validated:
                         return finish(Verdict.VALIDATED, round_index + 1,
@@ -317,7 +315,6 @@ class DiagnosisEngine:
         witnesses: list[Formula],
         potential_invariants: list[Formula],
         potential_witnesses: list[Formula],
-        store=None,
     ) -> list[Formula]:
         """Ask the CNF clauses of an invariant query.
 
@@ -325,7 +322,7 @@ class DiagnosisEngine:
         Refuted clauses are appended to ``witnesses``; unanswerable ones
         are recorded as potential invariants/witnesses (Section 5).
         """
-        clauses = decompose_stage("invariant", gamma, store=store)
+        clauses = decompose_stage("invariant", gamma)
         yes_clauses: list[Formula] = []
         for clause in clauses:
             query = self._renderer.invariant_query(clause)
@@ -347,7 +344,6 @@ class DiagnosisEngine:
         witnesses: list[Formula],
         potential_invariants: list[Formula],
         potential_witnesses: list[Formula],
-        store=None,
     ) -> tuple[bool, list[Formula]]:
         """Ask the DNF clauses of a witness query.
 
@@ -355,7 +351,7 @@ class DiagnosisEngine:
         the moment a clause is affirmed; negations of refuted clauses are
         learned invariants.
         """
-        clauses = decompose_stage("witness", upsilon, store=store)
+        clauses = decompose_stage("witness", upsilon)
         refuted: list[Formula] = []
         for clause in clauses:
             query = self._renderer.witness_query(clause)
@@ -373,6 +369,8 @@ class DiagnosisEngine:
 
 
 def diagnose_error(analysis: AnalysisResult, oracle: Oracle,
-                   config: EngineConfig | None = None) -> DiagnosisResult:
-    """Run the Figure 6 algorithm on an analysis result."""
-    return DiagnosisEngine(analysis, oracle, config).run()
+                   config: EngineConfig | None = None, *,
+                   store=None) -> DiagnosisResult:
+    """Run the Figure 6 algorithm on an analysis result; ``store``
+    persists its stage artifacts."""
+    return DiagnosisEngine(analysis, oracle, config, store=store).run()

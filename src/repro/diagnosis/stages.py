@@ -7,15 +7,17 @@ flow; this module splits one round of the loop into pure stages —
             -> choose -> decompose
 
 — each a function from *digested* inputs to a serializable artifact.
-Every stage takes an optional :class:`repro.cache.CacheStore`; with a
-store, the artifact is looked up under a content digest of everything
-it depends on (the judgment formulas, the learned facts, the engine
-configuration and :data:`STAGE_VERSION`) before any solver work runs,
-and persisted after a miss.  Because the keys are content digests
-(:mod:`repro.logic.digest`), artifacts computed by one process — or one
-batch worker — are hits for every other process that sees the same
-judgment, which is what makes warm re-triage of an unchanged report
-perform zero MSA/QE work.
+The solver stages, ``entail`` and ``abduce``, take an optional
+:class:`repro.cache.CacheStore`; with a store, the artifact is looked up
+under a content digest of everything it depends on (the judgment
+formulas, the learned facts, the engine configuration and
+:data:`STAGE_VERSION`) before any solver work runs, and persisted after
+a miss.  ``choose`` and ``decompose`` always compute: reading their
+artifacts back would cost more than recomputing them.  Because the keys
+are content digests (:mod:`repro.logic.digest`), artifacts computed by
+one process — or one batch worker — are hits for every other process
+that sees the same judgment, which is what makes warm re-triage of an
+unchanged report perform zero MSA/QE work.
 
 Provenance is cache-transparent: a stage emits the *same*
 ``prov.record`` payloads whether it computed its artifact or replayed
@@ -365,31 +367,21 @@ def choose_stage(gamma: Abduction | None, upsilon: Abduction | None,
 # decompose
 # ---------------------------------------------------------------------------
 
-def decompose_stage(kind: str, formula: Formula,
-                    *, store=None) -> list[Formula]:
+def decompose_stage(kind: str, formula: Formula) -> list[Formula]:
     """Split a query into independently askable clauses (Section 4.4):
     CNF clauses for an invariant query, DNF clauses for a witness query.
+
+    Never persisted, like ``choose``: recomputing the split is cheaper
+    than reading it back from the store.
     """
     from .queries import decompose_invariant, decompose_witness
 
-    mode = "cnf" if kind == "invariant" else "dnf"
-    key = None
-    clauses = None
-    if store is not None:
-        key = digest_many("decompose", STAGE_VERSION, kind, formula)
-        artifact = store.get("decompose", key)
-        if artifact is not None:
-            clauses = [formula_from_obj(c) for c in artifact["clauses"]]
-    if clauses is None:
-        if kind == "invariant":
-            clauses = decompose_invariant(formula)
-        else:
-            clauses = decompose_witness(formula)
-        if store is not None:
-            store.put("decompose", key, {
-                "clauses": [formula_to_obj(c) for c in clauses],
-            })
+    if kind == "invariant":
+        clauses = decompose_invariant(formula)
+    else:
+        clauses = decompose_witness(formula)
     if prov.is_enabled():
-        prov.record("decompose", query_kind=kind, mode=mode,
+        prov.record("decompose", query_kind=kind,
+                    mode="cnf" if kind == "invariant" else "dnf",
                     clauses=len(clauses), formula=prov.fmla(formula))
     return clauses

@@ -45,7 +45,6 @@ from dataclasses import dataclass, replace
 
 from .. import obs
 from ..analysis import AnalysisResult
-from ..cache import current_store, use_store
 from ..diagnosis.abduction import Abducer, relevant_invariants
 from ..diagnosis.queries import Answer
 from ..diagnosis.stages import (
@@ -279,7 +278,7 @@ def refuting_facts(session) -> list[Formula]:
 
 
 def _candidate_formulas(analysis: AnalysisResult, config, solver,
-                        session) -> list[Formula]:
+                        session, store) -> list[Formula]:
     candidates: list[Formula] = []
     abducer = Abducer(
         msa_strategy=config.msa_strategy,
@@ -288,7 +287,7 @@ def _candidate_formulas(analysis: AnalysisResult, config, solver,
     )
     gamma, _ = abduce_stage(
         abducer, config, analysis.invariants, analysis.success,
-        store=current_store(),
+        store=store,
     )
     if gamma is not None:
         candidates.append(gamma.formula)
@@ -463,7 +462,7 @@ def _plan_and_verify(program: Program, analysis: AnalysisResult,
 
 def synthesize_repairs(program: Program, analysis: AnalysisResult, *,
                        config=None, solver=None, session=None,
-                       max_patches: int | None = None
+                       max_patches: int | None = None, store=None
                        ) -> list[RepairPatch]:
     """The ranked patch list for one non-real-bug report.
 
@@ -472,18 +471,19 @@ def synthesize_repairs(program: Program, analysis: AnalysisResult, *,
     learned, and the refuting facts that no ``@post``/``@assume`` patch
     may contradict.  Patches come back ranked — verified ones first,
     unrefuted before refuted, then by the paper's cost order — and
-    truncated to ``max_patches``.
+    truncated to ``max_patches``.  ``store`` holds the candidate
+    abduction and the ranked patch list: a warm run replays the whole
+    ``repair`` artifact, so the plan-and-verify checks persist nothing.
     """
     from ..diagnosis import EngineConfig
     from ..smt import SmtSolver
 
     config = config or EngineConfig()
     solver = solver or SmtSolver()
-    store = current_store()
 
     with obs.span("repair.synthesize"):
         candidates = _candidate_formulas(analysis, config, solver,
-                                         session)
+                                         session, store)
         obs.inc("repair.candidates", len(candidates))
         refuting = refuting_facts(session) if session is not None else []
 
@@ -505,11 +505,8 @@ def synthesize_repairs(program: Program, analysis: AnalysisResult, *,
                 _record_prov(patches, len(candidates))
                 return patches[:max_patches]
 
-        # a warm run replays the whole ``repair`` artifact, so it would
-        # never read what the consistency guard and verification write
-        with use_store(None):
-            raw = _plan_and_verify(program, analysis, candidates,
-                                   refuting, solver, original)
+        raw = _plan_and_verify(program, analysis, candidates, refuting,
+                               solver, original)
 
         # a refuted ψ's guard turns the check off for executions the
         # oracle said exist: it ranks below every unrefuted patch

@@ -33,10 +33,14 @@ Storage layout (the hot-path design):
 
 Database reduction: learned clauses record their LBD (number of distinct
 decision levels in the clause at learning time).  Every
-``reduce_interval`` conflicts the worst half of the learned clauses
+:data:`REDUCE_INTERVAL` conflicts the worst half of the learned clauses
 (highest LBD, break ties towards most recent) is dropped — except
-glue clauses (LBD <= ``reduce_keep_lbd``), binary clauses and clauses
-currently locked as a propagation reason — and the arena is compacted.
+glue clauses (LBD <= :data:`REDUCE_KEEP_LBD`), binary clauses and
+clauses currently locked as a propagation reason — and the arena is
+compacted.
+
+The search-control constants tune the search order and memory, never
+the answer.
 """
 
 from __future__ import annotations
@@ -46,6 +50,20 @@ from typing import Iterable, Sequence
 
 from .. import obs
 from .. import limits as _limits
+
+
+#: Conflicts per Luby restart unit (budget = unit * luby(i)).
+LUBY_UNIT = 64
+
+#: VSIDS decay factor applied after every conflict.
+VAR_DECAY = 0.95
+
+#: Conflicts between learned-clause database reductions; 0 disables them.
+REDUCE_INTERVAL = 2000
+
+#: Learned clauses at or below this LBD ("glue" clauses) survive every
+#: reduction.
+REDUCE_KEEP_LBD = 3
 
 
 def _lit_index(lit: int) -> int:
@@ -67,36 +85,13 @@ def luby(x: int) -> int:
 
 
 class SatSolver:
-    """An incremental CDCL SAT solver on a flat clause arena.
-
-    The search-control constants are constructor parameters so callers
-    (and benchmarks) can tune them per workload:
-
-    ``luby_unit``
-        conflicts per Luby restart unit (budget = unit * luby(i)).
-    ``var_decay``
-        VSIDS decay factor applied after every conflict.
-    ``reduce_interval``
-        conflicts between learned-clause database reductions; ``0``
-        disables reduction entirely.
-    ``reduce_keep_lbd``
-        learned clauses at or below this LBD ("glue" clauses) are never
-        dropped by a reduction.
-    """
+    """An incremental CDCL SAT solver on a flat clause arena."""
 
     _UNASSIGNED = 0
     _TRUE = 1
     _FALSE = -1
 
-    def __init__(self, *, luby_unit: int = 64, var_decay: float = 0.95,
-                 reduce_interval: int = 2000,
-                 reduce_keep_lbd: int = 3) -> None:
-        if luby_unit <= 0:
-            raise ValueError("luby_unit must be positive")
-        if not 0.0 < var_decay <= 1.0:
-            raise ValueError("var_decay must be in (0, 1]")
-        if reduce_interval < 0:
-            raise ValueError("reduce_interval must be >= 0")
+    def __init__(self) -> None:
         self._num_vars = 0
         # clause arena: flat literal storage + per-clause columns.
         # Plain lists, not array('i'): benchmarked both, and in CPython an
@@ -119,17 +114,13 @@ class SatSolver:
         self._phase = array("b", [0])
         self._activity: list[float] = [0.0]
         self._var_inc = 1.0
-        self._var_decay = var_decay
-        self._luby_unit = luby_unit
-        self._reduce_interval = reduce_interval
-        self._reduce_keep_lbd = reduce_keep_lbd
         self._trail: list[int] = []
         self._trail_lim: list[int] = []
         self._queue_head = 0
         self._ok = True
         self._conflicts = 0
         self._restarts = 0
-        self._next_reduce = reduce_interval
+        self._next_reduce = REDUCE_INTERVAL
 
     # ------------------------------------------------------------------
     # problem construction
@@ -240,7 +231,7 @@ class SatSolver:
             return False
 
         restarts = 0
-        budget = self._luby_unit * luby(restarts)
+        budget = LUBY_UNIT * luby(restarts)
         conflicts_here = 0
 
         while True:
@@ -256,14 +247,14 @@ class SatSolver:
                 self._backtrack(backjump)
                 self._learn(learned, lbd)
                 self._decay_activities()
-                if (self._reduce_interval
+                if (REDUCE_INTERVAL
                         and self._conflicts >= self._next_reduce
                         and self._decision_level() == 0):
                     self._reduce_db()
                 if conflicts_here >= budget:
                     restarts += 1
                     self._restarts += 1
-                    budget = self._luby_unit * luby(restarts)
+                    budget = LUBY_UNIT * luby(restarts)
                     conflicts_here = 0
                     self._backtrack(0)
                 continue
@@ -568,7 +559,7 @@ class SatSolver:
             self._var_inc *= 1e-100
 
     def _decay_activities(self) -> None:
-        self._var_inc /= self._var_decay
+        self._var_inc /= VAR_DECAY
 
     # ------------------------------------------------------------------
     # learned-clause database reduction
@@ -578,13 +569,13 @@ class SatSolver:
 
         Must be called at decision level 0, where the only locked
         clauses (reasons of trail literals) are root-implied.
-        Keeps glue clauses (LBD <= ``reduce_keep_lbd``), binary clauses
+        Keeps glue clauses (LBD <= ``REDUCE_KEEP_LBD``), binary clauses
         and locked clauses; among the rest, drops the half with the
         highest ``(lbd, -stamp)`` — worst LBD first, oldest first on
         ties.
         """
         assert self._decision_level() == 0
-        self._next_reduce = self._conflicts + self._reduce_interval
+        self._next_reduce = self._conflicts + REDUCE_INTERVAL
         lbds = self._clause_lbd
         lens = self._clause_len
         stamps = self._clause_stamp
@@ -594,7 +585,7 @@ class SatSolver:
         }
         candidates = [
             ci for ci in range(self._num_clauses)
-            if lens[ci] > 0 and lbds[ci] > self._reduce_keep_lbd
+            if lens[ci] > 0 and lbds[ci] > REDUCE_KEEP_LBD
             and lens[ci] > 2 and ci not in locked
         ]
         if len(candidates) < 16:

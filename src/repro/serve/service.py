@@ -17,10 +17,11 @@ forked workers all inherit it), the result envelope carries it as
 :class:`FlightRecorder` queryable by that id (``GET
 /debug/traces/<trace_id>``, SIGUSR1 JSONL dump).  :class:`RouteStats`
 keeps the sliding-window per-route latency/error SLOs behind
-``/v1/statusz`` and /metrics.  The trace, the governor, the store and
-the telemetry scope are all bound per context, so jobs on concurrent
-worker threads never share them, and a job's events and provenance
-nodes are the ones its own :func:`repro.obs.capture` scope recorded.
+``/v1/statusz`` and /metrics.  The trace, the governor and the
+telemetry scope are all bound per context, and the store travels as an
+argument of the report runner, so jobs on concurrent worker threads
+never share them, and a job's events and provenance nodes are the ones
+its own :func:`repro.obs.capture` scope recorded.
 
 Two submission kinds share one pipeline:
 
@@ -256,7 +257,12 @@ def _clamped_limits(base: Limits | None, requested: dict | None) -> Limits | Non
 
 
 class TriageService:
-    """The daemon's application core (transport-independent)."""
+    """The daemon's application core (transport-independent).
+
+    ``cache_dir`` opens the store every job shares; each job's report
+    runner passes it explicitly to the front end, the engine and repair
+    synthesis, so the worker threads bind no store.  A verdict one job
+    memoized still reaches the store when another job checks it."""
 
     def __init__(self, *, cache_dir: str | None = None,
                  config: EngineConfig | None = None,

@@ -15,7 +15,9 @@ Architecture (classic lazy / DPLL(T) with offline theory checks):
 A literal, or a conjunction of literals, needs no propositional search:
 its one propositional model makes every literal true, so its literals go
 straight to the Omega test.  Every result is memoized process-wide, keyed
-by the formula, so each formula is decided once.
+by the formula, so each formula is decided once.  A solver built with a
+:class:`repro.cache.CacheStore` also persists its ``is_sat`` verdicts
+there (the ``smt-sat`` stage).
 
 Quantified formulas are handled by first running Cooper quantifier
 elimination (imported lazily to keep package layering acyclic).
@@ -46,8 +48,8 @@ from ..sat import SatSolver
 _MAX_THEORY_ROUNDS = 200_000
 
 #: The :class:`SmtResult` of every check in the process, keyed by the
-#: formula as given to ``check``/``is_sat``.  A verdict read from the
-#: store enters with no model; a later ``check`` recomputes and replaces it.
+#: formula as given to ``check``/``is_sat``.  A verdict read from a store
+#: enters with no model; a later ``check`` recomputes and replaces it.
 _VERDICTS = Memo("smt.is_sat", 50_000)
 
 
@@ -73,13 +75,18 @@ def atom_polarity(literal: Formula) -> tuple[Formula, bool]:
 
 
 class SmtResult:
-    """Outcome of a satisfiability check."""
+    """Outcome of a satisfiability check.
 
-    __slots__ = ("sat", "model")
+    ``store`` is the store the verdict was last written to or read from
+    (None when none has seen it), so a memo hit knows whether the
+    asking solver's store still lacks it."""
 
-    def __init__(self, sat: bool, model: Model | None):
+    __slots__ = ("sat", "model", "store")
+
+    def __init__(self, sat: bool, model: Model | None, store=None):
         self.sat = sat
         self.model = model
+        self.store = store
 
     def __bool__(self) -> bool:
         return self.sat
@@ -90,10 +97,15 @@ class SmtResult:
 
 class SmtSolver:
     """Satisfiability, validity and entailment for QFLIA (and, via Cooper
-    quantifier elimination, full Presburger arithmetic)."""
+    quantifier elimination, full Presburger arithmetic).
 
-    def __init__(self):
+    ``store`` (a :class:`repro.cache.CacheStore`) persists ``is_sat``
+    verdicts: the analyzer's guard checks are the one caller that
+    passes one."""
+
+    def __init__(self, store=None):
         self._theory = OmegaSolver()
+        self._store = store
 
     # ------------------------------------------------------------------
     # public API
@@ -107,10 +119,9 @@ class SmtSolver:
         # hits, trivial formulas and literal conjunctions short-circuit
         # below, and a governed deadline must still be noticed there
         _limits.tick("smt")
-        result = _VERDICTS.get(phi)
-        if result is not MISSING and (not result.sat
-                                      or result.model is not None):
-            return result
+        hit = _VERDICTS.get(phi)
+        if hit is not MISSING and (not hit.sat or hit.model is not None):
+            return hit
         if not obs.is_enabled():
             result = self._check(phi)
         else:
@@ -118,6 +129,8 @@ class SmtSolver:
             with obs.span("smt.check"):
                 obs.observe("smt.formula_size", phi.size())
                 result = self._check(phi)
+        if hit is not MISSING:
+            result.store = hit.store  # that store still holds the verdict
         _VERDICTS.put(phi, result)
         return result
 
@@ -136,34 +149,28 @@ class SmtSolver:
         return SmtResult(model is not None, model)
 
     def is_sat(self, phi: Formula) -> bool:
-        """Memo first, then the active store's ``smt-sat`` tier, then
-        :meth:`check`; only a store lookup computes the digest."""
+        """Memo first, then this solver's store's ``smt-sat`` tier, then
+        :meth:`check`.  The store gets every verdict it has not seen,
+        memo hits included, so what a fill writes does not depend on
+        what the process checked before; only store I/O computes the
+        digest."""
+        store = self._store
         result = _VERDICTS.get(phi)
-        store = None
-        if result is MISSING:
-            store = self._persistent_store()
-            if store is not None:
-                key = digest(phi)
-                artifact = store.get("smt-sat", key)
-                if artifact is not None:
-                    result = SmtResult(bool(artifact["sat"]), None)
-                    _VERDICTS.put(phi, result)
+        if result is MISSING and store is not None:
+            artifact = store.get("smt-sat", digest(phi))
+            if artifact is not None:
+                result = SmtResult(bool(artifact["sat"]), None, store)
+                _VERDICTS.put(phi, result)
         if result is not MISSING:
             _limits.tick("smt")  # hits skip check(); keep the deadline live
             obs.inc("smt.is_sat.hit")
-            return result.sat
-        obs.inc("smt.is_sat.miss")
-        sat = self.check(phi).sat
-        if store is not None:
-            store.put("smt-sat", key, {"sat": sat})
-        return sat
-
-    @staticmethod
-    def _persistent_store():
-        """The active on-disk store, if any (lazy import: layering)."""
-        from ..cache import current_store
-
-        return current_store()
+        else:
+            obs.inc("smt.is_sat.miss")
+            result = self.check(phi)
+        if store is not None and result.store is not store:
+            store.put("smt-sat", digest(phi), {"sat": result.sat})
+            result.store = store
+        return result.sat
 
     def get_model(self, phi: Formula) -> Model | None:
         return self.check(phi).model

@@ -120,14 +120,15 @@ def _read_program(filename: str) -> str:
     )
 
 
-def front_end(source: str, *, auto_annotate: bool = True
+def front_end(source: str, *, auto_annotate: bool = True, store=None
               ) -> tuple[Program, AnalysisResult]:
     """Parse, annotate (unannotated loops get inferred ``@post``s) and
-    analyze program text; returns both artifacts."""
+    analyze program text; returns both artifacts.  ``store`` persists
+    the analyzer's guard verdicts."""
     program = parse_program(source)
     if auto_annotate:
         program = annotate_program(program)
-    return program, analyze_program(program)
+    return program, analyze_program(program, store=store)
 
 
 def load_analysis(bench: Benchmark,

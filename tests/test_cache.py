@@ -21,16 +21,10 @@ import pytest
 
 import repro
 from repro import obs
+from repro.obs import provenance as prov
 from repro.api import Pipeline
 from repro.batch import triage_many
-from repro.cache import (
-    STORE_VERSION,
-    CacheStore,
-    counting,
-    current_store,
-    open_store,
-    use_store,
-)
+from repro.cache import STORE_VERSION, CacheStore, counting, open_store
 from repro.logic.digest import DIGEST_VERSION
 from repro.logic.intern import clear_intern_tables
 from repro.qe.cooper import clear_qe_caches
@@ -239,13 +233,6 @@ class TestCacheStore:
 
 
 class TestActiveStore:
-    def test_use_store_scopes_the_active_store(self, tmp_path):
-        assert current_store() is None
-        store = open_store(tmp_path / "cache")
-        with use_store(store):
-            assert current_store() is store
-        assert current_store() is None
-
     def test_open_store_memoizes_per_path(self, tmp_path, monkeypatch):
         first = open_store(tmp_path / "cache")
         assert open_store(tmp_path / "cache") is first
@@ -258,36 +245,6 @@ class TestActiveStore:
         assert open_store("cache") is first
         monkeypatch.chdir(tmp_path / "cache")
         assert open_store("cache") is not first
-
-    def test_thread_scoped_binding_never_poisons_the_global(self, tmp_path):
-        """Concurrent ``use_store`` scopes (the serve worker-thread
-        shape) are invisible to other threads, and nothing stays
-        installed afterwards: the binding is per context."""
-        store_a = open_store(tmp_path / "a")
-        store_b = open_store(tmp_path / "b")
-        errors: list[BaseException] = []
-        barrier = threading.Barrier(2, timeout=10)
-
-        def worker(store):
-            try:
-                for _ in range(200):
-                    with use_store(store):
-                        barrier.wait()
-                        assert current_store() is store
-                        barrier.wait()
-                    assert current_store() is None
-            except BaseException as exc:  # noqa: BLE001
-                errors.append(exc)
-
-        threads = [threading.Thread(target=worker, args=(s,))
-                   for s in (store_a, store_b)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-        assert not any(t.is_alive() for t in threads)
-        assert not errors, errors
-        assert current_store() is None  # nothing leaked to this thread
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +292,19 @@ def _warm_rerun(cache_dir: str, monkeypatch, run) -> tuple[set, set, set]:
     clear_intern_tables()
     run()
     return written, read, missed
+
+
+#: The derivation nodes the engine's stages record.
+_STAGE_NODES = ("entailment", "abduce", "choice", "decompose", "query",
+                "verdict")
+
+
+def _stage_nodes(outcome) -> list[dict]:
+    """An outcome's stage nodes, without the fields that stamp when and
+    where a node was recorded (and the batch's trace id)."""
+    stamps = ("id", "span", "at", "trace")
+    return [{k: v for k, v in node.items() if k not in stamps}
+            for node in outcome.provenance if node["kind"] in _STAGE_NODES]
 
 
 def _unread_entries(cache_dir: str, monkeypatch, run) -> list:
@@ -414,24 +384,86 @@ class TestWarmRetriage:
     def test_fills_do_not_depend_on_what_the_process_checked_before(
             self, tmp_path):
         """The memos keep each check's result, so what a report writes
-        must not depend on the reports the process ran before it: a
+        must not depend on what the process checked before it: a
         Figure-7 fill in order, one in reverse order (memos kept from
-        report to report) and one with the memos cleared before each
-        report write the same bytes."""
-        def fill(name, batches):
-            """Triage each batch into a fresh store, clearing the memos
-            before each batch; the bytes of every file written."""
-            cache_dir = tmp_path / name
-            for batch in batches:
-                clear_qe_caches()
-                triage_many(batch, jobs=1, cache_dir=str(cache_dir))
+        report to report), one right after a storeless triage of the
+        suite (memos kept), three filled by three threads at once and
+        one with the memos cleared before each report write the same
+        bytes."""
+        def entries(cache_dir):
+            """The bytes of every file written under ``cache_dir``."""
             return {str(path.relative_to(cache_dir)): path.read_bytes()
                     for path in cache_dir.rglob("*") if path.is_file()}
 
-        forward = fill("forward", [ALL_NAMES])
-        assert any("smt-sat" in path for path in forward)
-        assert fill("reversed", [ALL_NAMES[::-1]]) == forward
-        assert fill("cold", [[name] for name in ALL_NAMES]) == forward
+        def fill(name, batches):
+            """Triage each batch into a fresh store, clearing the memos
+            before each batch."""
+            for batch in batches:
+                clear_qe_caches()
+                triage_many(batch, jobs=1, cache_dir=str(tmp_path / name))
+            return entries(tmp_path / name)
+
+        cold = fill("cold", [[name] for name in ALL_NAMES])
+        assert any("smt-sat" in path for path in cold)
+        assert fill("forward", [ALL_NAMES]) == cold
+        assert fill("reversed", [ALL_NAMES[::-1]]) == cold
+
+        clear_qe_caches()
+        assert triage_many(ALL_NAMES, jobs=1).accuracy == 1.0
+        triage_many(ALL_NAMES, jobs=1, cache_dir=str(tmp_path / "after"))
+        assert entries(tmp_path / "after") == cold
+
+        # more filling threads than cores, switching often, share the
+        # memos: each store must still get every verdict its fill checks
+        names = ("thread-a", "thread-b", "thread-c")
+        accuracy: dict[str, float] = {}
+
+        def fill_on_thread(name):
+            accuracy[name] = triage_many(
+                ALL_NAMES, jobs=1, cache_dir=str(tmp_path / name)).accuracy
+
+        clear_qe_caches()
+        threads = [threading.Thread(target=fill_on_thread, args=(name,))
+                   for name in names]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=300)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert accuracy == dict.fromkeys(names, 1.0)
+        for name in names:
+            assert entries(tmp_path / name) == cold, name
+
+    def test_stage_provenance_is_cache_transparent(self, tmp_path):
+        """A stage records the same derivation nodes whether it computed
+        its artifact or replayed it: for every Figure-7 report, a warm
+        run replayed from the store with memos cleared records the cold
+        run's stage nodes."""
+        cache_dir = str(tmp_path / "cache")
+        runs = []
+        was = obs.is_enabled()
+        prov.enable()
+        try:
+            for _ in ("cold", "warm"):
+                clear_qe_caches()
+                runs.append(triage_many(ALL_NAMES, jobs=1,
+                                        cache_dir=cache_dir))
+        finally:
+            prov.disable()
+            if not was:
+                obs.disable()
+        cold, warm = runs
+        assert _counter(cold, "msa.candidates") > 0
+        assert _counter(warm, "msa.candidates") == 0   # replayed
+        assert [o.name for o in warm.outcomes] == ALL_NAMES
+        for before, after in zip(cold.outcomes, warm.outcomes):
+            assert _stage_nodes(before), before.name
+            assert _stage_nodes(after) == _stage_nodes(before), before.name
 
     def test_store_holds_only_flat_stage_entries(self, tmp_path):
         """QE memos stay in-process: a Figure-7 triage into a fresh
@@ -542,6 +574,9 @@ class TestBatchCacheBlock:
         # the memos are warm and the store is full: only hits remain
         assert second.cache["hits"] > 0
         assert second.cache["misses"] == second.cache["puts"] == 0
+        # and a memo hit never reads the store: no guard-check I/O
+        assert "smt-sat" in first.cache["stages"]
+        assert "smt-sat" not in second.cache["stages"]
         assert second.cache["entries"] == first.cache["entries"]
 
     def test_pool_batch_counts_its_workers_operations(self, tmp_path):

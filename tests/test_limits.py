@@ -360,6 +360,8 @@ class TestDeprecatedKnobs:
         assert not hasattr(limits_mod, "governed_here")
         assert not hasattr(repro.cache, "use_store_here")
         assert not hasattr(repro.cache, "set_store")
+        assert not hasattr(repro.cache, "use_store")
+        assert not hasattr(repro.cache, "current_store")
 
     def test_thread_scoped_flag_removed(self):
         from repro.batch.driver import triage_with_retries
@@ -394,6 +396,14 @@ class TestDeprecatedKnobs:
         pytest.param(lambda: history.check_regressions(
             {}, None, threshold=0.5), "threshold",
             id="check_regressions.threshold"),
+        pytest.param(lambda: SatSolver(luby_unit=64),
+                     "luby_unit", id="SatSolver.luby_unit"),
+        pytest.param(lambda: SatSolver(var_decay=0.95),
+                     "var_decay", id="SatSolver.var_decay"),
+        pytest.param(lambda: SatSolver(reduce_interval=2000),
+                     "reduce_interval", id="SatSolver.reduce_interval"),
+        pytest.param(lambda: SatSolver(reduce_keep_lbd=3),
+                     "reduce_keep_lbd", id="SatSolver.reduce_keep_lbd"),
     ])
     def test_single_valued_settings_removed(self, make, knob):
         with pytest.raises(TypeError, match=knob):

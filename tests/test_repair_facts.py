@@ -15,7 +15,7 @@ import pytest
 
 from repro import obs
 from repro.api import Pipeline
-from repro.cache import open_store, use_store
+from repro.cache import open_store
 from repro.diagnosis import ExhaustiveOracle
 from repro.diagnosis.engine import Interaction
 from repro.diagnosis.queries import Answer, QueryRenderer
@@ -109,14 +109,16 @@ def test_repair_key_folds_in_the_refuting_facts(tmp_path):
     """Two sessions with the same affirmed facts and different refuted
     ones must not share a ``repair`` artifact."""
     program, analysis = load_analysis(benchmark_by_name("p02_wordcount"))
+    store = open_store(str(tmp_path / "store"))
     obs.enable()
     try:
-        with use_store(open_store(str(tmp_path / "store"))):
-            trusting = synthesize_repairs(
-                program, analysis, session=_p02_session(refuted=False))
-            with obs.capture() as cap:
-                wary = synthesize_repairs(
-                    program, analysis, session=_p02_session(refuted=True))
+        trusting = synthesize_repairs(
+            program, analysis, session=_p02_session(refuted=False),
+            store=store)
+        with obs.capture() as cap:
+            wary = synthesize_repairs(
+                program, analysis, session=_p02_session(refuted=True),
+                store=store)
     finally:
         obs.disable()
     assert not any(p.refuted for p in trusting)

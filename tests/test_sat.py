@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sat import SatSolver, luby
+from repro.sat import SatSolver, cdcl, luby
 
 
 def brute_force_sat(num_vars, clauses):
@@ -174,17 +174,17 @@ def test_random_3sat_stress():
         assert solver.solve() == expected, (trial, clauses)
 
 
-# every knob combination must preserve verdicts: the constructor
-# parameters tune the search, never the answer.  reduce_interval=1
-# forces a database reduction after every conflict, so the reduction
-# and arena-compaction paths run constantly instead of once per 2000
-# conflicts; luby_unit=1 restarts as aggressively as possible.
+# every setting of the search constants must preserve verdicts: they
+# tune the search, never the answer.  REDUCE_INTERVAL=1 forces a
+# database reduction after every conflict, so the reduction and
+# arena-compaction paths run constantly instead of once per 2000
+# conflicts; LUBY_UNIT=1 restarts as aggressively as possible.
 _KNOB_VARIANTS = [
-    dict(luby_unit=1, var_decay=0.75, reduce_interval=1,
-         reduce_keep_lbd=0),
-    dict(luby_unit=2, var_decay=1.0, reduce_interval=3,
-         reduce_keep_lbd=2),
-    dict(luby_unit=512, var_decay=0.99, reduce_interval=0),  # no reduction
+    dict(LUBY_UNIT=1, VAR_DECAY=0.75, REDUCE_INTERVAL=1,
+         REDUCE_KEEP_LBD=0),
+    dict(LUBY_UNIT=2, VAR_DECAY=1.0, REDUCE_INTERVAL=3,
+         REDUCE_KEEP_LBD=2),
+    dict(LUBY_UNIT=512, VAR_DECAY=0.99, REDUCE_INTERVAL=0),  # no reduction
 ]
 
 
@@ -196,11 +196,12 @@ def test_knob_variants_match_brute_force(data):
     num_vars, clauses = data.draw(cnf_instances())
     expected = brute_force_sat(num_vars, clauses) is not None
     for knobs in _KNOB_VARIANTS:
-        solver = SatSolver(**knobs)
-        solver.ensure_vars(num_vars)
-        for clause in clauses:
-            solver.add_clause(clause)
-        result = solver.solve()
+        # a context, not the fixture: hypothesis reruns the body
+        with pytest.MonkeyPatch.context() as patch:
+            for name, value in knobs.items():
+                patch.setattr(cdcl, name, value)
+            solver = make_solver(num_vars, clauses)
+            result = solver.solve()
         assert result == expected, (knobs, clauses)
         if result:
             model = solver.model()
@@ -211,10 +212,12 @@ def test_knob_variants_match_brute_force(data):
             ), (knobs, clauses)
 
 
-def test_reduction_exercised_on_enumeration():
+def test_reduction_exercised_on_enumeration(monkeypatch):
     """Clause-DB reduction actually fires (and stays sound) on a
     blocking-clause enumeration that learns far more than it keeps."""
-    solver = SatSolver(reduce_interval=10, reduce_keep_lbd=1)
+    monkeypatch.setattr(cdcl, "REDUCE_INTERVAL", 10)
+    monkeypatch.setattr(cdcl, "REDUCE_KEEP_LBD", 1)
+    solver = SatSolver()
     groups, size = 6, 3
     n = groups * size
     solver.ensure_vars(n)

@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings
 
 from repro import obs
 from repro.batch import triage_many
-from repro.cache import open_store, use_store
+from repro.cache import open_store
 from repro.logic import (
     FALSE,
     TRUE,
@@ -310,8 +310,8 @@ def test_stored_verdict_answers_is_sat_and_check_still_models(
     store = open_store(tmp_path / "store")
     store.put("smt-sat", digest(phi), {"sat": True})
     clear_qe_caches()
-    solver = SmtSolver()
-    with use_store(store), obs.capture() as scope:
+    solver = SmtSolver(store)
+    with obs.capture() as scope:
         assert solver.is_sat(phi)
     counters = scope.snapshot["counters"]
     assert counters["smt.is_sat.hit"] == 1
