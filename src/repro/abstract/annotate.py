@@ -8,7 +8,9 @@ iteration with delayed widening and one narrowing pass), and attaches the
 facts about loop-modified variables as ``@post`` annotations.
 
 Loops that already carry a manual ``@post`` are left untouched, so
-hand-written annotations (as in the paper's examples) always win.
+hand-written annotations (as in the paper's examples) always win.  A
+program whose every loop carries one has nothing to infer, and no
+abstract interpreter runs over it.
 """
 
 from __future__ import annotations
@@ -226,16 +228,24 @@ class _Runner:
         return exit_state
 
 
+def _domain_classes(domains: tuple[str, ...]) -> list[type]:
+    """The domain classes named by ``domains``; an unknown name raises
+    ``ValueError`` whether or not any domain would run."""
+    classes = []
+    for name in domains:
+        try:
+            classes.append(DOMAINS[name])
+        except KeyError:
+            raise ValueError(f"unknown abstract domain {name!r}")
+    return classes
+
+
 def infer_loop_posts(program: Program,
                      domains: tuple[str, ...] = ("interval", "zone"),
                      ) -> dict[int, list[Pred]]:
     """Infer postcondition facts for every loop, keyed by loop label."""
     merged: dict[int, list[Pred]] = {}
-    for name in domains:
-        try:
-            domain_cls = DOMAINS[name]
-        except KeyError:
-            raise ValueError(f"unknown abstract domain {name!r}")
+    for domain_cls in _domain_classes(domains):
         runner = _Runner(domain_cls(), {})
         runner.run(program)
         for label, facts in runner.posts.items():
@@ -250,8 +260,15 @@ def annotate_program(program: Program,
                      ) -> Program:
     """Return a copy of ``program`` with inferred ``@post`` annotations.
 
-    Loops that already have a manual annotation keep it.
+    Loops that already have a manual annotation keep it.  When every
+    loop, at any depth, has one, ``program`` itself is returned and no
+    domain runs.  Otherwise every domain runs over the whole program,
+    annotated loops included: each loop's exit state feeds the facts
+    inferred for the loops after it.
     """
+    _domain_classes(domains)
+    if all(loop.post is not None for loop in program.loops()):
+        return program
     posts = infer_loop_posts(program, domains)
 
     def rebuild_stmt(stmt: Stmt) -> Stmt:

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import os
 import time
-from collections import Counter
 
 from .. import obs
 from ..obs import context as ocontext
@@ -174,11 +173,8 @@ def _cache_block(cache_dir: str | None,
     report counted its own operations, in whichever process ran it)."""
     if cache_dir is None:
         return None
-    stages: dict[str, Counter] = {}
-    for outcome in outcomes:
-        for stage, counts in (outcome.cache or {}).get("stages", {}).items():
-            stages.setdefault(stage, Counter()).update(counts)
-    return {**open_store(cache_dir).stats(), **count_block(stages)}
+    return {**open_store(cache_dir).stats(), **count_block(
+        *[(outcome.cache or {}).get("stages", {}) for outcome in outcomes])}
 
 
 def triage_with_retries(name: str, config: EngineConfig | None,

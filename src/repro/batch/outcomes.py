@@ -360,7 +360,7 @@ def run_report(source: str | None = None, *, name: str | None = None,
                             else SamplingOracle(program, analysis)
                     # the engine inherits the governor installed above
                     result = run.diagnosis = diagnose_error(
-                        analysis, oracle, config, store=store)
+                        analysis, oracle, cfg, store=store)
                     if repair and not result.decided_by_analysis \
                             and result.triage_verdict in (
                                 TriageVerdict.FALSE_ALARM,
@@ -530,9 +530,10 @@ def _is_retryable(outcome: TriageOutcome) -> bool:
         outcome.verdict is TriageVerdict.UNKNOWN_RESOURCE
 
 
-def _finalize(outcome: TriageOutcome, attempts: int) -> TriageOutcome:
+def _finalize(outcome: TriageOutcome, attempts: int,
+              retryable: bool) -> TriageOutcome:
     """Stamp the attempt count; quarantine still-retryable outcomes."""
-    degraded = outcome.degraded or _is_retryable(outcome)
+    degraded = outcome.degraded or retryable
     if attempts == outcome.attempts and degraded == outcome.degraded:
         return outcome  # the usual first-attempt outcome: nothing to copy
     return replace(outcome, attempts=attempts, degraded=degraded)

@@ -79,13 +79,22 @@ def counting() -> Iterator[dict[str, Counter]]:
         _tally.reset(token)
 
 
-def count_block(stages: Mapping[str, Mapping[str, int]]) -> dict:
-    """Per-stage counts as plain data: each operation's total, then
-    ``stages`` with every operation listed for every stage."""
-    per = {stage: {op: counts.get(op, 0) for op in _OPERATIONS}
-           for stage, counts in sorted(stages.items())}
-    return {**{op: sum(c[op] for c in per.values()) for op in _OPERATIONS},
-            "stages": per}
+def count_block(*tallies: Mapping[str, Mapping[str, int]]) -> dict:
+    """Per-stage counts, summed over ``tallies``, as plain data: each
+    operation's total, then ``stages`` with every operation listed for
+    every stage."""
+    totals = dict.fromkeys(_OPERATIONS, 0)
+    per: dict[str, dict[str, int]] = {}
+    for stages in tallies:
+        for stage, counts in stages.items():
+            row = per.get(stage)
+            if row is None:
+                row = per[stage] = dict.fromkeys(_OPERATIONS, 0)
+            for op in _OPERATIONS:
+                n = counts.get(op, 0)
+                row[op] += n
+                totals[op] += n
+    return {**totals, "stages": dict(sorted(per.items()))}
 
 
 class CacheStore:

@@ -31,6 +31,7 @@ from ..analysis import AnalysisResult
 from ..limits import ResourceExhausted
 from ..logic.formulas import Formula, conj, neg
 from ..schema import TriageVerdict, dump_json, envelope
+from ..smt import SmtSolver
 from .abduction import Abducer
 from .oracles import Oracle
 from .queries import Answer, Query, QueryRenderer
@@ -155,8 +156,6 @@ class DiagnosisEngine:
         self._oracle = oracle
         self._config = config or EngineConfig()
         self._store = store
-        from ..smt import SmtSolver
-
         self._abducer = Abducer(
             msa_strategy=self._config.msa_strategy,
             use_simplification=self._config.use_simplification,

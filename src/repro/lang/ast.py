@@ -11,6 +11,9 @@ with the Section 5 features exercised by the benchmark suite:
 Loops carry an optional ``@post`` annotation: the sound postcondition
 produced by an external static analysis (Section 2's ``@p'``), or by the
 interval/zone analyses of :mod:`repro.abstract`.
+
+Nodes are frozen dataclasses with slots, one allocation each: every
+report parses its own program, and frees it when the report is done.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .diagnostics import DUMMY_SPAN, Span
 class Expr:
     """Base class of integer expressions."""
 
+    __slots__ = ()
     span: Span
 
     def children(self) -> tuple["Expr", ...]:
@@ -42,7 +46,7 @@ class Expr:
         return {n.name for n in self.walk() if isinstance(n, Name)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Name(Expr):
     name: str
     span: Span = field(default=DUMMY_SPAN, compare=False)
@@ -51,7 +55,7 @@ class Name(Expr):
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Const(Expr):
     value: int
     span: Span = field(default=DUMMY_SPAN, compare=False)
@@ -60,7 +64,7 @@ class Const(Expr):
         return str(self.value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BinOp(Expr):
     op: str  # '+', '-', '*'
     left: Expr
@@ -81,6 +85,7 @@ class BinOp(Expr):
 class Pred:
     """Base class of boolean predicates."""
 
+    __slots__ = ()
     span: Span
 
     def children(self) -> tuple["Pred | Expr", ...]:
@@ -97,7 +102,7 @@ class Pred:
         return result
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoolConst(Pred):
     value: bool
     span: Span = field(default=DUMMY_SPAN, compare=False)
@@ -106,7 +111,7 @@ class BoolConst(Pred):
         return "true" if self.value else "false"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cmp(Pred):
     op: str  # '<', '>', '<=', '>=', '==', '!='
     left: Expr
@@ -120,7 +125,7 @@ class Cmp(Pred):
         return f"{self.left} {self.op} {self.right}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoolOp(Pred):
     op: str  # '&&' or '||'
     parts: tuple[Pred, ...]
@@ -134,7 +139,7 @@ class BoolOp(Pred):
         return "(" + sep.join(str(p) for p in self.parts) + ")"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NotPred(Pred):
     arg: Pred
     span: Span = field(default=DUMMY_SPAN, compare=False)
@@ -153,6 +158,7 @@ class NotPred(Pred):
 class Stmt:
     """Base class of statements."""
 
+    __slots__ = ()
     span: Span
 
     def substatements(self) -> tuple["Stmt", ...]:
@@ -164,19 +170,19 @@ class Stmt:
             yield from sub.walk()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Skip(Stmt):
     span: Span = field(default=DUMMY_SPAN, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Assign(Stmt):
     target: str
     value: Expr
     span: Span = field(default=DUMMY_SPAN, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Havoc(Stmt):
     """``havoc x [@assume(p)]`` — x receives an arbitrary value satisfying
     the optional assumption (modeling an unanalyzed library call)."""
@@ -186,7 +192,7 @@ class Havoc(Stmt):
     span: Span = field(default=DUMMY_SPAN, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Block(Stmt):
     body: tuple[Stmt, ...]
     span: Span = field(default=DUMMY_SPAN, compare=False)
@@ -195,7 +201,7 @@ class Block(Stmt):
         return self.body
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class If(Stmt):
     cond: Pred
     then_branch: Block
@@ -206,7 +212,7 @@ class If(Stmt):
         return (self.then_branch, self.else_branch)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class While(Stmt):
     """A while loop with a unique label and optional sound postcondition.
 
@@ -236,7 +242,7 @@ class While(Stmt):
         return result
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Assert(Stmt):
     """The program's ``check(p)``: the property under verification."""
 
@@ -248,14 +254,14 @@ class Assert(Stmt):
 # programs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Param:
     name: str
     unsigned: bool = False
     span: Span = field(default=DUMMY_SPAN, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Program:
     """``lambda a1..ak. (let v1..vn in (s; check(p)))``.
 

@@ -10,10 +10,13 @@ The interpreter serves three roles in the reproduction:
   answer failure-witness queries automatically.
 
 Execution is compiled: each program is translated once into nested
-Python closures (one per AST node, specialised on the shapes of their
+Python functions (one per AST node, specialised on the shapes of their
 operands), which every later run calls directly instead of dispatching
-on node types.  ``eval_expr``/``eval_pred`` compile their argument the
-same way, so there is one evaluator.
+on node types.  Each function takes what it reads as default arguments,
+not as closure cells: a compiled program is then one function and one
+tuple per node, which is what an oracle builds, and frees, per report.
+``eval_expr``/``eval_pred`` compile their argument the same way, so
+there is one evaluator.
 
 ``havoc`` statements make execution nondeterministic; a
 :class:`HavocPolicy` resolves each havoc, by default sampling values that
@@ -222,21 +225,21 @@ def _combine(op, left: Expr, right: Expr, bound: frozenset[str]) -> ExprFn:
     (lk, a), (rk, b) = _operand(left, bound), _operand(right, bound)
     if lk == "n":
         if rk == "c":
-            return lambda env, sites: op(env[a], b)
+            return lambda env, sites, op=op, a=a, b=b: op(env[a], b)
         if rk == "n":
-            return lambda env, sites: op(env[a], env[b])
-        return lambda env, sites: op(env[a], b(env, sites))
+            return lambda env, sites, op=op, a=a, b=b: op(env[a], env[b])
+        return lambda env, sites, op=op, a=a, b=b: op(env[a], b(env, sites))
     if lk == "c":
         if rk == "c":
-            return lambda env, sites: op(a, b)
+            return lambda env, sites, op=op, a=a, b=b: op(a, b)
         if rk == "n":
-            return lambda env, sites: op(a, env[b])
-        return lambda env, sites: op(a, b(env, sites))
+            return lambda env, sites, op=op, a=a, b=b: op(a, env[b])
+        return lambda env, sites, op=op, a=a, b=b: op(a, b(env, sites))
     if rk == "c":
-        return lambda env, sites: op(a(env, sites), b)
+        return lambda env, sites, op=op, a=a, b=b: op(a(env, sites), b)
     if rk == "n":
-        return lambda env, sites: op(a(env, sites), env[b])
-    return lambda env, sites: op(a(env, sites), b(env, sites))
+        return lambda env, sites, op=op, a=a, b=b: op(a(env, sites), env[b])
+    return lambda env, sites, op=op, a=a, b=b: op(a(env, sites), b(env, sites))
 
 
 def records_product(expr: Expr) -> bool:
@@ -249,14 +252,12 @@ def records_product(expr: Expr) -> bool:
 def _compile_expr(expr: Expr, bound: frozenset[str]) -> ExprFn:
     """Compile an expression; names in ``bound`` skip the unbound check."""
     if isinstance(expr, Const):
-        value = expr.value
-        return lambda env, sites: value
+        return lambda env, sites, value=expr.value: value
     if isinstance(expr, Name):
-        name, span = expr.name, expr.span
-        if name in bound:
-            return lambda env, sites: env[name]
+        if expr.name in bound:
+            return lambda env, sites, name=expr.name: env[name]
 
-        def lookup(env, sites):
+        def lookup(env, sites, name=expr.name, span=expr.span):
             try:
                 return env[name]
             except KeyError:
@@ -266,61 +267,67 @@ def _compile_expr(expr: Expr, bound: frozenset[str]) -> ExprFn:
     if isinstance(expr, BinOp):
         if expr.op in _ARITH:
             return _combine(_ARITH[expr.op], expr.left, expr.right, bound)
+        if expr.op == "*" and not records_product(expr):
+            return _combine(operator.mul, expr.left, expr.right, bound)
         left = _compile_expr(expr.left, bound)
         right = _compile_expr(expr.right, bound)
-        op, span = expr.op, expr.span
-        if op != "*":
-            def unknown(env, sites):
+        if expr.op != "*":
+            def unknown(env, sites, left=left, right=right, op=expr.op,
+                        span=expr.span):
                 left(env, sites), right(env, sites)
                 raise AnalysisError(f"unknown operator {op!r}", span)
 
             return unknown
-        if not records_product(expr):
-            return _combine(operator.mul, expr.left, expr.right, bound)
-        at = span.start
 
-        def product(env, sites):
+        def product(env, sites, left=left, right=right, at=expr.span.start):
             value = left(env, sites) * right(env, sites)
             if sites is not None:
                 sites[at] = value
             return value
 
         return product
-    return _raiser(lambda: TypeError(f"unexpected expression node {expr!r}"))
+    return _raiser(
+        lambda expr=expr: TypeError(f"unexpected expression node {expr!r}"))
 
 
 def _compile_pred(pred: Pred, bound: frozenset[str]) -> PredFn:
     """Compile a predicate; names in ``bound`` skip the unbound check."""
     if isinstance(pred, BoolConst):
-        value = pred.value
-        return lambda env, sites: value
+        return lambda env, sites, value=pred.value: value
     if isinstance(pred, Cmp):
         if pred.op not in _CMP:
-            return _raiser(lambda: KeyError(pred.op))
+            return _raiser(lambda op=pred.op: KeyError(op))
         return _combine(_CMP[pred.op], pred.left, pred.right, bound)
     if isinstance(pred, BoolOp):
-        parts = tuple(_compile_pred(p, bound) for p in pred.parts)
+        parts = tuple([_compile_pred(p, bound) for p in pred.parts])
         if pred.op == "&&":
             if len(parts) == 2:
-                a, b = parts
-                return lambda env, sites: a(env, sites) and b(env, sites)
-            return lambda env, sites: all(p(env, sites) for p in parts)
+                return lambda env, sites, a=parts[0], b=parts[1]: \
+                    a(env, sites) and b(env, sites)
+            return lambda env, sites, parts=parts: \
+                all(p(env, sites) for p in parts)
         if len(parts) == 2:
-            a, b = parts
-            return lambda env, sites: a(env, sites) or b(env, sites)
-        return lambda env, sites: any(p(env, sites) for p in parts)
+            return lambda env, sites, a=parts[0], b=parts[1]: \
+                a(env, sites) or b(env, sites)
+        return lambda env, sites, parts=parts: \
+            any(p(env, sites) for p in parts)
     if isinstance(pred, NotPred):
-        arg = _compile_pred(pred.arg, bound)
-        return lambda env, sites: not arg(env, sites)
-    return _raiser(lambda: TypeError(f"unexpected predicate node {pred!r}"))
+        return lambda env, sites, arg=_compile_pred(pred.arg, bound): \
+            not arg(env, sites)
+    return _raiser(
+        lambda pred=pred: TypeError(f"unexpected predicate node {pred!r}"))
 
 
 def _raiser(make: Callable[[], Exception]):
     """A compiled node that raises when it is evaluated, not compiled."""
-    def fail(*args):
+    def fail(*args, make=make):
         raise make()
 
     return fail
+
+
+def _out_of_fuel(fuel: int, span) -> OutOfFuel:
+    return OutOfFuel(f"execution exceeded {fuel} steps at {span}")
 
 
 # ---------------------------------------------------------------------------
@@ -343,21 +350,19 @@ class _Compiler:
         self.overridden = type(policy).resolve is not HavocPolicy.resolve
 
     def block(self, block: Block) -> StmtFn:
-        stmts = tuple(self.stmt(s) for s in block.body)
+        stmts = tuple([self.stmt(s) for s in block.body])
         if not stmts:
             return lambda env, res: None
         if len(stmts) == 1:
             return stmts[0]
         if len(stmts) == 2:
-            a, b = stmts
-
-            def run2(env, res):
+            def run2(env, res, a=stmts[0], b=stmts[1]):
                 a(env, res)
                 b(env, res)
 
             return run2
 
-        def run(env, res):
+        def run(env, res, stmts=stmts):
             for stmt in stmts:
                 stmt(env, res)
 
@@ -365,32 +370,29 @@ class _Compiler:
 
     def stmt(self, stmt: Stmt) -> StmtFn:
         fuel, span = self.fuel, stmt.span
-
-        def exhausted():
-            return OutOfFuel(f"execution exceeded {fuel} steps at {span}")
-
         if isinstance(stmt, Assign):
-            target = stmt.target
             value = _compile_expr(stmt.value, self.bound)
 
-            def assign(env, res):
+            def assign(env, res, target=stmt.target, value=value, fuel=fuel,
+                       span=span):
                 steps = res.steps = res.steps + 1
                 if steps > fuel:
-                    raise exhausted()
+                    raise _out_of_fuel(fuel, span)
                 env[target] = value(env, res.site_values)
 
             return assign
         if isinstance(stmt, Havoc):
-            return self.havoc(stmt, exhausted)
+            return self.havoc(stmt)
         if isinstance(stmt, If):
             cond = _compile_pred(stmt.cond, self.bound)
             then, other = self.block(stmt.then_branch), \
                 self.block(stmt.else_branch)
 
-            def branch(env, res):
+            def branch(env, res, cond=cond, then=then, other=other,
+                       fuel=fuel, span=span):
                 steps = res.steps = res.steps + 1
                 if steps > fuel:
-                    raise exhausted()
+                    raise _out_of_fuel(fuel, span)
                 if cond(env, res.site_values):
                     then(env, res)
                 else:
@@ -398,41 +400,39 @@ class _Compiler:
 
             return branch
         if isinstance(stmt, While):
-            return self.loop(stmt, exhausted)
+            return self.loop(stmt)
         if isinstance(stmt, Block):
             inner = self.block(stmt)
         elif isinstance(stmt, Skip):
             inner = None
         elif isinstance(stmt, Assert):
-            inner = _raiser(lambda: AnalysisError(
+            inner = _raiser(lambda span=span: AnalysisError(
                 "assert may only appear as the final check", span))
         else:
-            inner = _raiser(
-                lambda: TypeError(f"unexpected statement node {stmt!r}"))
+            inner = _raiser(lambda stmt=stmt: TypeError(
+                f"unexpected statement node {stmt!r}"))
 
-        def other_stmt(env, res):
+        def other_stmt(env, res, inner=inner, fuel=fuel, span=span):
             steps = res.steps = res.steps + 1
             if steps > fuel:
-                raise exhausted()
+                raise _out_of_fuel(fuel, span)
             if inner is not None:
                 inner(env, res)
 
         return other_stmt
 
-    def havoc(self, stmt: Havoc, exhausted) -> StmtFn:
-        fuel, target, at = self.fuel, stmt.target, stmt.span.start
+    def havoc(self, stmt: Havoc) -> StmtFn:
         if self.overridden:
-            resolve = self.policy.resolve
-
-            def sample(env):
+            def sample(env, resolve=self.policy.resolve, stmt=stmt):
                 return resolve(stmt, env)
         else:
             sample = self.policy._sampler(stmt, self.bound)
 
-        def havoc(env, res):
+        def havoc(env, res, sample=sample, target=stmt.target,
+                  at=stmt.span.start, fuel=self.fuel, span=stmt.span):
             steps = res.steps = res.steps + 1
             if steps > fuel:
-                raise exhausted()
+                raise _out_of_fuel(fuel, span)
             value = sample(env)
             env[target] = value
             res.havoc_values.append(value)
@@ -440,15 +440,15 @@ class _Compiler:
 
         return havoc
 
-    def loop(self, stmt: While, exhausted) -> StmtFn:
-        fuel, span, label = self.fuel, stmt.span, stmt.label
+    def loop(self, stmt: While) -> StmtFn:
         cond = _compile_pred(stmt.cond, self.bound)
         body = self.block(stmt.body)
 
-        def loop(env, res):
+        def loop(env, res, cond=cond, body=body, label=stmt.label,
+                 fuel=self.fuel, span=stmt.span):
             steps = res.steps = res.steps + 1
             if steps > fuel:
-                raise exhausted()
+                raise _out_of_fuel(fuel, span)
             sites = res.site_values
             while cond(env, sites):
                 steps = res.steps = res.steps + 1

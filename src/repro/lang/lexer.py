@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from enum import Enum, auto
 
@@ -88,7 +89,8 @@ def tokenize(source: str) -> list[Token]:
             start = pos
             while pos < n and (source[pos].isalnum() or source[pos] == "_"):
                 pos += 1
-            text = source[start:pos]
+            # interned: the AST keeps one string per distinct name
+            text = sys.intern(source[start:pos])
             kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
             tokens.append(Token(kind, text, span(start, pos)))
             continue

@@ -52,7 +52,7 @@ from .ast import (
 from .diagnostics import DUMMY_SPAN, ParseError, Span
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CallStmt(Stmt):
     """``target = call proc(args);`` — eliminated by inlining."""
 

@@ -134,12 +134,14 @@ class _Hist:
         self.min = min(self.min, other.min)
         self.max = max(self.max, other.max)
         stride = max(self.stride, other.stride)
-        samples = (self.samples[::stride // self.stride]
-                   + other.samples[::stride // other.stride])
-        while len(samples) >= _HIST_RESERVOIR:
-            samples = samples[::2]
+        if stride != self.stride:
+            self.samples = self.samples[::stride // self.stride]
+        # in place: a long-lived aggregate is not copied per fold
+        self.samples += other.samples[::stride // other.stride]
+        while len(self.samples) >= _HIST_RESERVOIR:
+            self.samples = self.samples[::2]
             stride *= 2
-        self.samples, self.stride = samples, stride
+        self.stride = stride
 
 
 def percentile(samples: list[float], q: float) -> float:
@@ -151,21 +153,32 @@ def percentile(samples: list[float], q: float) -> float:
     return ordered[rank]
 
 
+def _p50_p95_p99(samples: list[float]) -> tuple[float, float, float]:
+    if not samples:
+        return 0.0, 0.0, 0.0
+    ordered, n = sorted(samples), len(samples)
+    # for these three q, int(q * n + 0.5) - 1 always lies in [0, n)
+    return (ordered[int(0.50 * n + 0.5) - 1],
+            ordered[int(0.95 * n + 0.5) - 1],
+            ordered[int(0.99 * n + 0.5) - 1])
+
+
 def percentiles(samples: list[float]) -> dict[str, float]:
     """``p50``/``p95``/``p99``, each :func:`percentile`'s, from one sort."""
-    ordered, n = sorted(samples), len(samples)
-    return {key: ordered[max(0, min(n - 1, int(q * n + 0.5) - 1))]
-            if n else 0.0
-            for key, q in (("p50", 0.50), ("p95", 0.95), ("p99", 0.99))}
+    p50, p95, p99 = _p50_p95_p99(samples)
+    return {"p50": p50, "p95": p95, "p99": p99}
 
 
 def _hist_snapshot(h: _Hist) -> dict:
+    p50, p95, p99 = _p50_p95_p99(h.samples)
     return {
         "count": h.count,
         "total": h.total,
         "min": h.min if h.count else 0.0,
         "max": h.max if h.count else 0.0,
-        **percentiles(h.samples),
+        "p50": p50,
+        "p95": p95,
+        "p99": p99,
         "samples": list(h.samples),
         "stride": h.stride,
     }
@@ -645,9 +658,17 @@ def merge_snapshots(*snaps: dict | None) -> dict:
     a failed triage attempt) contribute their label to the merged
     ``attempts`` list, so retried/degraded reports keep per-attempt
     provenance in the fleet-wide view.
+
+    Snapshots are plain data that no one writes to: the merge mutates
+    none of its inputs, and a span or histogram entry only one of them
+    has is shared with the result, not copied.
     """
-    merged: dict = {"enabled": False, "counters": {}, "gauges": {},
-                    "spans": {}, "hists": {}}
+    counters: dict = {}
+    gauges: dict = {}
+    spans: dict = {}
+    hists: dict = {}
+    merged: dict = {"enabled": False, "counters": counters,
+                    "gauges": gauges, "spans": spans, "hists": hists}
     attempts: list[int] = []
     traces: list[str] = []
     for snap in snaps:
@@ -661,26 +682,24 @@ def merge_snapshots(*snaps: dict | None) -> dict:
             traces.append(snap["trace"])
         traces.extend(snap.get("traces", ()))
         for name, value in snap.get("counters", {}).items():
-            merged["counters"][name] = \
-                merged["counters"].get(name, 0) + value
-        merged["gauges"].update(snap.get("gauges", {}))
+            counters[name] = counters.get(name, 0) + value
+        gauges.update(snap.get("gauges", {}))
         for name, stats in snap.get("spans", {}).items():
-            into = merged["spans"].get(name)
-            if into is None:
-                merged["spans"][name] = dict(stats)
-            else:
-                into["count"] += stats["count"]
-                into["total_s"] += stats["total_s"]
-                into["max_s"] = max(into["max_s"], stats["max_s"])
+            into = spans.get(name)
+            spans[name] = stats if into is None else {
+                "count": into["count"] + stats["count"],
+                "total_s": into["total_s"] + stats["total_s"],
+                "max_s": max(into["max_s"], stats["max_s"]),
+            }
         for name, h in snap.get("hists", {}).items():
-            into = merged["hists"].get(name)
+            into = hists.get(name)
             if into is None:
-                merged["hists"][name] = dict(h)
+                hists[name] = h
             else:
                 samples = into.get("samples", []) + h.get("samples", [])
                 if len(samples) > _HIST_RESERVOIR:
                     samples = sorted(samples)[::2]
-                merged["hists"][name] = {
+                hists[name] = {
                     "count": into["count"] + h["count"],
                     "total": into["total"] + h["total"],
                     "min": min(into["min"], h["min"]),

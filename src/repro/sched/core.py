@@ -76,7 +76,8 @@ class Scheduler:
         partials: dict[str, list[dict]] = {}
 
         def settle(name: str, attempt: int, outcome: TriageOutcome) -> None:
-            if _is_retryable(outcome) and attempt + 1 < attempts_allowed:
+            retryable = _is_retryable(outcome)
+            if retryable and attempt + 1 < attempts_allowed:
                 if outcome.telemetry is not None:
                     partials.setdefault(name, []).append(outcome.telemetry)
                 obs.inc("batch.retries")
@@ -87,7 +88,7 @@ class Scheduler:
                          if limits is not None else 0.0)
                 waiting.append((time.monotonic() + delay, name, attempt + 1))
                 return
-            if _is_retryable(outcome):
+            if retryable:
                 obs.inc("batch.quarantined")
                 olog.error("batch.quarantine", report=name,
                            attempts=attempt + 1,
@@ -95,7 +96,7 @@ class Scheduler:
             if partials.get(name):
                 outcome = replace(
                     outcome, prior_telemetry=tuple(partials[name]))
-            results[name] = _finalize(outcome, attempt + 1)
+            results[name] = _finalize(outcome, attempt + 1, retryable)
 
         try:
             transport.open()

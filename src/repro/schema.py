@@ -81,24 +81,26 @@ class TriageVerdict(Enum):
     def from_classification(cls, text: str) -> "TriageVerdict":
         """Map a legacy classification string (or verdict-enum value of
         any of the three historical vocabularies) to the vocabulary."""
-        norm = text.strip().lower().replace("_", " ")
-        aliases = {
-            "false alarm": cls.FALSE_ALARM,
-            "verified": cls.FALSE_ALARM,
-            "discharged": cls.FALSE_ALARM,
-            "real bug": cls.REAL_BUG,
-            "refuted": cls.REAL_BUG,
-            "validated": cls.REAL_BUG,
-            "unknown": cls.UNKNOWN,
-            "uncertain": cls.UNKNOWN,
-            "unresolved": cls.UNKNOWN,
-            "unknown resource": cls.UNKNOWN_RESOURCE,
-            "resource exhausted": cls.UNKNOWN_RESOURCE,
-        }
         try:
-            return aliases[norm]
+            return _ALIASES[text.strip().lower().replace("_", " ")]
         except KeyError:
             raise ValueError(f"unknown classification {text!r}") from None
+
+
+#: every vocabulary's spelling of each verdict
+_ALIASES = {
+    "false alarm": TriageVerdict.FALSE_ALARM,
+    "verified": TriageVerdict.FALSE_ALARM,
+    "discharged": TriageVerdict.FALSE_ALARM,
+    "real bug": TriageVerdict.REAL_BUG,
+    "refuted": TriageVerdict.REAL_BUG,
+    "validated": TriageVerdict.REAL_BUG,
+    "unknown": TriageVerdict.UNKNOWN,
+    "uncertain": TriageVerdict.UNKNOWN,
+    "unresolved": TriageVerdict.UNKNOWN,
+    "unknown resource": TriageVerdict.UNKNOWN_RESOURCE,
+    "resource exhausted": TriageVerdict.UNKNOWN_RESOURCE,
+}
 
 
 # ---------------------------------------------------------------------------

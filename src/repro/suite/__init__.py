@@ -97,11 +97,14 @@ def benchmark_by_id(problem_id: int) -> Benchmark:
     raise KeyError(f"no benchmark with id {problem_id}")
 
 
+_BY_NAME = {bench.name: bench for bench in BENCHMARKS + DIAGNOSTICS}
+
+
 def benchmark_by_name(name: str) -> Benchmark:
-    for bench in BENCHMARKS + DIAGNOSTICS:
-        if bench.name == name:
-            return bench
-    raise KeyError(f"no benchmark named {name!r}")
+    try:
+        return _BY_NAME[name]
+    except KeyError:
+        raise KeyError(f"no benchmark named {name!r}") from None
 
 
 def load_source(bench: Benchmark) -> str:

@@ -5,6 +5,7 @@ hold on every concrete execution — checked by running the interpreter.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -14,7 +15,20 @@ from repro.abstract import (
     annotate_program,
     infer_loop_posts,
 )
-from repro.lang import eval_pred, parse_program, run_program
+from repro.abstract import annotate as annotate_module
+from repro.lang import (
+    Block,
+    BoolOp,
+    If,
+    Program,
+    While,
+    eval_pred,
+    parse_program,
+    run_program,
+)
+from repro.suite import BENCHMARKS, DIAGNOSTICS, load_source
+
+from .strategies import random_program
 
 
 class TestIntervalLattice:
@@ -214,3 +228,152 @@ class TestAnnotationQuality:
             result = run_program(annotated, {"n": rng.randint(0, 6)})
             for env in result.loop_exit_envs.get(1, []):
                 assert eval_pred(post, env)
+
+
+# ---------------------------------------------------------------------------
+# annotate_program runs no domain when every loop already has a @post
+# ---------------------------------------------------------------------------
+
+def _always_infer(program, domains=("interval", "zone")):
+    """The reference annotator: infer every loop's facts and rebuild the
+    program, keeping manual posts, whether or not any loop lacks one."""
+    posts = infer_loop_posts(program, domains)
+
+    def rebuild(stmt):
+        if isinstance(stmt, Block):
+            return Block(tuple(rebuild(s) for s in stmt.body), stmt.span)
+        if isinstance(stmt, If):
+            return If(stmt.cond, rebuild(stmt.then_branch),
+                      rebuild(stmt.else_branch), stmt.span)
+        if isinstance(stmt, While):
+            post = stmt.post
+            if post is None:
+                facts = posts.get(stmt.label, [])
+                if facts:
+                    post = facts[0] if len(facts) == 1 \
+                        else BoolOp("&&", tuple(facts))
+            return While(stmt.cond, rebuild(stmt.body), stmt.label, post,
+                         stmt.span)
+        return stmt
+
+    return Program(name=program.name, params=program.params,
+                   locals=program.locals, body=rebuild(program.body),
+                   check=program.check, span=program.span,
+                   source=program.source)
+
+
+def _with_post(stmt, label, post):
+    """``stmt`` with ``post`` on the loop labelled ``label``."""
+    if isinstance(stmt, Block):
+        return Block(tuple(_with_post(s, label, post) for s in stmt.body),
+                     stmt.span)
+    if isinstance(stmt, If):
+        return If(stmt.cond, _with_post(stmt.then_branch, label, post),
+                  _with_post(stmt.else_branch, label, post), stmt.span)
+    if isinstance(stmt, While):
+        return While(stmt.cond, _with_post(stmt.body, label, post),
+                     stmt.label, post if stmt.label == label else stmt.post,
+                     stmt.span)
+    return stmt
+
+
+def _first_post_by_hand(program):
+    """``program`` with its first loop's inferred post as a manual
+    ``@post`` (set on the AST: the grammar cannot spell the negative
+    constants of some inferred facts)."""
+    first = _always_infer(program).loops()[0]
+    return replace(program,
+                   body=_with_post(program.body, first.label, first.post))
+
+
+def _printed(program):
+    """Each loop's post as reports print it."""
+    return [f"{loop.label}: {loop.post}" for loop in program.loops()]
+
+
+def _random_programs():
+    return [parse_program(random_program(seed)) for seed in range(40)]
+
+
+def _assert_same_as_reference(program):
+    annotated = annotate_program(program)
+    reference = _always_infer(program)
+    assert annotated == reference
+    assert _printed(annotated) == _printed(reference)
+
+
+NESTS = {
+    "annotated loop around an unannotated one": '''
+    program outer(unsigned n) {
+      var i, j, t;
+      while (i < n) {
+        j = 0;
+        while (j < i) { j = j + 1; t = t + 1; }
+        i = i + 1;
+      } @post(i >= n)
+      assert(t >= 0);
+    }
+    ''',
+    "unannotated loop around an annotated one": '''
+    program inner(unsigned n) {
+      var i, j, t;
+      while (i < n) {
+        j = 0;
+        while (j < i) { j = j + 1; t = t + 1; } @post(j >= i)
+        i = i + 1;
+      }
+      assert(t >= 0);
+    }
+    ''',
+}
+
+
+class TestAnnotatedProgramsSkipInference:
+    @pytest.fixture
+    def no_domain_runs(self, monkeypatch):
+        def refuse(self, program):
+            raise AssertionError("an abstract domain ran")
+
+        monkeypatch.setattr(annotate_module._Runner, "run", refuse)
+
+    def test_shipped_programs_are_returned_as_is(self, no_domain_runs):
+        programs = [parse_program(load_source(bench))
+                    for bench in BENCHMARKS + DIAGNOSTICS]
+        loops = [loop for p in programs for loop in p.loops()]
+        assert len(programs) == 14 and len(loops) == 15
+        assert all(loop.post is not None for loop in loops)
+        for program in programs:
+            assert annotate_program(program) is program
+
+    def test_unknown_domain_still_rejected(self, no_domain_runs):
+        program = parse_program(load_source(BENCHMARKS[0]))
+        with pytest.raises(ValueError,
+                           match="unknown abstract domain 'octagon'"):
+            annotate_program(program, ("octagon",))
+
+    def test_random_programs_match_the_reference(self):
+        programs = _random_programs()
+        loops = [loop for p in programs for loop in p.loops()]
+        assert len(loops) == 98
+        assert all(loop.post is None for loop in loops)
+        for program in programs:
+            _assert_same_as_reference(program)
+
+    def test_first_post_by_hand_matches_the_reference(self):
+        for program in _random_programs():
+            if not program.loops():
+                continue
+            by_hand = _first_post_by_hand(program)
+            assert by_hand.loops()[0].post is not None
+            _assert_same_as_reference(by_hand)
+
+    @pytest.mark.parametrize("src", NESTS.values(), ids=list(NESTS))
+    def test_nests_match_the_reference(self, src):
+        program = parse_program(src)
+        annotated = annotate_program(program)
+        _assert_same_as_reference(program)
+        manual = {loop.label: loop.post for loop in program.loops()}
+        for loop in annotated.loops():
+            assert loop.post is not None
+            if manual[loop.label] is not None:
+                assert loop.post == manual[loop.label]
