@@ -15,7 +15,7 @@ abstract interpreter runs over it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Protocol
 
 from ..lang.ast import (
@@ -271,40 +271,15 @@ def annotate_program(program: Program,
         return program
     posts = infer_loop_posts(program, domains)
 
-    def rebuild_stmt(stmt: Stmt) -> Stmt:
-        if isinstance(stmt, Block):
-            return Block(tuple(rebuild_stmt(s) for s in stmt.body), stmt.span)
-        if isinstance(stmt, If):
-            return If(
-                stmt.cond,
-                rebuild_stmt(stmt.then_branch),  # type: ignore[arg-type]
-                rebuild_stmt(stmt.else_branch),  # type: ignore[arg-type]
-                stmt.span,
-            )
-        if isinstance(stmt, While):
-            body = rebuild_stmt(stmt.body)
-            post = stmt.post
-            if post is None:
-                facts = posts.get(stmt.label, [])
-                if facts:
-                    post = facts[0] if len(facts) == 1 else BoolOp(
-                        "&&", tuple(facts)
-                    )
-            return While(stmt.cond, body, stmt.label, post,  # type: ignore
-                         stmt.span)
-        return stmt
+    def add_post(stmt: Stmt) -> Stmt:
+        if isinstance(stmt, While) and stmt.post is None \
+                and posts.get(stmt.label):
+            facts = posts[stmt.label]
+            stmt = replace(stmt, post=facts[0] if len(facts) == 1
+                           else BoolOp("&&", tuple(facts)))
+        return stmt.map_blocks(lambda b: b.map(add_post))
 
-    new_body = rebuild_stmt(program.body)
-    assert isinstance(new_body, Block)
-    return Program(
-        name=program.name,
-        params=program.params,
-        locals=program.locals,
-        body=new_body,
-        check=program.check,
-        span=program.span,
-        source=program.source,
-    )
+    return replace(program, body=program.body.map(add_post))
 
 
 def _dedupe(facts: list[Pred]) -> list[Pred]:

@@ -20,7 +20,7 @@ proposes for deciding queries automatically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ..lang.ast import (
     Assign,
@@ -45,31 +45,21 @@ class UnrollInfo:
 
 def unroll_program(program: Program, bound: int) -> tuple[Program, UnrollInfo]:
     """Unroll every loop ``bound`` times; returns the loop-free program
-    plus the bookkeeping needed to interpret its results."""
+    plus the bookkeeping needed to interpret its results.
+
+    One :meth:`~repro.lang.ast.Block.map` visitor replaces each loop,
+    inner loops first; the new locals are known once the body is built.
+    """
     if bound < 0:
         raise ValueError("unroll bound must be non-negative")
     overflow_vars: dict[int, str] = {}
     snapshot_vars: dict[tuple[int, str], str] = {}
     new_locals: list[str] = []
 
-    def unroll_block(block: Block) -> Block:
-        statements: list[Stmt] = []
-        for stmt in block.body:
-            statements.extend(unroll_stmt(stmt))
-        return Block(tuple(statements), block.span)
-
-    def unroll_stmt(stmt: Stmt) -> list[Stmt]:
-        if isinstance(stmt, While):
-            return unroll_while(stmt)
-        if isinstance(stmt, If):
-            return [If(stmt.cond, unroll_block(stmt.then_branch),
-                       unroll_block(stmt.else_branch), stmt.span)]
-        if isinstance(stmt, Block):
-            return [unroll_block(stmt)]
-        return [stmt]
-
-    def unroll_while(loop: While) -> list[Stmt]:
-        body = unroll_block(loop.body)
+    def unroll(loop: Stmt) -> Stmt | list[Stmt]:
+        if not isinstance(loop, While):
+            return loop.map_blocks(lambda b: b.map(unroll))
+        body = loop.body.map(unroll)
         label = loop.label
 
         ovf = f"$ovf{label}"
@@ -101,14 +91,7 @@ def unroll_program(program: Program, bound: int) -> tuple[Program, UnrollInfo]:
             snapshots.append(Assign(snap, Name(name), loop.span))
         return [nested, *snapshots]
 
-    unrolled_body = unroll_block(program.body)
-    unrolled = Program(
-        name=f"{program.name}$unrolled{bound}",
-        params=program.params,
-        locals=program.locals + tuple(new_locals),
-        body=unrolled_body,
-        check=program.check,
-        span=program.span,
-        source=program.source,
-    )
+    body = program.body.map(unroll)
+    unrolled = replace(program, name=f"{program.name}$unrolled{bound}",
+                       locals=program.locals + tuple(new_locals), body=body)
     return unrolled, UnrollInfo(bound, overflow_vars, snapshot_vars)

@@ -18,8 +18,8 @@ report parses its own program, and frees it when the report is done.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator
+from dataclasses import dataclass, field, replace
+from typing import Callable, Iterator, Sequence
 
 from .diagnostics import DUMMY_SPAN, Span
 
@@ -169,6 +169,11 @@ class Stmt:
         for sub in self.substatements():
             yield from sub.walk()
 
+    def map_blocks(self, fn: Callable[["Block"], "Block"]) -> "Stmt":
+        """This statement with ``fn`` applied to each block it holds (see
+        docs/INTERNALS.md, "the one rewriter"); a leaf returns itself."""
+        return self
+
 
 @dataclass(frozen=True, slots=True)
 class Skip(Stmt):
@@ -200,6 +205,26 @@ class Block(Stmt):
     def substatements(self) -> tuple[Stmt, ...]:
         return self.body
 
+    def map(self, fn: Callable[[Stmt], "Stmt | Sequence[Stmt]"]
+            ) -> "Block":
+        """Replace each statement with ``fn``'s result, one statement or
+        a sequence of them; ``self`` when every statement comes back as
+        itself, so an unchanged subtree is shared, not copied."""
+        body: list[Stmt] = []
+        for stmt in self.body:
+            new = fn(stmt)
+            if isinstance(new, Stmt):
+                body.append(new)
+            else:
+                body.extend(new)
+        if len(body) == len(self.body) and all(
+                new is old for new, old in zip(body, self.body)):
+            return self
+        return replace(self, body=tuple(body))
+
+    def map_blocks(self, fn: Callable[["Block"], "Block"]) -> "Block":
+        return fn(self)
+
 
 @dataclass(frozen=True, slots=True)
 class If(Stmt):
@@ -210,6 +235,14 @@ class If(Stmt):
 
     def substatements(self) -> tuple[Stmt, ...]:
         return (self.then_branch, self.else_branch)
+
+    def map_blocks(self, fn: Callable[[Block], Block]) -> "If":
+        then_branch, else_branch = fn(self.then_branch), fn(self.else_branch)
+        if then_branch is self.then_branch \
+                and else_branch is self.else_branch:
+            return self
+        return replace(self, then_branch=then_branch,
+                       else_branch=else_branch)
 
 
 @dataclass(frozen=True, slots=True)
@@ -230,6 +263,10 @@ class While(Stmt):
 
     def substatements(self) -> tuple[Stmt, ...]:
         return (self.body,)
+
+    def map_blocks(self, fn: Callable[[Block], Block]) -> "While":
+        body = fn(self.body)
+        return self if body is self.body else replace(self, body=body)
 
     def modified_vars(self) -> set[str]:
         """Program variables assigned (or havocked) anywhere in the body."""

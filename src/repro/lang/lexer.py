@@ -87,7 +87,7 @@ def tokenize(source: str) -> list[Token]:
             continue
         if ch.isalpha() or ch == "_":
             start = pos
-            while pos < n and (source[pos].isalnum() or source[pos] == "_"):
+            while pos < n and (source[pos].isalnum() or source[pos] in "_$"):
                 pos += 1
             # interned: the AST keeps one string per distinct name
             text = sys.intern(source[start:pos])

@@ -20,9 +20,11 @@ Grammar::
     expr      := term (("+"|"-") term)* ; term := factor ("*" factor)*
     factor    := INT | IDENT | "-" factor | "(" expr ")"
 
-The program must end with exactly one ``assert``, mirroring the paper's
-``check(p)``.  Variables must be declared (``var``) or be parameters;
-loops are labeled in source order starting from 1.
+An IDENT is a letter or ``_``, then letters, digits, ``_`` and ``$``
+(inlined variables are ``name$procN``).  The program must end with
+exactly one ``assert``, mirroring the paper's ``check(p)``, and a
+``proc`` body has none.  Variables must be declared (``var``) or be
+parameters; loops are labeled in source order starting from 1.
 """
 
 from __future__ import annotations
@@ -133,6 +135,7 @@ class _Parser:
                     self.peek().span,
                 )
             body.extend(self.statement())
+        self.reject_asserts(body)
         self.expect(TokenKind.KEYWORD, "return")
         result = self.expr()
         self.expect(TokenKind.OP, ";")
@@ -170,13 +173,7 @@ class _Parser:
                 body_block.span,
             )
         check = statements.pop()
-        for stmt in statements:
-            for sub in stmt.walk():
-                if isinstance(sub, Assert):
-                    raise self.error(
-                        "assert(...) is only allowed as the final statement",
-                        sub.span,
-                    )
+        self.reject_asserts(statements)
         assert isinstance(check, Assert)
         return Program(
             name=name,
@@ -196,6 +193,16 @@ class _Parser:
         return Param(token.text, unsigned, token.span)
 
     # statements -----------------------------------------------------------
+    def reject_asserts(self, statements: list[Stmt]) -> None:
+        for stmt in statements:
+            for sub in stmt.walk():
+                if isinstance(sub, Assert):
+                    raise self.error(
+                        "assert(...) is only allowed as the program's "
+                        "final statement",
+                        sub.span,
+                    )
+
     def block(self) -> Block:
         start = self.expect(TokenKind.OP, "{").span
         body: list[Stmt] = []

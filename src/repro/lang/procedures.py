@@ -23,12 +23,18 @@ Syntax::
     }
 
 Calls appear only as whole assignments (``target = call f(args);``).
-Procedures may call other procedures; (mutual) recursion is rejected.
+Procedures may call other procedures; (mutual) recursion is rejected,
+and so is an ``assert`` in a procedure body.
+
+Inlining is a :meth:`~repro.lang.ast.Block.map` visitor that renames
+a callee's variables ``name$procN`` (``N`` the first call number whose
+names the module does not declare) and gives each inlined loop a fresh
+label.  A program with no call comes back as the parsed object itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .ast import (
     Assign,
@@ -89,17 +95,17 @@ class Module:
 
 
 class _Inliner:
-    def __init__(self, module: Module, source: str | None):
+    def __init__(self, module: Module):
+        program = module.program
         self._module = module
-        self._source = source
+        self._source = program.source
         self._counter = 0
         self._extra_locals: list[str] = []
-        labels = [
-            s.label
-            for s in module.program.body.walk()
-            if isinstance(s, While)
-        ]
+        # every name the module declares, and every name made so far
+        self._taken = set(program.param_names()) | set(program.locals)
+        labels = [loop.label for loop in program.loops()]
         for proc in module.procs:
+            self._taken.update(proc.params + proc.locals)
             labels.extend(
                 s.label for s in proc.body.walk() if isinstance(s, While)
             )
@@ -107,47 +113,19 @@ class _Inliner:
 
     def inline_program(self) -> Program:
         program = self._module.program
-        body = self._inline_block(program.body, frozenset())
-        return Program(
-            name=program.name,
-            params=program.params,
-            locals=program.locals + tuple(self._extra_locals),
-            body=body,
-            check=program.check,
-            span=program.span,
-            source=program.source,
-        )
+        body = self._inline(program.body, frozenset())
+        if body is program.body:
+            return program
+        return replace(program, body=body,
+                       locals=program.locals + tuple(self._extra_locals))
 
     # ------------------------------------------------------------------
-    def _inline_block(self, block: Block,
-                      stack: frozenset[str]) -> Block:
-        statements: list[Stmt] = []
-        for stmt in block.body:
-            statements.extend(self._inline_stmt(stmt, stack))
-        return Block(tuple(statements), block.span)
-
-    def _inline_stmt(self, stmt: Stmt,
-                     stack: frozenset[str]) -> list[Stmt]:
-        if isinstance(stmt, CallStmt):
-            return self._expand_call(stmt, stack)
-        if isinstance(stmt, If):
-            return [If(
-                stmt.cond,
-                self._inline_block(stmt.then_branch, stack),
-                self._inline_block(stmt.else_branch, stack),
-                stmt.span,
-            )]
-        if isinstance(stmt, While):
-            return [While(
-                stmt.cond,
-                self._inline_block(stmt.body, stack),
-                stmt.label,
-                stmt.post,
-                stmt.span,
-            )]
-        if isinstance(stmt, Block):
-            return [self._inline_block(stmt, stack)]
-        return [stmt]
+    def _inline(self, block: Block, stack: frozenset[str]) -> Block:
+        def visit(stmt: Stmt) -> Stmt | list[Stmt]:
+            if isinstance(stmt, CallStmt):
+                return self._expand_call(stmt, stack)
+            return stmt.map_blocks(lambda b: b.map(visit))
+        return block.map(visit)
 
     def _expand_call(self, stmt: CallStmt,
                      stack: frozenset[str]) -> list[Stmt]:
@@ -171,53 +149,43 @@ class _Inliner:
                 stmt.span, self._source,
             )
 
-        self._counter += 1
-        rename = {
-            name: f"{name}${proc.name}{self._counter}"
-            for name in proc.params + proc.locals
-        }
-        self._extra_locals.extend(rename.values())
-
-        statements: list[Stmt] = [
-            Assign(rename[param], arg, stmt.span)
-            for param, arg in zip(proc.params, stmt.args)
-        ]
-        renamed_body = _rename_block(proc.body, rename)
-        renamed_body = self._relabel_block(renamed_body)
-        inner_stack = stack | {proc.name}
-        statements.extend(
-            self._inline_block(renamed_body, inner_stack).body
-        )
-        statements.append(
+        rename = self._fresh_names(proc)
+        body = proc.body.map(lambda s: _rename_stmt(s, rename))
+        body = body.map(self._relabel)
+        return [
+            *(Assign(rename[param], arg, stmt.span)
+              for param, arg in zip(proc.params, stmt.args)),
+            *self._inline(body, stack | {proc.name}).body,
             Assign(stmt.target, _rename_expr(proc.result, rename),
-                   stmt.span)
-        )
-        return statements
+                   stmt.span),
+        ]
 
+    def _fresh_names(self, proc: Proc) -> dict[str, str]:
+        while True:
+            self._counter += 1
+            rename = {
+                name: f"{name}${proc.name}{self._counter}"
+                for name in proc.params + proc.locals
+            }
+            if self._taken.isdisjoint(rename.values()):
+                break
+        self._taken.update(rename.values())
+        self._extra_locals.extend(rename.values())
+        return rename
 
-    def _relabel_block(self, block: Block) -> Block:
-        """Give each inlined copy of a loop a fresh unique label."""
-        statements: list[Stmt] = []
-        for stmt in block.body:
-            statements.append(self._relabel_stmt(stmt))
-        return Block(tuple(statements), block.span)
-
-    def _relabel_stmt(self, stmt: Stmt) -> Stmt:
+    def _relabel(self, stmt: Stmt) -> Stmt:
+        """Give each inlined copy of a loop a fresh unique label, an
+        enclosing loop before the loops in its body."""
         if isinstance(stmt, While):
             self._next_label += 1
-            return While(stmt.cond, self._relabel_block(stmt.body),
-                         self._next_label, stmt.post, stmt.span)
-        if isinstance(stmt, If):
-            return If(stmt.cond, self._relabel_block(stmt.then_branch),
-                      self._relabel_block(stmt.else_branch), stmt.span)
-        if isinstance(stmt, Block):
-            return self._relabel_block(stmt)
-        return stmt
+            stmt = replace(stmt, label=self._next_label)
+        return stmt.map_blocks(lambda b: b.map(self._relabel))
 
 
 def inline_module(module: Module) -> Program:
-    """Inline every call; returns a core-language program."""
-    return _Inliner(module, module.program.source).inline_program()
+    """Inline every call; returns a core-language program (the parsed
+    program itself when it makes no call)."""
+    return _Inliner(module).inline_program()
 
 
 # ---------------------------------------------------------------------------
@@ -250,15 +218,7 @@ def _rename_pred(pred: Pred, rename: dict[str, str]) -> Pred:
     raise TypeError(f"unexpected predicate {pred!r}")
 
 
-def _rename_block(block: Block, rename: dict[str, str]) -> Block:
-    return Block(
-        tuple(_rename_stmt(s, rename) for s in block.body), block.span
-    )
-
-
 def _rename_stmt(stmt: Stmt, rename: dict[str, str]) -> Stmt:
-    if isinstance(stmt, Skip):
-        return stmt
     if isinstance(stmt, Assign):
         return Assign(rename.get(stmt.target, stmt.target),
                       _rename_expr(stmt.value, rename), stmt.span)
@@ -274,16 +234,14 @@ def _rename_stmt(stmt: Stmt, rename: dict[str, str]) -> Stmt:
             tuple(_rename_expr(a, rename) for a in stmt.args),
             stmt.span,
         )
-    if isinstance(stmt, Block):
-        return _rename_block(stmt, rename)
     if isinstance(stmt, If):
-        return If(_rename_pred(stmt.cond, rename),
-                  _rename_block(stmt.then_branch, rename),
-                  _rename_block(stmt.else_branch, rename), stmt.span)
-    if isinstance(stmt, While):
+        stmt = replace(stmt, cond=_rename_pred(stmt.cond, rename))
+    elif isinstance(stmt, While):
         post = (_rename_pred(stmt.post, rename)
                 if stmt.post is not None else None)
-        return While(_rename_pred(stmt.cond, rename),
-                     _rename_block(stmt.body, rename),
-                     stmt.label, post, stmt.span)
-    raise TypeError(f"unexpected statement {stmt!r}")
+        stmt = replace(stmt, cond=_rename_pred(stmt.cond, rename),
+                       post=post)
+    elif not isinstance(stmt, (Skip, Block)):
+        raise TypeError(f"unexpected statement {stmt!r}")
+    return stmt.map_blocks(
+        lambda b: b.map(lambda s: _rename_stmt(s, rename)))

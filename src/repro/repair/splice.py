@@ -11,27 +11,25 @@ placement kinds:
 * ``guard`` — guard the final ``check(p)`` so the error cannot fire
   unless the abduced condition is violated: ``assert(!(Γ') || p)``.
 
-:func:`apply_edits` rewrites the (frozen, immutable) AST structurally —
-every node on the path to an edited statement is rebuilt, everything
-else is shared — and raises :class:`SpliceError` if an edit's target
-does not exist, so a stale plan can never silently produce the original
-program back.  Splicing never touches concrete text: rendering the
-result is :func:`repro.lang.printer.render_program`'s job, and the
-repair tests assert ``parse(render(apply_edits(p, e))) ==
-apply_edits(p, e)``.
+:func:`apply_edits` rewrites the (frozen, immutable) AST with one
+:meth:`~repro.lang.ast.Block.map` visitor — every node on the path to
+an edited statement is rebuilt, everything else is shared — and raises
+:class:`SpliceError` if an edit's target does not exist, so a stale plan
+can never silently produce the original program back.  Splicing never
+touches concrete text: rendering the result is
+:func:`repro.lang.printer.render_program`'s job, and the repair tests
+assert ``parse(render(apply_edits(p, e))) == apply_edits(p, e)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from ..lang.ast import (
     Assert,
-    Block,
     BoolOp,
     Havoc,
-    If,
     NotPred,
     Pred,
     Program,
@@ -71,46 +69,10 @@ def conjoin(old: Pred | None, new: Pred) -> Pred:
     return BoolOp("&&", (old, new))
 
 
-def _rewrite(stmt: Stmt, assumes: dict, posts: dict) -> Stmt:
-    if isinstance(stmt, Havoc):
-        for key in ((stmt.target, stmt.span.start), (stmt.target, None)):
-            if key in assumes:
-                preds = assumes.pop(key)
-                assume = stmt.assume
-                for pred in preds:
-                    assume = conjoin(assume, pred)
-                return Havoc(stmt.target, assume, stmt.span)
-        return stmt
-    if isinstance(stmt, While):
-        body = _rewrite_block(stmt.body, assumes, posts)
-        post = stmt.post
-        if stmt.label in posts:
-            for pred in posts.pop(stmt.label):
-                post = conjoin(post, pred)
-        if body is stmt.body and post is stmt.post:
-            return stmt
-        return While(stmt.cond, body, stmt.label, post, stmt.span)
-    if isinstance(stmt, If):
-        then_branch = _rewrite_block(stmt.then_branch, assumes, posts)
-        else_branch = _rewrite_block(stmt.else_branch, assumes, posts)
-        if then_branch is stmt.then_branch \
-                and else_branch is stmt.else_branch:
-            return stmt
-        return If(stmt.cond, then_branch, else_branch, stmt.span)
-    if isinstance(stmt, Block):
-        return _rewrite_block(stmt, assumes, posts)
-    return stmt
-
-
-def _rewrite_block(block: Block, assumes: dict, posts: dict) -> Block:
-    body = tuple(_rewrite(s, assumes, posts) for s in block.body)
-    if all(new is old for new, old in zip(body, block.body)):
-        return block
-    return Block(body, block.span)
-
-
 def apply_edits(program: Program, edits: Sequence[Edit]) -> Program:
-    """Apply every edit; unmatched edits raise :class:`SpliceError`."""
+    """Apply every edit; unmatched edits raise :class:`SpliceError`.
+    The result shares every statement no edit reaches with ``program``,
+    and its ``source`` is ``None``."""
     assumes: dict[tuple[str, int | None], list[Pred]] = {}
     posts: dict[int, list[Pred]] = {}
     guards: list[Pred] = []
@@ -129,7 +91,22 @@ def apply_edits(program: Program, edits: Sequence[Edit]) -> Program:
         else:
             raise SpliceError(f"unknown edit kind {edit.kind!r}")
 
-    body = _rewrite_block(program.body, assumes, posts)
+    def splice(stmt: Stmt) -> Stmt:
+        if isinstance(stmt, Havoc):
+            for key in ((stmt.target, stmt.span.start), (stmt.target, None)):
+                if key in assumes:
+                    assume = stmt.assume
+                    for pred in assumes.pop(key):
+                        assume = conjoin(assume, pred)
+                    return replace(stmt, assume=assume)
+        elif isinstance(stmt, While) and stmt.label in posts:
+            post = stmt.post
+            for pred in posts.pop(stmt.label):
+                post = conjoin(post, pred)
+            stmt = replace(stmt, post=post)
+        return stmt.map_blocks(lambda b: b.map(splice))
+
+    body = program.body.map(splice)
     if assumes:
         target, start = next(iter(assumes))
         raise SpliceError(
@@ -148,12 +125,5 @@ def apply_edits(program: Program, edits: Sequence[Edit]) -> Program:
             BoolOp("||", (NotPred(condition), program.check.pred)),
             program.check.span,
         )
-    return Program(
-        name=program.name,
-        params=program.params,
-        locals=program.locals,
-        body=body,
-        check=check,
-        span=program.span,
-        source=None,  # the original text no longer describes this AST
-    )
+    # the original text no longer describes this AST
+    return replace(program, body=body, check=check, source=None)
