@@ -2,12 +2,15 @@
 
 :func:`render_program` is the inverse of :func:`repro.lang.parse_program`
 up to structural equality: ``parse_program(render_program(p)) == p`` for
-every well-formed :class:`~repro.lang.ast.Program` (AST spans are
-``compare=False``, so re-parsed positions do not matter).  That property
-is what makes patch splicing (:mod:`repro.repair`) sound end-to-end — a
-spliced AST can be rendered, re-parsed, re-annotated and re-analyzed by
-the exact front-end the original program went through, and the repair
-tests assert the round trip under hypothesis.
+every well-formed :class:`~repro.lang.ast.Program` whose loops are
+labelled in source order (AST spans are ``compare=False``, so re-parsed
+positions do not matter).  Rendering prints no labels, so the re-parse
+numbers loops in source order; the inliner numbers the loops it inlines
+after every loop the source spells out, so a program that calls a
+``proc`` containing a loop comes back with other labels.  The round trip
+is what makes patch splicing (:mod:`repro.repair`) sound end-to-end — a spliced AST can be rendered, re-parsed, re-annotated and
+re-analyzed by the exact front-end the original program went through,
+and the repair tests assert it under hypothesis.
 
 The rendering is canonical, not source-preserving: declarations are
 hoisted into one ``var`` line, initializer sugar is expanded, operator

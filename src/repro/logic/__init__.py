@@ -34,7 +34,6 @@ from .formulas import (
     map_atoms,
     ne,
     neg,
-    rename_vars,
     unique_atoms,
 )
 from .digest import DIGEST_VERSION, digest, digest_many, digest_text
@@ -63,7 +62,7 @@ __all__ = [
     "FALSE", "TRUE", "And", "Atom", "Dvd", "Exists", "Forall", "Formula",
     "Not", "Or", "Rel", "atom", "conj", "disj", "dvd", "eq", "exists",
     "forall", "ge", "gt", "implies", "is_quantifier_free", "le", "lt",
-    "map_atoms", "ne", "neg", "rename_vars", "unique_atoms",
+    "map_atoms", "ne", "neg", "unique_atoms",
     "cnf_clauses", "dnf_clauses", "from_cnf", "from_dnf", "nnf",
     "DIGEST_VERSION", "digest", "digest_many", "digest_text",
     "formula_from_obj", "formula_to_obj", "term_from_obj", "term_to_obj",

@@ -26,17 +26,14 @@ node semantics) can invalidate every derived cache at once.
 from __future__ import annotations
 
 from hashlib import blake2b
-from typing import Iterable
 
 from .formulas import (
-    And,
     Atom,
+    Connective,
     Dvd,
-    Exists,
-    Forall,
     Formula,
     Not,
-    Or,
+    Quantifier,
     _FalseFormula,
     _TrueFormula,
 )
@@ -110,11 +107,9 @@ def _compute(node: "Var | LinTerm | Formula") -> str:
                      "1" if node.negated_flag else "0", digest(node.term))
     if isinstance(node, Not):
         return _hash("not", digest(node.arg))
-    if isinstance(node, (And, Or)):
-        tag = "and" if isinstance(node, And) else "or"
-        return _hash(tag, *(digest(a) for a in node.args))
-    if isinstance(node, (Exists, Forall)):
-        tag = "exists" if isinstance(node, Exists) else "forall"
-        return _hash(tag, *(digest(v) for v in node.variables),
+    if isinstance(node, Connective):
+        return _hash(node.tag, *(digest(a) for a in node.args))
+    if isinstance(node, Quantifier):
+        return _hash(node.tag, *(digest(v) for v in node.variables),
                      digest(node.body))
     raise TypeError(f"cannot digest {node!r}")

@@ -40,11 +40,6 @@ class Rel(Enum):
     NE = "!="   # t != 0
 
 
-def _floor_div(a: int, b: int) -> int:
-    """Floor division that matches mathematical floor for any signs."""
-    return a // b  # Python's // floors
-
-
 class Formula:
     """Base class for all formula nodes."""
 
@@ -385,13 +380,29 @@ class Not(Formula):
     __repr__ = __str__
 
 
-class And(Formula):
+class Connective(Formula):
+    """An n-ary conjunction or disjunction: everything :class:`And` and
+    :class:`Or` share.
+
+    The smart constructors flatten, deduplicate and fold the parts, so
+    ``args`` holds at least two parts, none of them a constant or a node
+    of the same class.  A subclass supplies its intern table, its
+    ``tag`` (the digest tag and serialized op), the ``fold`` of its
+    parts' truth values (``all``/``any``), the ``separator`` its ``str``
+    puts between parts, its smart constructor ``build`` and its De
+    Morgan ``dual``.
+    """
 
     __slots__ = ("args", "_hc", "_neg", "_fv", "_dg", "_sz")
 
-    _intern: ClassVar[dict] = register_table("And", {})
+    _intern: ClassVar[dict]
+    tag: ClassVar[str]
+    separator: ClassVar[str]
+    fold: ClassVar[Callable[..., bool]]
+    build: ClassVar[Callable[..., Formula]]
+    dual: ClassVar[type["Connective"]]
 
-    def __new__(cls, args: tuple[Formula, ...]) -> "And":
+    def __new__(cls, args: tuple[Formula, ...]) -> "Connective":
         table = cls._intern
         self = table.get(args)
         if self is not None:
@@ -399,7 +410,7 @@ class And(Formula):
         self = object.__new__(cls)
         _set = object.__setattr__
         _set(self, "args", args)
-        _set(self, "_hc", hash(("And", args)))
+        _set(self, "_hc", hash((cls.__name__, args)))
         _set(self, "_neg", None)
         _set(self, "_fv", None)
         _set(self, "_sz", None)
@@ -408,7 +419,7 @@ class And(Formula):
         return self
 
     def __reduce__(self):
-        return (And, (self.args,))
+        return (type(self), (self.args,))
 
     def __hash__(self) -> int:
         return self._hc
@@ -416,7 +427,7 @@ class And(Formula):
     def __eq__(self, other: object) -> bool:
         if self is other:
             return True
-        if type(other) is not And:
+        if not isinstance(other, Connective) or type(other) is not type(self):
             return NotImplemented
         return self._hc == other._hc and self.args == other.args
 
@@ -435,10 +446,10 @@ class And(Formula):
             yield from arg.atoms()
 
     def substitute(self, mapping: Mapping[Var, LinTerm]) -> Formula:
-        return conj(*(arg.substitute(mapping) for arg in self.args))
+        return self.build(*(arg.substitute(mapping) for arg in self.args))
 
     def evaluate(self, env: Mapping[Var, int]) -> bool:
-        return all(arg.evaluate(env) for arg in self.args)
+        return self.fold(arg.evaluate(env) for arg in self.args)
 
     def size(self) -> int:
         cached = self._sz
@@ -448,86 +459,49 @@ class And(Formula):
         return cached
 
     def __str__(self) -> str:
-        return "(" + " & ".join(str(a) for a in self.args) + ")"
+        return "(" + self.separator.join(str(a) for a in self.args) + ")"
 
     __repr__ = __str__
 
 
-class Or(Formula):
+class And(Connective):
+    """Conjunction; build it with :func:`conj`."""
 
-    __slots__ = ("args", "_hc", "_neg", "_fv", "_dg", "_sz")
-
-    _intern: ClassVar[dict] = register_table("Or", {})
-
-    def __new__(cls, args: tuple[Formula, ...]) -> "Or":
-        table = cls._intern
-        self = table.get(args)
-        if self is not None:
-            return self
-        self = object.__new__(cls)
-        _set = object.__setattr__
-        _set(self, "args", args)
-        _set(self, "_hc", hash(("Or", args)))
-        _set(self, "_neg", None)
-        _set(self, "_fv", None)
-        _set(self, "_sz", None)
-        if len(table) < INTERN_LIMIT:
-            table[args] = self
-        return self
-
-    def __reduce__(self):
-        return (Or, (self.args,))
-
-    def __hash__(self) -> int:
-        return self._hc
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if type(other) is not Or:
-            return NotImplemented
-        return self._hc == other._hc and self.args == other.args
-
-    def free_vars(self) -> frozenset[Var]:
-        cached = self._fv
-        if cached is None:
-            result: frozenset[Var] = frozenset()
-            for arg in self.args:
-                result |= arg.free_vars()
-            object.__setattr__(self, "_fv", result)
-            return result
-        return cached
-
-    def atoms(self) -> Iterator[Formula]:
-        for arg in self.args:
-            yield from arg.atoms()
-
-    def substitute(self, mapping: Mapping[Var, LinTerm]) -> Formula:
-        return disj(*(arg.substitute(mapping) for arg in self.args))
-
-    def evaluate(self, env: Mapping[Var, int]) -> bool:
-        return any(arg.evaluate(env) for arg in self.args)
-
-    def size(self) -> int:
-        cached = self._sz
-        if cached is None:
-            cached = 1 + sum(arg.size() for arg in self.args)
-            object.__setattr__(self, "_sz", cached)
-        return cached
-
-    def __str__(self) -> str:
-        return "(" + " | ".join(str(a) for a in self.args) + ")"
-
-    __repr__ = __str__
+    __slots__ = ()
+    _intern = register_table("And", {})
+    tag = "and"
+    separator = " & "
+    fold = all
 
 
-class Exists(Formula):
+class Or(Connective):
+    """Disjunction; build it with :func:`disj`."""
+
+    __slots__ = ()
+    _intern = register_table("Or", {})
+    tag = "or"
+    separator = " | "
+    fold = any
+
+
+class Quantifier(Formula):
+    """A quantifier block over a body: everything :class:`Exists` and
+    :class:`Forall` share.
+
+    A subclass supplies its intern table, its ``tag`` (the digest tag,
+    serialized op and the keyword ``str`` prints), its smart constructor
+    ``build`` and its ``dual``.
+    """
 
     __slots__ = ("variables", "body", "_hc", "_neg", "_dg", "_sz")
 
-    _intern: ClassVar[dict] = register_table("Exists", {})
+    _intern: ClassVar[dict]
+    tag: ClassVar[str]
+    build: ClassVar[Callable[..., Formula]]
+    dual: ClassVar[type["Quantifier"]]
 
-    def __new__(cls, variables: tuple[Var, ...], body: Formula) -> "Exists":
+    def __new__(cls, variables: tuple[Var, ...],
+                body: Formula) -> "Quantifier":
         key = (variables, body)
         table = cls._intern
         self = table.get(key)
@@ -537,7 +511,7 @@ class Exists(Formula):
         _set = object.__setattr__
         _set(self, "variables", variables)
         _set(self, "body", body)
-        _set(self, "_hc", hash(("Exists", variables, body)))
+        _set(self, "_hc", hash((cls.__name__, variables, body)))
         _set(self, "_neg", None)
         _set(self, "_sz", None)
         if len(table) < INTERN_LIMIT:
@@ -545,7 +519,7 @@ class Exists(Formula):
         return self
 
     def __reduce__(self):
-        return (Exists, (self.variables, self.body))
+        return (type(self), (self.variables, self.body))
 
     def __hash__(self) -> int:
         return self._hc
@@ -553,7 +527,7 @@ class Exists(Formula):
     def __eq__(self, other: object) -> bool:
         if self is other:
             return True
-        if type(other) is not Exists:
+        if not isinstance(other, Quantifier) or type(other) is not type(self):
             return NotImplemented
         return (self._hc == other._hc and self.variables == other.variables
                 and self.body == other.body)
@@ -572,7 +546,7 @@ class Exists(Formula):
                     raise ValueError(
                         f"substitution would capture bound variable {v}"
                     )
-        return exists(self.variables, self.body.substitute(clean))
+        return self.build(self.variables, self.body.substitute(clean))
 
     def evaluate(self, env: Mapping[Var, int]) -> bool:
         raise ValueError("cannot evaluate a quantified formula directly")
@@ -586,79 +560,25 @@ class Exists(Formula):
 
     def __str__(self) -> str:
         names = ", ".join(str(v) for v in self.variables)
-        return f"(exists {names}. {self.body})"
+        return f"({self.tag} {names}. {self.body})"
 
     __repr__ = __str__
 
 
-class Forall(Formula):
+class Exists(Quantifier):
+    """Existential block; build it with :func:`exists`."""
 
-    __slots__ = ("variables", "body", "_hc", "_neg", "_dg", "_sz")
+    __slots__ = ()
+    _intern = register_table("Exists", {})
+    tag = "exists"
 
-    _intern: ClassVar[dict] = register_table("Forall", {})
 
-    def __new__(cls, variables: tuple[Var, ...], body: Formula) -> "Forall":
-        key = (variables, body)
-        table = cls._intern
-        self = table.get(key)
-        if self is not None:
-            return self
-        self = object.__new__(cls)
-        _set = object.__setattr__
-        _set(self, "variables", variables)
-        _set(self, "body", body)
-        _set(self, "_hc", hash(("Forall", variables, body)))
-        _set(self, "_neg", None)
-        _set(self, "_sz", None)
-        if len(table) < INTERN_LIMIT:
-            table[key] = self
-        return self
+class Forall(Quantifier):
+    """Universal block; build it with :func:`forall`."""
 
-    def __reduce__(self):
-        return (Forall, (self.variables, self.body))
-
-    def __hash__(self) -> int:
-        return self._hc
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if type(other) is not Forall:
-            return NotImplemented
-        return (self._hc == other._hc and self.variables == other.variables
-                and self.body == other.body)
-
-    def free_vars(self) -> frozenset[Var]:
-        return self.body.free_vars() - frozenset(self.variables)
-
-    def atoms(self) -> Iterator[Formula]:
-        return self.body.atoms()
-
-    def substitute(self, mapping: Mapping[Var, LinTerm]) -> Formula:
-        clean = {v: t for v, t in mapping.items() if v not in self.variables}
-        for v in self.variables:
-            for target in clean.values():
-                if v in target.variables:
-                    raise ValueError(
-                        f"substitution would capture bound variable {v}"
-                    )
-        return forall(self.variables, self.body.substitute(clean))
-
-    def evaluate(self, env: Mapping[Var, int]) -> bool:
-        raise ValueError("cannot evaluate a quantified formula directly")
-
-    def size(self) -> int:
-        cached = self._sz
-        if cached is None:
-            cached = 1 + self.body.size()
-            object.__setattr__(self, "_sz", cached)
-        return cached
-
-    def __str__(self) -> str:
-        names = ", ".join(str(v) for v in self.variables)
-        return f"(forall {names}. {self.body})"
-
-    __repr__ = __str__
+    __slots__ = ()
+    _intern = register_table("Forall", {})
+    tag = "forall"
 
 
 # ---------------------------------------------------------------------------
@@ -684,7 +604,7 @@ def atom(rel: Rel, term: LinTerm) -> Formula:
         coeffs = [(v, c // g) for v, c in term.coeffs]
         if rel is Rel.LE:
             # g*t' + c <= 0  <=>  t' <= floor(-c/g)  <=>  t' - floor(-c/g) <= 0
-            bound = _floor_div(-term.const, g)
+            bound = -term.const // g  # Python's // floors
             term = LinTerm.make(coeffs, -bound)
         else:
             if term.const % g != 0:
@@ -743,36 +663,10 @@ def conj(*parts: Formula) -> Formula:
     cached = _conj_cache.get(parts)
     if cached is not None:
         return cached
-    result = _conj_uncached(parts)
+    result = _flatten(And, TRUE, FALSE, parts)
     if len(_conj_cache) < _CONNECTIVE_CACHE_LIMIT:
         _conj_cache[parts] = result
     return result
-
-
-def _conj_uncached(parts: tuple[Formula, ...]) -> Formula:
-    flat: list[Formula] = []
-    seen: set[Formula] = set()
-    stack = list(reversed(parts))
-    while stack:
-        part = stack.pop()
-        if part is TRUE:
-            continue
-        if part is FALSE:
-            return FALSE
-        if isinstance(part, And):
-            stack.extend(reversed(part.args))
-            continue
-        if part in seen:
-            continue
-        if isinstance(part, (Atom, Dvd, Not)) and neg(part) in seen:
-            return FALSE
-        seen.add(part)
-        flat.append(part)
-    if not flat:
-        return TRUE
-    if len(flat) == 1:
-        return flat[0]
-    return And(tuple(flat))
 
 
 def disj(*parts: Formula) -> Formula:
@@ -780,36 +674,40 @@ def disj(*parts: Formula) -> Formula:
     cached = _disj_cache.get(parts)
     if cached is not None:
         return cached
-    result = _disj_uncached(parts)
+    result = _flatten(Or, FALSE, TRUE, parts)
     if len(_disj_cache) < _CONNECTIVE_CACHE_LIMIT:
         _disj_cache[parts] = result
     return result
 
 
-def _disj_uncached(parts: tuple[Formula, ...]) -> Formula:
+def _flatten(cls: type[Connective], unit: Formula, absorbing: Formula,
+             parts: tuple[Formula, ...]) -> Formula:
+    """The uncached body of :func:`conj` and :func:`disj`: parts that
+    are ``cls`` nodes splice in, ``unit`` drops out, and ``absorbing``
+    or a complementary literal pair absorbs the whole."""
     flat: list[Formula] = []
     seen: set[Formula] = set()
     stack = list(reversed(parts))
     while stack:
         part = stack.pop()
-        if part is FALSE:
+        if part is unit:
             continue
-        if part is TRUE:
-            return TRUE
-        if isinstance(part, Or):
+        if part is absorbing:
+            return absorbing
+        if isinstance(part, cls):
             stack.extend(reversed(part.args))
             continue
         if part in seen:
             continue
         if isinstance(part, (Atom, Dvd, Not)) and neg(part) in seen:
-            return TRUE
+            return absorbing
         seen.add(part)
         flat.append(part)
     if not flat:
-        return FALSE
+        return unit
     if len(flat) == 1:
         return flat[0]
-    return Or(tuple(flat))
+    return cls(tuple(flat))
 
 
 def neg(phi: Formula) -> Formula:
@@ -828,28 +726,38 @@ def neg(phi: Formula) -> Formula:
         return cached
     if isinstance(phi, (Atom, Dvd)):
         return phi.negated()
-    # And / Or / Exists / Forall (Not caches its arg at construction)
+    # a Connective or Quantifier (Not caches its arg at construction)
     result = Not(phi)
     object.__setattr__(phi, "_neg", result)
     return result
 
 
 def exists(variables: Sequence[Var], body: Formula) -> Formula:
-    vs = tuple(v for v in variables if v in body.free_vars())
-    if not vs:
-        return body
-    if isinstance(body, Exists):
-        return Exists(tuple(dict.fromkeys(vs + body.variables)), body.body)
-    return Exists(vs, body)
+    return _bind(Exists, variables, body)
 
 
 def forall(variables: Sequence[Var], body: Formula) -> Formula:
+    return _bind(Forall, variables, body)
+
+
+def _bind(cls: type[Quantifier], variables: Sequence[Var],
+          body: Formula) -> Formula:
+    """``cls`` over the ``variables`` free in ``body``, merged into a
+    ``body`` of the same class."""
     vs = tuple(v for v in variables if v in body.free_vars())
     if not vs:
         return body
-    if isinstance(body, Forall):
-        return Forall(tuple(dict.fromkeys(vs + body.variables)), body.body)
-    return Forall(vs, body)
+    if isinstance(body, cls):
+        return cls(tuple(dict.fromkeys(vs + body.variables)), body.body)
+    return cls(vs, body)
+
+
+# Each shape's smart constructor and De Morgan dual: set here, where
+# both twins and their constructors exist.
+And.build, And.dual = staticmethod(conj), Or
+Or.build, Or.dual = staticmethod(disj), And
+Exists.build, Exists.dual = staticmethod(exists), Forall
+Forall.build, Forall.dual = staticmethod(forall), Exists
 
 
 def implies(antecedent: Formula, consequent: Formula) -> Formula:
@@ -910,11 +818,11 @@ def _is_qf(phi: Formula, memo: dict[int, bool]) -> bool:
     cached = memo.get(key)
     if cached is not None:
         return cached
-    if isinstance(phi, (Exists, Forall)):
+    if isinstance(phi, Quantifier):
         result = False
     elif isinstance(phi, Not):
         result = _is_qf(phi.arg, memo)
-    elif isinstance(phi, (And, Or)):
+    elif isinstance(phi, Connective):
         result = all(_is_qf(a, memo) for a in phi.args)
     else:
         result = True
@@ -923,26 +831,17 @@ def _is_qf(phi: Formula, memo: dict[int, bool]) -> bool:
 
 
 def map_atoms(phi: Formula, fn: Callable[[Formula], Formula]) -> Formula:
-    """Rebuild ``phi`` applying ``fn`` to every atom (quantifier-free)."""
+    """Rebuild ``phi`` applying ``fn`` to every atom, under quantifiers
+    too (``fn`` must not capture a bound variable)."""
     if isinstance(phi, (Atom, Dvd)):
         return fn(phi)
     if isinstance(phi, Not):
         return neg(map_atoms(phi.arg, fn))
-    if isinstance(phi, And):
-        return conj(*(map_atoms(a, fn) for a in phi.args))
-    if isinstance(phi, Or):
-        return disj(*(map_atoms(a, fn) for a in phi.args))
-    if isinstance(phi, Exists):
-        return exists(phi.variables, map_atoms(phi.body, fn))
-    if isinstance(phi, Forall):
-        return forall(phi.variables, map_atoms(phi.body, fn))
+    if isinstance(phi, Connective):
+        return phi.build(*(map_atoms(a, fn) for a in phi.args))
+    if isinstance(phi, Quantifier):
+        return phi.build(phi.variables, map_atoms(phi.body, fn))
     return phi
-
-
-def rename_vars(phi: Formula, mapping: Mapping[Var, Var]) -> Formula:
-    """Rename free variables throughout a formula."""
-    subst = {v: LinTerm.var(w) for v, w in mapping.items()}
-    return phi.substitute(subst)
 
 
 def unique_atoms(phi: Formula) -> list[Formula]:

@@ -17,16 +17,14 @@ from .formulas import (
     TRUE,
     And,
     Atom,
+    Connective,
     Dvd,
-    Exists,
-    Forall,
     Formula,
     Not,
     Or,
+    Quantifier,
     conj,
     disj,
-    exists,
-    forall,
     neg,
 )
 
@@ -72,14 +70,10 @@ def _nnf(phi: Formula, memo: dict[Formula, Formula]) -> Formula:
 def _nnf_raw(phi: Formula, memo: dict[Formula, Formula]) -> Formula:
     if isinstance(phi, (Atom, Dvd)) or phi is TRUE or phi is FALSE:
         return phi
-    if isinstance(phi, And):
-        return conj(*(_nnf(a, memo) for a in phi.args))
-    if isinstance(phi, Or):
-        return disj(*(_nnf(a, memo) for a in phi.args))
-    if isinstance(phi, Exists):
-        return exists(phi.variables, _nnf(phi.body, memo))
-    if isinstance(phi, Forall):
-        return forall(phi.variables, _nnf(phi.body, memo))
+    if isinstance(phi, Connective):
+        return phi.build(*(_nnf(a, memo) for a in phi.args))
+    if isinstance(phi, Quantifier):
+        return phi.build(phi.variables, _nnf(phi.body, memo))
     if isinstance(phi, Not):
         inner = phi.arg
         if isinstance(inner, (Atom, Dvd)):
@@ -90,14 +84,12 @@ def _nnf_raw(phi: Formula, memo: dict[Formula, Formula]) -> Formula:
             return TRUE
         if isinstance(inner, Not):
             return _nnf(inner.arg, memo)
-        if isinstance(inner, And):
-            return disj(*(_nnf(neg(a), memo) for a in inner.args))
-        if isinstance(inner, Or):
-            return conj(*(_nnf(neg(a), memo) for a in inner.args))
-        if isinstance(inner, Exists):
-            return forall(inner.variables, _nnf(neg(inner.body), memo))
-        if isinstance(inner, Forall):
-            return exists(inner.variables, _nnf(neg(inner.body), memo))
+        # De Morgan: the negation goes inside the dual
+        if isinstance(inner, Connective):
+            return inner.dual.build(*(_nnf(neg(a), memo) for a in inner.args))
+        if isinstance(inner, Quantifier):
+            return inner.dual.build(inner.variables,
+                                    _nnf(neg(inner.body), memo))
     raise TypeError(f"unexpected formula node {phi!r}")
 
 

@@ -1,4 +1,4 @@
-"""A small concrete syntax for formulas, used by tests, examples and the CLI.
+"""A small concrete syntax for formulas, used by tests and examples.
 
 Grammar (precedence low to high)::
 

@@ -2,23 +2,26 @@
 
 ``to_source(phi)`` emits text that :func:`repro.logic.parse_formula`
 parses back to an equal formula (round-tripping is property-tested).
-Useful for persisting learned invariants, logging, and the CLI.
+Tests and ``examples/abduction_playground.py`` use it; the analysis
+itself prints formulas with ``str``.
 """
 
 from __future__ import annotations
 
 from .formulas import (
-    And,
     Atom,
+    Connective,
     Dvd,
-    Exists,
-    Forall,
     Formula,
     Not,
-    Or,
+    Quantifier,
     Rel,
 )
 from .terms import LinTerm
+
+#: a connective's tag -> its operator in the concrete syntax (a
+#: quantifier's tag is its keyword there)
+_OPERATORS = {"and": " && ", "or": " || "}
 
 
 def term_to_source(term: LinTerm) -> str:
@@ -62,21 +65,16 @@ def to_source(phi: Formula) -> str:
         return inner
     if isinstance(phi, Not):
         return f"!({to_source(phi.arg)})"
-    if isinstance(phi, And):
-        return " && ".join(_wrap(a) for a in phi.args)
-    if isinstance(phi, Or):
-        return " || ".join(_wrap(a) for a in phi.args)
-    if isinstance(phi, Exists):
+    if isinstance(phi, Connective):
+        return _OPERATORS[phi.tag].join(_wrap(a) for a in phi.args)
+    if isinstance(phi, Quantifier):
         names = ", ".join(v.name for v in phi.variables)
-        return f"exists {names}. {to_source(phi.body)}"
-    if isinstance(phi, Forall):
-        names = ", ".join(v.name for v in phi.variables)
-        return f"forall {names}. {to_source(phi.body)}"
+        return f"{phi.tag} {names}. {to_source(phi.body)}"
     raise TypeError(f"unexpected formula node {phi!r}")
 
 
 def _wrap(phi: Formula) -> str:
     text = to_source(phi)
-    if isinstance(phi, (And, Or, Exists, Forall)):
+    if isinstance(phi, (Connective, Quantifier)):
         return f"({text})"
     return text

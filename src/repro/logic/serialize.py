@@ -27,18 +27,16 @@ from .formulas import (
     TRUE,
     And,
     Atom,
+    Connective,
     Dvd,
     Exists,
     Forall,
     Formula,
     Not,
     Or,
+    Quantifier,
     Rel,
-    conj,
-    disj,
     dvd,
-    exists,
-    forall,
     neg,
 )
 from .formulas import atom as make_atom
@@ -62,6 +60,11 @@ def _var_from_obj(obj: dict) -> Var:
 #: Public aliases (stage artifacts encode MSA variables directly).
 var_to_obj = _var_to_obj
 var_from_obj = _var_from_obj
+
+#: serialized op -> shape (an op is its class's ``tag``)
+_CONNECTIVES: dict[str, type[Connective]] = {c.tag: c for c in (And, Or)}
+_QUANTIFIERS: dict[str, type[Quantifier]] = {
+    q.tag: q for q in (Exists, Forall)}
 
 
 def term_to_obj(t: LinTerm) -> dict:
@@ -93,11 +96,11 @@ def formula_to_obj(phi: Formula) -> dict:
                 "term": term_to_obj(phi.term)}
     if isinstance(phi, Not):
         return {"op": "not", "arg": formula_to_obj(phi.arg)}
-    if isinstance(phi, (And, Or)):
-        return {"op": "and" if isinstance(phi, And) else "or",
+    if isinstance(phi, Connective):
+        return {"op": phi.tag,
                 "args": [formula_to_obj(a) for a in phi.args]}
-    if isinstance(phi, (Exists, Forall)):
-        return {"op": "exists" if isinstance(phi, Exists) else "forall",
+    if isinstance(phi, Quantifier):
+        return {"op": phi.tag,
                 "vars": [_var_to_obj(v) for v in phi.variables],
                 "body": formula_to_obj(phi.body)}
     raise TypeError(f"cannot serialize {phi!r}")
@@ -117,12 +120,10 @@ def formula_from_obj(obj: dict) -> Formula:
         return dvd(obj["d"], term_from_obj(obj["term"]), obj["neg"])
     if op == "not":
         return neg(formula_from_obj(obj["arg"]))
-    if op == "and":
-        return conj(*(formula_from_obj(a) for a in obj["args"]))
-    if op == "or":
-        return disj(*(formula_from_obj(a) for a in obj["args"]))
-    if op in ("exists", "forall"):
-        build = exists if op == "exists" else forall
-        return build([_var_from_obj(v) for v in obj["vars"]],
-                     formula_from_obj(obj["body"]))
+    if op in _CONNECTIVES:
+        return _CONNECTIVES[op].build(
+            *(formula_from_obj(a) for a in obj["args"]))
+    if op in _QUANTIFIERS:
+        return _QUANTIFIERS[op].build([_var_from_obj(v) for v in obj["vars"]],
+                                      formula_from_obj(obj["body"]))
     raise ValueError(f"unknown formula op {op!r}")

@@ -169,6 +169,17 @@ def percentiles(samples: list[float]) -> dict[str, float]:
     return {"p50": p50, "p95": p95, "p99": p99}
 
 
+def _hist_from(snap: dict) -> _Hist:
+    """A histogram back from its snapshot, samples copied (no
+    ``samples`` reads as none, no ``stride`` as 1)."""
+    h = _Hist()
+    h.count, h.total = snap["count"], snap["total"]
+    h.min, h.max = snap["min"], snap["max"]
+    h.samples = list(snap.get("samples", ()))
+    h.stride = snap.get("stride", 1)
+    return h
+
+
 def _hist_snapshot(h: _Hist) -> dict:
     p50, p95, p99 = _p50_p95_p99(h.samples)
     return {
@@ -652,7 +663,9 @@ def export_prometheus(destination: str | os.PathLike | TextIO | None = None,
 
 def merge_snapshots(*snaps: dict | None) -> dict:
     """Merge worker snapshots: counters, span stats and histograms sum,
-    gauges keep the last non-missing value, ``enabled`` ORs.
+    gauges keep the last non-missing value, ``enabled`` ORs.  Two
+    histograms fold as :meth:`_Hist.merge` folds them in-process, so
+    each observed value weighs the same whichever stride sampled it.
 
     Snapshots stamped with an ``attempt`` label (partial telemetry from
     a failed triage attempt) contribute their label to the merged
@@ -696,17 +709,9 @@ def merge_snapshots(*snaps: dict | None) -> dict:
             if into is None:
                 hists[name] = h
             else:
-                samples = into.get("samples", []) + h.get("samples", [])
-                if len(samples) > _HIST_RESERVOIR:
-                    samples = sorted(samples)[::2]
-                hists[name] = {
-                    "count": into["count"] + h["count"],
-                    "total": into["total"] + h["total"],
-                    "min": min(into["min"], h["min"]),
-                    "max": max(into["max"], h["max"]),
-                    **percentiles(samples),
-                    "samples": samples,
-                }
+                folded = _hist_from(into)
+                folded.merge(_hist_from(h))
+                hists[name] = _hist_snapshot(folded)
     if attempts:
         merged["attempts"] = sorted(set(attempts))
     if traces:

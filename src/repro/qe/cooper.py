@@ -32,23 +32,21 @@ from ..obs import provenance as prov
 from ..logic.formulas import (
     FALSE,
     TRUE,
-    And,
     Atom,
+    Connective,
     Dvd,
     Exists,
     Forall,
     Formula,
     Not,
-    Or,
     Rel,
     atom,
     conj,
     disj,
     dvd,
-    exists,
-    forall,
     map_atoms,
     neg,
+    unique_atoms,
 )
 from ..logic.intern import MISSING, Memo, clear_memos
 from ..logic.normal_forms import dnf_clauses, nnf
@@ -130,10 +128,8 @@ class _Budget:
 def _eliminate(phi: Formula, budget: _Budget) -> Formula:
     if isinstance(phi, (Atom, Dvd)) or phi.is_true or phi.is_false:
         return phi
-    if isinstance(phi, And):
-        return conj(*(_eliminate(a, budget) for a in phi.args))
-    if isinstance(phi, Or):
-        return disj(*(_eliminate(a, budget) for a in phi.args))
+    if isinstance(phi, Connective):
+        return phi.build(*(_eliminate(a, budget) for a in phi.args))
     if isinstance(phi, Not):
         return neg(_eliminate(phi.arg, budget))
     if isinstance(phi, Exists):
@@ -327,7 +323,7 @@ def _eliminate_one_uncached(x: Var, phi: Formula, budget: _Budget) -> Formula:
     uppers: list[LinTerm] = []
     seen_lower: set[LinTerm] = set()
     seen_upper: set[LinTerm] = set()
-    for a in _unique_atoms(phi):
+    for a in unique_atoms(phi):
         c, m, _sign, rest = atom_info(a)
         if c == 0:
             continue
@@ -381,13 +377,6 @@ def _eliminate_one_uncached(x: Var, phi: Formula, budget: _Budget) -> Formula:
                 atoms_after=sum(1 for _ in result.atoms()),
             )
     return result
-
-
-def _unique_atoms(phi: Formula) -> list[Formula]:
-    seen: dict[Formula, None] = {}
-    for a in phi.atoms():
-        seen.setdefault(a, None)
-    return list(seen)
 
 
 def _strip_eq_ne(x: Var, phi: Formula) -> Formula:

@@ -34,6 +34,7 @@ from ..limits import ResourceExhausted
 from ..logic.formulas import (
     And,
     Atom,
+    Connective,
     Dvd,
     Formula,
     Or,
@@ -298,14 +299,9 @@ class SmtSolver:
         if isinstance(node, (Atom, Dvd)):
             base, polarity = atom_polarity(node)
             result = assignment[atom_vars[base]] == polarity
-        elif isinstance(node, And):
-            result = all(
-                SmtSolver._holds(child, assignment, atom_vars, memo)
-                for child in node.args
-            )
         else:
-            assert isinstance(node, Or)
-            result = any(
+            assert isinstance(node, Connective)
+            result = node.fold(
                 SmtSolver._holds(child, assignment, atom_vars, memo)
                 for child in node.args
             )
