@@ -64,9 +64,10 @@ def test_sat_pigeonhole(benchmark):
 
 def enumeration_workload(groups: int = 12, size: int = 4,
                          cap: int = 400) -> int:
-    """Blocking-clause model enumeration over one-hot groups: the
-    learned-clause database grows by one blocking clause per model, so
-    this drives the watched-literal and DB-reduction machinery hard."""
+    """Blocking-clause model enumeration over one-hot groups: 400
+    incremental solves on one solver, each adding one blocking clause,
+    so propagation runs over an arena and watch lists that grow with
+    every model (399 conflicts in all)."""
     solver = SatSolver()
     n = groups * size
     solver.ensure_vars(n)

@@ -102,15 +102,8 @@ class ValueSet:
 
     def join(self, other: "ValueSet") -> "ValueSet":
         """The paper's exact join: same term merges guards with ``or``."""
-        merged: dict[LinTerm, Formula] = {}
-        order: list[LinTerm] = []
-        for pi, phi in list(self.entries) + list(other.entries):
-            if pi in merged:
-                merged[pi] = disj(merged[pi], phi)
-            else:
-                merged[pi] = phi
-                order.append(pi)
-        return ValueSet.of((pi, merged[pi]) for pi in order)
+        return ValueSet.of(
+            _merge_equal_terms([*self.entries, *other.entries]))
 
     # ------------------------------------------------------------------
     def variables(self) -> frozenset[Var]:
@@ -127,15 +120,12 @@ class ValueSet:
 def _merge_equal_terms(
     entries: list[tuple[LinTerm, Formula]]
 ) -> list[tuple[LinTerm, Formula]]:
+    """One entry per distinct term, guards of equal terms joined with
+    ``or``, in first-seen order."""
     merged: dict[LinTerm, Formula] = {}
-    order: list[LinTerm] = []
     for pi, phi in entries:
-        if pi in merged:
-            merged[pi] = disj(merged[pi], phi)
-        else:
-            merged[pi] = phi
-            order.append(pi)
-    return [(pi, merged[pi]) for pi in order]
+        merged[pi] = disj(merged[pi], phi) if pi in merged else phi
+    return list(merged.items())
 
 
 class Store(dict):

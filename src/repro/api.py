@@ -247,9 +247,14 @@ class Pipeline:
         paper's cost function.  ``result.exit_status`` follows the
         documented contract: 0 = verified patch found (or already
         clean), 1 = real bug / no patch, 3 = degraded.
+        ``max_patches`` keeps at most that many ranked patches (at
+        least one).
         """
         from .repair import RepairResult
 
+        if max_patches is not None and max_patches < 1:
+            raise ValueError(
+                f"max_patches must be at least 1, got {max_patches}")
         try:
             name, source = benchmark_by_name(name_or_source).name, None
         except KeyError:

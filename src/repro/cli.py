@@ -46,10 +46,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterable, Iterator, NoReturn
 
 from . import obs
 from . import schema
@@ -61,6 +62,43 @@ from .api import Pipeline, report_envelope
 from .lang import SourceError
 from .diagnosis import EngineConfig, InteractiveOracle, Verdict
 from .limits import Limits
+from .suite import benchmark_by_name
+
+
+def _usage_error(message: str) -> NoReturn:
+    """A malformed invocation: one ``error:`` line on stderr, exit 2."""
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(schema.EXIT_USAGE)
+
+
+def _read_source(path: str) -> str:
+    """A program file's text; an unreadable file is a usage error."""
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        _usage_error(f"cannot read {path}: {exc.strerror or exc}")
+
+
+def _check_names(names: Iterable[str] | None) -> None:
+    """A name that is not a benchmark of the suite is a usage error."""
+    for name in names or ():
+        try:
+            benchmark_by_name(name)
+        except KeyError as exc:
+            _usage_error(exc.args[0])
+
+
+def _int_range(low: int, high: float = float("inf")) -> Callable[[str], int]:
+    """An argparse type: an integer from ``low`` to ``high``."""
+    def parse(text: str) -> int:
+        value = int(text)  # argparse reports "invalid int value"
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}" if value < low
+                else f"must be at most {high}")
+        return value
+    parse.__name__ = "int"
+    return parse
 
 
 def _limits_from_args(args: argparse.Namespace) -> Limits | None:
@@ -118,7 +156,7 @@ def _command_trace(args: argparse.Namespace) -> Iterator[None]:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    source = Path(args.file).read_text()
+    source = _read_source(args.file)
     pipeline = Pipeline(auto_annotate=not args.no_annotate)
     outcome = pipeline.analyze(source)
     if args.json:
@@ -150,7 +188,7 @@ class _Banner:
 
 
 def _cmd_diagnose(args: argparse.Namespace) -> int:
-    source = Path(args.file).read_text()
+    source = _read_source(args.file)
     pipeline = Pipeline(
         auto_annotate=not args.no_annotate,
         config=EngineConfig(max_rounds=args.max_rounds),
@@ -184,9 +222,11 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
 
 
 def _cmd_suite(args: argparse.Namespace) -> int:
+    names = [args.name] if args.name else None
+    _check_names(names)
     if args.verbose:
         prov.enable()  # the query nodes carry each question and answer
-    result = Pipeline().triage([args.name] if args.name else None, jobs=1)
+    result = Pipeline().triage(names, jobs=1)
     for outcome in result.outcomes:
         marker = "ok " if outcome.correct else "FAIL"
         print(f"[{marker}] {outcome.name:16s} -> "
@@ -234,9 +274,7 @@ def _cache_from_args(args: argparse.Namespace) -> tuple[str | None, bool]:
     cache_dir = getattr(args, "cache_dir", None)
     incremental = getattr(args, "incremental", False)
     if incremental and cache_dir is None:
-        print("error: --incremental requires --cache-dir",
-              file=sys.stderr)
-        raise SystemExit(2)
+        _usage_error("--incremental requires --cache-dir")
     return cache_dir, incremental
 
 
@@ -247,9 +285,7 @@ def _run_triage(args: argparse.Namespace):
     if workers:
         workers = [u.strip() for u in workers.split(",") if u.strip()]
         if not workers:
-            print("error: --workers needs at least one URL",
-                  file=sys.stderr)
-            raise SystemExit(2)
+            _usage_error("--workers needs at least one URL")
     else:
         workers = None
     result = Pipeline().triage(names, jobs=args.jobs,
@@ -321,6 +357,7 @@ def _bench_health_code(result) -> int:
 
 
 def _cmd_triage(args: argparse.Namespace) -> int:
+    _check_names(args.names)
     if args.trace is not None:
         obs.enable()
     _configure_logging(args)
@@ -450,6 +487,7 @@ def _handle_history(args: argparse.Namespace, result) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
+    _check_names(args.names)
     obs.enable()
     result = _run_triage(args)
     if args.json:
@@ -466,6 +504,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 def _cmd_explain(args: argparse.Namespace) -> int:
     """Triage one report with provenance on; print its derivation tree."""
+    _check_names([args.name])
     prov.enable()
     result = Pipeline().triage([args.name], jobs=1,
                                limits=_limits_from_args(args))
@@ -498,6 +537,7 @@ def _cmd_trace_export(args: argparse.Namespace) -> int:
         nodes = data["nodes"]
         snap = data["snapshot"] or {}
     else:
+        _check_names(args.names)
         prov.enable()
         result = Pipeline().triage(args.names or None, jobs=args.jobs,
                                    limits=_limits_from_args(args))
@@ -537,9 +577,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_repair(args: argparse.Namespace) -> int:
     cache_dir, _ = _cache_from_args(args)
     target = args.name
-    path = Path(target)
-    if path.suffix == ".err" or path.is_file():
-        target = path.read_text()
+    # os.path.isfile is False, not an OSError, for long inline source
+    if target.endswith(".err") or os.path.isfile(target):
+        target = _read_source(target)
     pipeline = Pipeline(cache_dir=cache_dir,
                         limits=_limits_from_args(args))
     result = pipeline.repair(target, max_patches=args.max_patches)
@@ -693,7 +733,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_repair.add_argument("name", metavar="NAME",
                           help="a Figure 7 benchmark name, or a path "
                                "to a .err source file")
-    p_repair.add_argument("--max-patches", type=int, default=None,
+    p_repair.add_argument("--max-patches", type=_int_range(1), default=None,
                           metavar="N",
                           help="keep at most N ranked patches")
     add_limit_flags(p_repair)
@@ -772,7 +812,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument("--host", default="127.0.0.1",
                          help="bind address (default: 127.0.0.1)")
-    p_serve.add_argument("--port", type=int, default=8184,
+    p_serve.add_argument("--port", type=_int_range(0, 65535), default=8184,
                          help="TCP port; 0 binds an ephemeral port "
                               "(default: 8184)")
     p_serve.add_argument("--cache-dir", default=None, metavar="DIR",
@@ -792,7 +832,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_study = sub.add_parser("userstudy",
                              help="regenerate the Figure 7 user study")
     p_study.add_argument("--seed", type=int, default=2012)
-    p_study.add_argument("--participants", type=int, default=56)
+    p_study.add_argument("--participants", type=_int_range(1), default=56)
     p_study.set_defaults(fn=_cmd_userstudy)
 
     return parser

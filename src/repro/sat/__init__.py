@@ -1,6 +1,6 @@
 """A from-scratch CDCL SAT solver (the propositional engine of the SMT
 layer)."""
 
-from .cdcl import SatSolver, luby
+from .cdcl import SatSolver
 
-__all__ = ["SatSolver", "luby"]
+__all__ = ["SatSolver"]

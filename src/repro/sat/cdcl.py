@@ -6,8 +6,6 @@ Features the standard modern architecture:
 * two-watched-literal clause indexing,
 * first-UIP conflict analysis with learned-clause minimization,
 * VSIDS-style exponential variable activities with phase saving,
-* Luby-sequence restarts,
-* LBD-guided learned-clause database reduction,
 * incremental use: clauses may be added between ``solve()`` calls (the
   SMT layer adds theory-blocking clauses this way).
 
@@ -31,16 +29,9 @@ Storage layout (the hot-path design):
   propagation loop tests a literal with one indexed read instead of a
   sign branch and a negation.
 
-Database reduction: learned clauses record their LBD (number of distinct
-decision levels in the clause at learning time).  Every
-:data:`REDUCE_INTERVAL` conflicts the worst half of the learned clauses
-(highest LBD, break ties towards most recent) is dropped — except
-glue clauses (LBD <= :data:`REDUCE_KEEP_LBD`), binary clauses and
-clauses currently locked as a propagation reason — and the arena is
-compacted.
-
-The search-control constants tune the search order and memory, never
-the answer.
+No restarts and no clause-database reduction: the SMT layer's instances
+stay within a few dozen conflicts per solve.  :data:`VAR_DECAY` tunes
+the search order, never the answer.
 """
 
 from __future__ import annotations
@@ -52,36 +43,13 @@ from .. import obs
 from .. import limits as _limits
 
 
-#: Conflicts per Luby restart unit (budget = unit * luby(i)).
-LUBY_UNIT = 64
-
 #: VSIDS decay factor applied after every conflict.
 VAR_DECAY = 0.95
-
-#: Conflicts between learned-clause database reductions; 0 disables them.
-REDUCE_INTERVAL = 2000
-
-#: Learned clauses at or below this LBD ("glue" clauses) survive every
-#: reduction.
-REDUCE_KEEP_LBD = 3
 
 
 def _lit_index(lit: int) -> int:
     """Map a signed literal to a dense array index."""
     return 2 * lit if lit > 0 else -2 * lit + 1
-
-
-def luby(x: int) -> int:
-    """The Luby restart sequence (0-based): 1 1 2 1 1 2 4 1 1 2 1 1 2 4 8 ..."""
-    size, seq = 1, 0
-    while size < x + 1:
-        seq += 1
-        size = 2 * size + 1
-    while size - 1 != x:
-        size = (size - 1) >> 1
-        seq -= 1
-        x %= size
-    return 1 << seq
 
 
 class SatSolver:
@@ -102,10 +70,7 @@ class SatSolver:
         self._arena: list[int] = []
         self._clause_start: list[int] = []
         self._clause_len: list[int] = []
-        self._clause_lbd = array("i")    # 0 = problem clause, >0 = learned
-        self._clause_stamp = array("q")  # learning order, for reduction ties
         self._num_clauses = 0
-        self._deleted = 0
         self._watches: list[list[int]] = [[], []]  # per literal index
         self._assign = array("b", [0])             # per variable, 1-based
         self._litval = array("b", [0, 0])          # per literal index
@@ -119,8 +84,6 @@ class SatSolver:
         self._queue_head = 0
         self._ok = True
         self._conflicts = 0
-        self._restarts = 0
-        self._next_reduce = REDUCE_INTERVAL
 
     # ------------------------------------------------------------------
     # problem construction
@@ -150,7 +113,7 @@ class SatSolver:
     @property
     def num_clauses(self) -> int:
         """Attached (non-unit) clauses, including learned ones."""
-        return self._num_clauses - self._deleted
+        return self._num_clauses
 
     def add_clause(self, literals: Iterable[int]) -> bool:
         """Add a clause; returns False if the formula became trivially unsat.
@@ -187,16 +150,14 @@ class SatSolver:
                 return False
             self._ok = self._propagate() == -1
             return self._ok
-        self._attach(clause, lbd=0)
+        self._attach(clause)
         return True
 
-    def _attach(self, clause: Sequence[int], *, lbd: int) -> int:
+    def _attach(self, clause: Sequence[int]) -> int:
         index = self._num_clauses
         self._num_clauses = index + 1
         self._clause_start.append(len(self._arena))
         self._clause_len.append(len(clause))
-        self._clause_lbd.append(lbd)
-        self._clause_stamp.append(self._conflicts)
         self._arena.extend(clause)
         watch0 = self._watches[_lit_index(-clause[0])]
         watch0.append(index)
@@ -214,13 +175,11 @@ class SatSolver:
         if not obs.is_enabled():
             return self._solve()
         before_conflicts = self._conflicts
-        before_restarts = self._restarts
         try:
             return self._solve()
         finally:
             obs.inc("sat.solves")
             obs.inc("sat.conflicts", self._conflicts - before_conflicts)
-            obs.inc("sat.restarts", self._restarts - before_restarts)
 
     def _solve(self) -> bool:
         if not self._ok:
@@ -230,33 +189,18 @@ class SatSolver:
             self._ok = False
             return False
 
-        restarts = 0
-        budget = LUBY_UNIT * luby(restarts)
-        conflicts_here = 0
-
         while True:
             _limits.tick("sat")
             conflict = self._propagate()
             if conflict != -1:
                 self._conflicts += 1
-                conflicts_here += 1
                 if self._decision_level() == 0:
                     self._ok = False
                     return False
-                learned, backjump, lbd = self._analyze(conflict)
+                learned, backjump = self._analyze(conflict)
                 self._backtrack(backjump)
-                self._learn(learned, lbd)
+                self._learn(learned)
                 self._decay_activities()
-                if (REDUCE_INTERVAL
-                        and self._conflicts >= self._next_reduce
-                        and self._decision_level() == 0):
-                    self._reduce_db()
-                if conflicts_here >= budget:
-                    restarts += 1
-                    self._restarts += 1
-                    budget = LUBY_UNIT * luby(restarts)
-                    conflicts_here = 0
-                    self._backtrack(0)
                 continue
 
             lit = self._pick_branch()
@@ -411,12 +355,9 @@ class SatSolver:
         self._queue_head = head
         return -1
 
-    def _analyze(self, conflict: int) -> tuple[list[int], int, int]:
-        """First-UIP conflict analysis.
-
-        Returns ``(learned clause, backjump level, lbd)``; the LBD is the
-        number of distinct decision levels among the learned literals.
-        """
+    def _analyze(self, conflict: int) -> tuple[list[int], int]:
+        """First-UIP conflict analysis: ``(learned clause, backjump
+        level)``."""
         learned: list[int] = [0]  # slot 0 reserved for the asserting literal
         seen = bytearray(self._num_vars + 1)
         counter = 0
@@ -462,15 +403,11 @@ class SatSolver:
         learned = self._minimize(learned)
 
         if len(learned) == 1:
-            return learned, 0, 1
-        # backjump to the second-highest level in the clause; the LBD is
-        # the number of distinct levels (the asserting literal sits alone
-        # at the current level, hence the +1)
-        distinct = set()
+            return learned, 0
+        # backjump to the second-highest level in the clause
         backjump = 0
         for k in range(1, len(learned)):
             qlevel = levels[abs(learned[k])]
-            distinct.add(qlevel)
             if qlevel > backjump:
                 backjump = qlevel
         # move a literal of the backjump level into slot 1 for watching
@@ -478,7 +415,7 @@ class SatSolver:
             if levels[abs(learned[k])] == backjump:
                 learned[1], learned[k] = learned[k], learned[1]
                 break
-        return learned, backjump, len(distinct) + 1
+        return learned, backjump
 
     def _minimize(self, learned: list[int]) -> list[int]:
         """Cheap recursive minimization of the learned clause."""
@@ -506,13 +443,10 @@ class SatSolver:
             # else: q is implied by the other clause literals — drop it
         return result
 
-    def _learn(self, learned: list[int], lbd: int) -> None:
-        if len(learned) == 1:
-            enqueued = self._enqueue(learned[0], -1)
-            assert enqueued
-            return
-        index = self._attach(learned, lbd=max(lbd, 1))
-        enqueued = self._enqueue(learned[0], index)
+    def _learn(self, learned: list[int]) -> None:
+        """Attach the clause (unless a unit), assert its first literal."""
+        reason = self._attach(learned) if len(learned) > 1 else -1
+        enqueued = self._enqueue(learned[0], reason)
         assert enqueued
 
     def _backtrack(self, level: int) -> None:
@@ -560,83 +494,3 @@ class SatSolver:
 
     def _decay_activities(self) -> None:
         self._var_inc /= VAR_DECAY
-
-    # ------------------------------------------------------------------
-    # learned-clause database reduction
-    # ------------------------------------------------------------------
-    def _reduce_db(self) -> None:
-        """Drop the worst half of the learned clauses and compact.
-
-        Must be called at decision level 0, where the only locked
-        clauses (reasons of trail literals) are root-implied.
-        Keeps glue clauses (LBD <= ``REDUCE_KEEP_LBD``), binary clauses
-        and locked clauses; among the rest, drops the half with the
-        highest ``(lbd, -stamp)`` — worst LBD first, oldest first on
-        ties.
-        """
-        assert self._decision_level() == 0
-        self._next_reduce = self._conflicts + REDUCE_INTERVAL
-        lbds = self._clause_lbd
-        lens = self._clause_len
-        stamps = self._clause_stamp
-        locked = {
-            self._reason[abs(lit)] for lit in self._trail
-            if self._reason[abs(lit)] != -1
-        }
-        candidates = [
-            ci for ci in range(self._num_clauses)
-            if lens[ci] > 0 and lbds[ci] > REDUCE_KEEP_LBD
-            and lens[ci] > 2 and ci not in locked
-        ]
-        if len(candidates) < 16:
-            return
-        candidates.sort(key=lambda ci: (lbds[ci], -stamps[ci]),
-                        reverse=True)
-        drop = set(candidates[:len(candidates) // 2])
-        if not drop:
-            return
-        obs.inc("sat.reductions")
-        self._compact(drop)
-
-    def _compact(self, drop: set[int]) -> None:
-        """Rebuild the arena without the dropped clauses, remapping every
-        clause index in watch lists and the reason column."""
-        arena = self._arena
-        starts = self._clause_start
-        lens = self._clause_len
-        new_arena: list[int] = []
-        new_start: list[int] = []
-        new_len: list[int] = []
-        new_lbd = array("i")
-        new_stamp = array("q")
-        remap: dict[int, int] = {}
-        for ci in range(self._num_clauses):
-            if ci in drop or lens[ci] == 0:
-                continue
-            remap[ci] = len(new_len)
-            new_start.append(len(new_arena))
-            start = starts[ci]
-            new_arena.extend(arena[start:start + lens[ci]])
-            new_len.append(lens[ci])
-            new_lbd.append(self._clause_lbd[ci])
-            new_stamp.append(self._clause_stamp[ci])
-        self._arena = new_arena
-        self._clause_start = new_start
-        self._clause_len = new_len
-        self._clause_lbd = new_lbd
-        self._clause_stamp = new_stamp
-        self._num_clauses = len(new_len)
-        self._deleted = 0
-        for li in range(len(self._watches)):
-            old_list = self._watches[li]
-            compacted: list[int] = []
-            for j in range(0, len(old_list), 2):
-                new_ci = remap.get(old_list[j])
-                if new_ci is not None:
-                    compacted.append(new_ci)
-                    compacted.append(old_list[j + 1])
-            self._watches[li] = compacted
-        reasons = self._reason
-        for var in range(1, self._num_vars + 1):
-            if reasons[var] != -1:
-                reasons[var] = remap[reasons[var]]

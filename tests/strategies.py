@@ -108,7 +108,7 @@ def cnf_instances(draw, max_vars: int = 8, max_clauses: int = 30,
 
     Clauses are lists of nonzero signed ints in DIMACS convention.
     Small enough for a brute-force enumerator to decide, wide enough to
-    reach conflicts, restarts and clause learning in the CDCL solver.
+    reach conflicts and clause learning in the CDCL solver.
     """
     num_vars = draw(st.integers(1, max_vars))
     num_clauses = draw(st.integers(1, max_clauses))

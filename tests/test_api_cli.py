@@ -137,6 +137,57 @@ class TestCli:
         with pytest.raises(SystemExit):
             main([])
 
+    def test_repair_takes_inline_source_too_long_for_a_file_name(
+            self, capsys):
+        source = "program p(x) { var y = x + 1; " + "y = y + 1; " * 30 \
+            + "assert(y > x); }"
+        assert main(["repair", source]) == 0
+        assert "no patch needed" in capsys.readouterr().out
+
+
+#: Malformed invocations, run from an empty directory: each names a
+#: file that does not exist, a benchmark that is not in the suite or an
+#: out-of-range count or port.
+MALFORMED = [
+    ["analyze", "missing.err"],
+    ["diagnose", "missing.err"],
+    ["repair", "missing.err"],
+    ["triage", "nosuch"],
+    ["explain", "nosuch"],
+    ["stats", "nosuch"],
+    ["trace", "export", "--out", "trace.jsonl", "nosuch"],
+    ["suite", "nosuch"],
+    ["repair", "p02_wordcount", "--max-patches", "0"],
+    ["repair", "p02_wordcount", "--max-patches", "-1"],
+    ["userstudy", "--participants", "0"],
+    ["serve", "--port", "99999"],
+]
+
+
+class TestMalformedInvocations:
+    @pytest.mark.parametrize("argv", MALFORMED, ids="_".join)
+    def test_exits_2_before_any_work(self, argv, tmp_path, monkeypatch,
+                                     capsys):
+        def work(*args, **kwargs):
+            raise AssertionError("a malformed invocation started work")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr("repro.cli.Pipeline", work)
+        monkeypatch.setattr("repro.serve.run", work)  # binds the port
+        monkeypatch.setattr("repro.userstudy.run_user_study", work)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert sum("error:" in line for line in err.splitlines()) == 1
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("max_patches", [0, -1])
+    def test_repair_rejects_max_patches_below_one(self, max_patches):
+        with pytest.raises(ValueError, match="max_patches"):
+            Pipeline().repair("p02_wordcount", max_patches=max_patches)
+
 
 # ---------------------------------------------------------------------------
 # ad-hoc reports: every surface runs the same report runner

@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sat import SatSolver, cdcl, luby
+from repro.sat import SatSolver, cdcl
 
 
 def brute_force_sat(num_vars, clauses):
@@ -29,12 +29,6 @@ def make_solver(num_vars, clauses):
     for clause in clauses:
         solver.add_clause(clause)
     return solver
-
-
-class TestLuby:
-    def test_prefix(self):
-        expected = [1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8]
-        assert [luby(i) for i in range(15)] == expected
 
 
 class TestBasics:
@@ -174,17 +168,13 @@ def test_random_3sat_stress():
         assert solver.solve() == expected, (trial, clauses)
 
 
-# every setting of the search constants must preserve verdicts: they
-# tune the search, never the answer.  REDUCE_INTERVAL=1 forces a
-# database reduction after every conflict, so the reduction and
-# arena-compaction paths run constantly instead of once per 2000
-# conflicts; LUBY_UNIT=1 restarts as aggressively as possible.
+# every setting of the search constant must preserve verdicts: it
+# tunes the search order, never the answer.  VAR_DECAY=1.0 never
+# decays, so branching follows raw bump counts.
 _KNOB_VARIANTS = [
-    dict(LUBY_UNIT=1, VAR_DECAY=0.75, REDUCE_INTERVAL=1,
-         REDUCE_KEEP_LBD=0),
-    dict(LUBY_UNIT=2, VAR_DECAY=1.0, REDUCE_INTERVAL=3,
-         REDUCE_KEEP_LBD=2),
-    dict(LUBY_UNIT=512, VAR_DECAY=0.99, REDUCE_INTERVAL=0),  # no reduction
+    dict(VAR_DECAY=0.75),
+    dict(VAR_DECAY=1.0),
+    dict(VAR_DECAY=0.99),
 ]
 
 
@@ -212,11 +202,9 @@ def test_knob_variants_match_brute_force(data):
             ), (knobs, clauses)
 
 
-def test_reduction_exercised_on_enumeration(monkeypatch):
-    """Clause-DB reduction actually fires (and stays sound) on a
-    blocking-clause enumeration that learns far more than it keeps."""
-    monkeypatch.setattr(cdcl, "REDUCE_INTERVAL", 10)
-    monkeypatch.setattr(cdcl, "REDUCE_KEEP_LBD", 1)
+def test_blocking_clause_enumeration_finds_all_one_hot_models():
+    """Blocking-clause enumeration of six one-hot groups on one
+    incremental solver finds all 3^6 models, each once."""
     solver = SatSolver()
     groups, size = 6, 3
     n = groups * size
